@@ -90,23 +90,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="conifoldrh", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--param", action="append", default=[],
-                        metavar="NAME=VALUE",
-                        help="named complex parameter, e.g. v=0.3+0.4i")
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--order-N", type=int, default=4, dest="order_n")
-        sp.add_argument("--order-K", type=int, default=None, dest="order_k")
+    options = {
+        "--param": dict(action="append", default=[], metavar="NAME=VALUE",
+                        help="named complex parameter, e.g. v=0.3+0.4i"),
+        "--tol": dict(type=float, default=None),
+        "--order-N": dict(type=int, default=4, dest="order_n"),
+        "--order-K": dict(type=int, default=None, dest="order_k"),
+        "--format": dict(choices=("json", "csv"), default="json"),
+    }
+
+    def common(sp, *flags):
+        """--out plus the given options: each subcommand registers only
+        the options it honours."""
+        for flag in flags:
+            sp.add_argument(flag, **options[flag])
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     pe = sub.add_parser("eval", help="evaluate one function")
     pe.add_argument("--target", required=True, choices=EVAL_TARGETS)
-    common(pe)
+    common(pe, "--param", "--tol")
 
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("--suite", required=True, choices=SUITES)
-    common(pv)
+    common(pv, "--tol", "--order-N", "--order-K")
 
     ps = sub.add_parser("sweep", help="sweep one parameter")
     ps.add_argument("--target", required=True,
@@ -114,10 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "growth-D", "asym-order-F", "asym-order-G"))
     ps.add_argument("--sweep", required=True, metavar="NAME:START:RATIO:COUNT",
                     help="geometric schedule; append :lin for a linear step")
-    common(ps)
+    common(ps, "--param", "--format")
 
     pr = sub.add_parser("region", help="scan the admissible tau region")
-    common(pr)
+    common(pr, "--param")
     return p
 
 
@@ -230,13 +236,15 @@ def _suite_algebra(order_n: int, qcut: int, tol: float) -> list[Residual]:
         for name, g in charges:
             res = qtorus.bps_automorphism(s, ray, g, order_n, qcut)
             out.append(Residual.exact(
-                f"Sq(ell_{n})({name}): conjugation == closed form", res.verified,
+                f"Sq(ell_{n})({name}): conjugation == closed form",
+                res.element == res.closed_form,
                 meta={"element": res.element.to_json()}))
     ray = qtorus.conifold_ray_charges("ell_inf", kmax=order_n)
     for name, g in charges:
         res = qtorus.bps_automorphism(s, ray, g, order_n, qcut)
         out.append(Residual.exact(
-            f"Sq(ell_inf)({name}): conjugation == closed form", res.verified))
+            f"Sq(ell_inf)({name}): conjugation == closed form",
+            res.element == res.closed_form))
     dt = qtorus.dt_ray(s, qtorus.conifold_ray_charges("ell_n", 0), order_n, qcut)
     out.append(Residual.exact("DT(ell_0) ray series (serialized)", True,
                               meta={"series": dt.to_json()}))
@@ -644,7 +652,7 @@ def cmd_region(args) -> tuple[dict, int]:
 
 
 def _emit(record: dict, args) -> None:
-    if args.format == "csv" and record.get("command") == "sweep":
+    if record["command"] == "sweep" and args.format == "csv":
         lines = []
         rows = record["rows"]
         if rows:

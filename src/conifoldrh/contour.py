@@ -38,7 +38,7 @@ class RotationError(ValueError):
         self.failed = failed or []
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContourSpec:
     """Contour parameters; None means choose automatically per integrand."""
 

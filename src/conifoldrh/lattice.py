@@ -87,14 +87,6 @@ DELTA = ChargeVector(0, 1, 0, 0)
 BETA_V = ChargeVector(0, 0, 1, 0)
 DELTA_V = ChargeVector(0, 0, 0, 1)
 
-#: <e_i, e_j> on the ordered basis (beta, delta, beta^, delta^).
-SKEW_MATRIX = (
-    (0, 0, -1, 0),
-    (0, 0, 0, -1),
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-)
-
 
 def skew_pair(g1: ChargeVector, g2: ChargeVector) -> int:
     """Canonical skew form on the doubled lattice, <beta^, beta> = 1."""
@@ -141,7 +133,6 @@ class RefinedBPSStructure:
 
     v: complex
     w: complex
-    skew: tuple = SKEW_MATRIX
     omega: Callable[[ChargeVector], LaurentPoly] = conifold_omega
 
     def central_charge(self, gamma: ChargeVector) -> complex:

@@ -163,27 +163,6 @@ class LaurentPoly:
         ((n, a),) = self._c.items()
         return LaurentPoly({-n: Fraction(1) / a})
 
-    def geometric_inverse(self, max_half_exp: int) -> "LaurentPoly":
-        """Inverse of ``m*(1 - h)`` truncated at the given exponent.
-
-        Requires the lowest term to be a monomial that strictly divides the
-        rest (h has only higher exponents), which is the shape arising from
-        1 - q^j factors.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("cannot invert zero")
-        n0 = self.min_exp()
-        lead = LaurentPoly.monomial(n0, self._c[n0])
-        h = (lead.inverse_monomial() * self) - LaurentPoly.one()
-        if not h.is_zero() and h.min_exp() <= 0:
-            raise ValueError("leading term does not dominate; not invertible here")
-        acc = LaurentPoly.one()
-        term = LaurentPoly.one()
-        while not term.is_zero():
-            term = (term * -h).truncate(max_half_exp)
-            acc = acc + term
-        return (lead.inverse_monomial() * acc).truncate(max_half_exp)
-
     # -- evaluation / export ---------------------------------------------
 
     def evaluate(self, half_var: complex) -> complex:

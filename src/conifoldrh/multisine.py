@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .bernoulli import bernoulli_numbers, multiple_bernoulli, zeta_int
 from .checks import Predicate, Residual, im_ratio, im_ratio_predicate
-from .contour import (ContourSpec, QuadratureError, RotationError,
-                      choose_outer_cutoff, detour_integral, hull_rotation)
+from .contour import (ContourSpec, QuadratureError, choose_outer_cutoff,
+                      detour_integral, hull_rotation)
 from .lattice import RegionError
 
 TWO_PI_I = 2j * math.pi
@@ -44,57 +44,16 @@ EPS_POLE_FRACTION = 0.45
 EPS_PLUS_GRID = (0.35, 0.25, 0.18, 0.12, 0.08, 0.05, 0.03, 0.02, 0.012,
                  0.008, 0.005, 0.003, 0.002, 0.0015, 0.001)
 
+#: factors one q-product may take before it is reported as not converging
+MAX_FACTORS = 200_000
+
+#: entries the memo store keeps (least recently used evicted first); a full
+#: `verify --suite all` fills about 300
+CACHE_SIZE = 4096
+
 
 class PoleZeroError(ArithmeticError):
     """Evaluation lands on (or too near) a lattice zero/pole."""
-
-
-@dataclass(frozen=True)
-class OmegaTriple:
-    """Parameter pack (w1, w1t, w2) with the derived combinations."""
-
-    w1: complex
-    w1t: complex
-    w2: complex
-
-    @property
-    def obar(self) -> complex:
-        return (self.w1 + self.w1t) / 2
-
-    @property
-    def dw(self) -> complex:
-        return (self.w1 - self.w1t) / 2
-
-    def same_side_margin(self) -> float:
-        """pi minus the angular hull of (w1, w1t, w2); positive iff the three
-        parameters lie strictly on one side of a line through the origin."""
-        try:
-            _, margin = hull_rotation([self.w1, self.w1t, self.w2])
-        except RotationError:
-            return -1.0
-        return 2 * margin
-
-
-@dataclass(frozen=True)
-class ExpVars:
-    """The bookkeeping exponentials; always recomputed from the parameters."""
-
-    x1: complex
-    x2: complex
-    q1: complex
-    q2: complex
-    q2t: complex
-
-    @classmethod
-    def from_params(cls, z: complex, w1: complex, w1t: complex, w2: complex) -> "ExpVars":
-        obar = (w1 + w1t) / 2
-        return cls(
-            x1=cmath.exp(TWO_PI_I * z / obar),
-            x2=cmath.exp(TWO_PI_I * z / w2),
-            q1=cmath.exp(TWO_PI_I * w2 / obar),
-            q2=cmath.exp(TWO_PI_I * w1 / w2),
-            q2t=cmath.exp(TWO_PI_I * w1t / w2),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +79,18 @@ def _exp_over_prod(zeff: complex, omegas: tuple, s: complex) -> complex:
     return cmath.exp(zeff * s - shift) / den
 
 
-def _auto_eps(omegas: tuple, explicit: float | None) -> float:
-    if explicit is not None:
-        return explicit
-    return EPS_POLE_FRACTION * 2 * math.pi / max(abs(w) for w in omegas)
+def _contour(f, omegas: tuple, c: complex,
+             spec: ContourSpec) -> tuple[complex, float]:
+    """Integral of f over the detour contour rotated by c.
+
+    The semicircle radius defaults to EPS_POLE_FRACTION of the distance to the
+    nearest pole 2 pi i / w of the integrand, the outer cutoff to the first
+    radius where f is negligible; the spec overrides either.
+    """
+    eps = spec.eps if spec.eps is not None else \
+        EPS_POLE_FRACTION * 2 * math.pi / max(abs(w) for w in omegas)
+    R = spec.R if spec.R is not None else choose_outer_cutoff(f, c, eps, spec.tol)
+    return detour_integral(f, eps, R, c, spec.tol, spec.max_panels)
 
 
 def _strip_rotation(directions: list[complex], names: list[str],
@@ -154,9 +121,7 @@ def log_F_contour(z: complex, w1bar: complex, w2: complex,
     def f(s: complex) -> complex:
         return _exp_over_prod(z, (w1bar, w2), s) / s
 
-    eps = _auto_eps((w1bar, w2), spec.eps)
-    R = spec.R if spec.R is not None else choose_outer_cutoff(f, c, eps, spec.tol)
-    return detour_integral(f, eps, R, c, spec.tol, spec.max_panels)
+    return _contour(f, (w1bar, w2), c, spec)
 
 
 def log_G_contour(z: complex, w1: complex, w1t: complex, w2: complex,
@@ -176,58 +141,33 @@ def log_G_contour(z: complex, w1: complex, w1t: complex, w2: complex,
     def f(s: complex) -> complex:
         return -_exp_over_prod(z + obar, (w1, w1t, w2), s) / s
 
-    eps = _auto_eps((w1, w1t, w2), spec.eps)
-    R = spec.R if spec.R is not None else choose_outer_cutoff(f, c, eps, spec.tol)
-    return detour_integral(f, eps, R, c, spec.tol, spec.max_panels)
+    return _contour(f, (w1, w1t, w2), c, spec)
 
 
-_logG_cache: dict = {}
+# ---------------------------------------------------------------------------
+# memo store
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _memo(fn, *args):
+    """fn(*args), remembered under the key (fn, *args): every argument,
+    including a ContourSpec and the route name, selects its own entry, and
+    a call that raises stores nothing."""
+    return fn(*args)
 
 
 def log_G_cached(z: complex, w1: complex, w1t: complex, w2: complex,
                  tol: float = 3e-11) -> tuple[complex, float]:
-    key = (z, w1, w1t, w2, tol)
-    if key not in _logG_cache:
-        _logG_cache[key] = log_G_contour(z, w1, w1t, w2, ContourSpec(tol=tol))
-    return _logG_cache[key]
+    return _memo(log_G_contour, z, w1, w1t, w2, ContourSpec(tol=tol))
 
 
 def clear_caches() -> None:
-    _logG_cache.clear()
-    _moment_cache.clear()
+    """Empty the memo store."""
+    _memo.cache_clear()
 
 
 # ---------------------------------------------------------------------------
-# numeric quantum dilogarithm
-
-
-def qdilog_numeric(x: complex, q: complex, tol: float = 1e-12,
-                   max_terms: int = 200000) -> complex:
-    """E_q(x) = prod_{k>=0} (1 - x q^k) for |q| < 1.
-
-    Truncated once the log-tail bound sum_{k>K} 2 |x| |q|^k / ... < tol
-    (using |log(1-u)| <= 2|u| for |u| <= 1/2); factors within tol of zero are
-    flagged as a zero of the product rather than silently multiplied.
-    """
-    if abs(q) >= 1:
-        raise RegionError(f"qdilog_numeric requires |q| < 1, got {abs(q):.6f}",
-                          ["|q| < 1"])
-    out = 1 + 0j
-    u = complex(x)
-    aq = abs(q)
-    k = 0
-    while k < max_terms:
-        if abs(u) <= 0.5 and 2 * abs(u) / (1 - aq) < tol:
-            break
-        _check_factor(u, "qdilog_numeric", tol)
-        out *= 1 - u
-        u *= q
-        k += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# product expansion of F
+# q-products
 
 
 def _check_factor(u: complex, where: str, tol: float) -> None:
@@ -235,8 +175,40 @@ def _check_factor(u: complex, where: str, tol: float) -> None:
         raise PoleZeroError(f"near-vanishing factor in {where}: |1-u| = {abs(1 - u):.3e}")
 
 
-def F_product(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12,
-              max_terms: int = 100000) -> complex:
+def _qprod(u: complex, q: complex, tol: float, where: str) -> complex:
+    """prod_{k>=0} (1 - u q^k) for |q| < 1.
+
+    Truncated once the log-tail bound 2 |u q^K| / (1 - |q|) < tol holds (using
+    |log(1-v)| <= 2|v| for |v| <= 1/2); factors within 1e3 tol of zero are
+    flagged as a zero of the product rather than multiplied, and a product
+    still above the bound after MAX_FACTORS factors raises.
+    """
+    aq = abs(q)
+    out = 1 + 0j
+    for _ in range(MAX_FACTORS):
+        if abs(u) <= 0.5 and 2 * abs(u) / (1 - aq) < tol:
+            return out
+        _check_factor(u, where, tol)
+        out *= 1 - u
+        u *= q
+    raise QuadratureError(
+        f"{where}: q-product not converged after {MAX_FACTORS} factors "
+        f"(|q| = {aq:.9f}, tail bound {2 * abs(u) / (1 - aq):.3e} > tol {tol:g})")
+
+
+def qdilog_numeric(x: complex, q: complex, tol: float = 1e-12) -> complex:
+    """E_q(x) = prod_{k>=0} (1 - x q^k) for |q| < 1."""
+    if abs(q) >= 1:
+        raise RegionError(f"qdilog_numeric requires |q| < 1, got {abs(q):.6f}",
+                          ["|q| < 1"])
+    return _qprod(complex(x), q, tol, "qdilog_numeric")
+
+
+# ---------------------------------------------------------------------------
+# product expansion of F
+
+
+def F_product(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12) -> complex:
     """Product expansion of F, convergent for Im(w1bar/w2) > 0:
 
     F = prod_{k>=1} (1 - x1 q1^(-k))^(-1) * prod_{k>=0} (1 - x2 p^k),
@@ -250,31 +222,8 @@ def F_product(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12,
     q1inv = cmath.exp(-TWO_PI_I * w2 / w1bar)
     x2 = cmath.exp(TWO_PI_I * z / w2)
     p = cmath.exp(TWO_PI_I * w1bar / w2)
-
-    out = 1 + 0j
-    # prod over k >= 1 of (1 - x1 q1^-k)^-1
-    u = x1 * q1inv
-    aq = abs(q1inv)
-    k = 0
-    while k < max_terms:
-        # remaining tail bound: 2 sum |u| |q|^j <= 2|u|/(1-|q|), valid once |u| <= 1/2
-        if abs(u) <= 0.5 and 2 * abs(u) / (1 - aq) < tol:
-            break
-        _check_factor(u, "F product (x1 family)", tol)
-        out /= 1 - u
-        u *= q1inv
-        k += 1
-    u = x2
-    ap = abs(p)
-    k = 0
-    while k < max_terms:
-        if abs(u) <= 0.5 and 2 * abs(u) / (1 - ap) < tol:
-            break
-        _check_factor(u, "F product (x2 family)", tol)
-        out *= 1 - u
-        u *= p
-        k += 1
-    return out
+    inv = _qprod(x1 * q1inv, q1inv, tol, "F product (x1 family)")
+    return _qprod(x2, p, tol, "F product (x2 family)") / inv
 
 
 def F_value(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12) -> complex:
@@ -334,9 +283,7 @@ def f_moment_quad(order: int, z: complex, w1bar: complex,
     def f(s: complex) -> complex:
         return _exp_over_prod(z, (w1bar,), s) * s**order
 
-    eps = _auto_eps((w1bar,), spec.eps)
-    R = spec.R if spec.R is not None else choose_outer_cutoff(f, c, eps, spec.tol)
-    return detour_integral(f, eps, R, c, spec.tol, spec.max_panels)
+    return _contour(f, (w1bar,), c, spec)
 
 
 def g_moment_quad(order: int, z: complex, w1: complex, w1t: complex,
@@ -355,9 +302,7 @@ def g_moment_quad(order: int, z: complex, w1: complex, w1t: complex,
     def f(s: complex) -> complex:
         return -_exp_over_prod(z + obar, (w1, w1t), s) * s**order
 
-    eps = _auto_eps((w1, w1t), spec.eps)
-    R = spec.R if spec.R is not None else choose_outer_cutoff(f, c, eps, spec.tol)
-    return detour_integral(f, eps, R, c, spec.tol, spec.max_panels)
+    return _contour(f, (w1, w1t), c, spec)
 
 
 def polylog(s: int, x: complex, tol: float = 1e-16) -> complex:
@@ -443,45 +388,31 @@ def g_moment_series(order: int, z: complex, w1: complex, w1t: complex) -> comple
     return TWO_PI_I * (_g_family(order, z, w1, w1t) + _g_family(order, z, w1t, w1))
 
 
-_moment_cache: dict = {}
+def _moment(series, quad, order: int, args: tuple, method: str,
+            spec: ContourSpec | None) -> complex:
+    """One moment by route: "quad", "series", or (any other method) the
+    residue series with quadrature where the series is unavailable."""
+    if method != "quad":
+        try:
+            return series(order, *args)
+        except (RegionError, PoleZeroError):
+            if method == "series":
+                raise
+    return quad(order, *args, spec)[0]
 
 
 def f_moment(order: int, z: complex, w1bar: complex, method: str = "auto",
              spec: ContourSpec | None = None) -> complex:
     """Moment integral with selectable route; "auto" prefers the residue series
     (exact resummation of the contour) and falls back to quadrature."""
-    key = ("f", order, z, w1bar, method)
-    if key in _moment_cache:
-        return _moment_cache[key]
-    if method == "quad":
-        val = f_moment_quad(order, z, w1bar, spec)[0]
-    elif method == "series":
-        val = f_moment_series(order, z, w1bar)
-    else:
-        try:
-            val = f_moment_series(order, z, w1bar)
-        except (RegionError, PoleZeroError):
-            val = f_moment_quad(order, z, w1bar, spec)[0]
-    _moment_cache[key] = val
-    return val
+    return _memo(_moment, f_moment_series, f_moment_quad, order, (z, w1bar),
+                 method, spec)
 
 
 def g_moment(order: int, z: complex, w1: complex, w1t: complex,
              method: str = "auto", spec: ContourSpec | None = None) -> complex:
-    key = ("g", order, z, w1, w1t, method)
-    if key in _moment_cache:
-        return _moment_cache[key]
-    if method == "quad":
-        val = g_moment_quad(order, z, w1, w1t, spec)[0]
-    elif method == "series":
-        val = g_moment_series(order, z, w1, w1t)
-    else:
-        try:
-            val = g_moment_series(order, z, w1, w1t)
-        except (RegionError, PoleZeroError):
-            val = g_moment_quad(order, z, w1, w1t, spec)[0]
-    _moment_cache[key] = val
-    return val
+    return _memo(_moment, g_moment_series, g_moment_quad, order, (z, w1, w1t),
+                 method, spec)
 
 
 def f_moment_residue_oracle(order: int, z: complex, w1bar: complex,
@@ -589,19 +520,8 @@ def reflection_rhs_F(z: complex, w1: complex, w1t: complex, w2: complex,
     obar = (w1 + w1t) / 2
     x2 = cmath.exp(TWO_PI_I * z / w2)
     p = cmath.exp(TWO_PI_I * obar / w2)
-    ap = abs(p)
-    out = 1 + 0j
-    u = x2
-    while not (abs(u) <= 0.5 and 2 * abs(u) / (1 - ap) < tol):
-        _check_factor(u, "reflection RHS F (x2 family)", tol)
-        out *= 1 - u
-        u *= p
-    u = p / x2
-    while not (abs(u) <= 0.5 and 2 * abs(u) / (1 - ap) < tol):
-        _check_factor(u, "reflection RHS F (1/x2 family)", tol)
-        out /= 1 - u
-        u *= p
-    return out
+    return (_qprod(x2, p, tol, "reflection RHS F (x2 family)")
+            / _qprod(p / x2, p, tol, "reflection RHS F (1/x2 family)"))
 
 
 def reflection_rhs_G(z: complex, w1: complex, w1t: complex, w2: complex,
@@ -624,16 +544,9 @@ def reflection_rhs_G(z: complex, w1: complex, w1t: complex, w2: complex,
         row_lead = big * abs(q2h) ** (2 * k1 + 1) * abs(q2th)
         if row_lead <= 0.5 and 2 * row_lead / ((1 - aq) * (1 - aqt)) < tol:
             break
-        k2 = 0
-        while True:
-            base = q2h ** (2 * k1 + 1) * q2th ** (2 * k2 + 1)
-            lead = big * abs(base)
-            if lead <= 0.5 and 2 * lead / (1 - aqt) < tol:
-                break
-            for u in (x2 * base, base / x2):
-                _check_factor(u, "reflection RHS G", tol)
-                out *= 1 - u
-            k2 += 1
+        row = q2h ** (2 * k1 + 1) * q2th
+        out *= (_qprod(x2 * row, q2th * q2th, tol, "reflection RHS G")
+                * _qprod(row / x2, q2th * q2th, tol, "reflection RHS G"))
         k1 += 1
     return out
 
@@ -657,9 +570,7 @@ def residue_lemma_check(w: complex, d: int, tol: float = 1e-10) -> Residual:
         e = cmath.exp(a)
         return -e * s ** (1 - d) / (e - 1) ** 2
 
-    eps = _auto_eps((w,), None)
-    R = choose_outer_cutoff(f, c, eps, tol)
-    lhs, err = detour_integral(f, eps, R, c, tol)
+    lhs, err = _contour(f, (w,), c, ContourSpec(tol=tol))
     factor = 1.0 if d == 1 else (d - 1) * zeta_int(d)
     rhs = factor / TWO_PI_I * (w / TWO_PI_I) ** (d - 2)
     res = Residual.compare(f"residue_lemma(d={d})", lhs, rhs, 1e-8,

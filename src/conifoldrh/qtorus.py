@@ -79,11 +79,6 @@ class QTorusElement:
     def generator(cls, g: ChargeVector, coeff: LaurentPoly | None = None) -> "QTorusElement":
         return cls({g: coeff if coeff is not None else LaurentPoly.one()})
 
-    @classmethod
-    def x_generator(cls, g: ChargeVector, sigma: QuadraticRefinement = SIGMA) -> "QTorusElement":
-        """x_g = sigma(g) y_g expressed in the y basis."""
-        return cls({g: LaurentPoly.from_scalar(sigma(g))})
-
     def __add__(self, other: "QTorusElement") -> "QTorusElement":
         t = dict(self.terms)
         for g, c in other.terms.items():
@@ -119,10 +114,6 @@ class QTorusElement:
 
     def truncate_q(self, qcut: int) -> "QTorusElement":
         return QTorusElement({g: c.truncate(qcut) for g, c in self.terms.items()})
-
-    def x_coefficients(self, sigma: QuadraticRefinement = SIGMA) -> dict[ChargeVector, LaurentPoly]:
-        """Coefficients with respect to the x-generators."""
-        return {g: c * sigma(g) for g, c in self.terms.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QTorusElement):
@@ -389,7 +380,6 @@ def closed_form_element(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
 class AutomorphismResult:
     element: QTorusElement        # conjugation-computed action on y_gamma
     closed_form: QTorusElement    # product-formula action
-    verified: bool
     gamma0: ChargeVector | None
 
 
@@ -410,10 +400,10 @@ def bps_automorphism(structure: RefinedBPSStructure,
     """
     if gamma.is_electric():
         ident = QTorusElement.generator(gamma)
-        return AutomorphismResult(ident, ident, True, None)
+        return AutomorphismResult(ident, ident, None)
     if not ray_charges:
         ident = QTorusElement.generator(gamma)
-        return AutomorphismResult(ident, ident, True, None)
+        return AutomorphismResult(ident, ident, None)
     gamma0, _ = _primitive_direction([g for g, _ in ray_charges])
     c = skew_pair(gamma0, gamma)
     margin = work_margin if work_margin is not None else 2 * order * (abs(c) + 2)
@@ -425,7 +415,7 @@ def bps_automorphism(structure: RefinedBPSStructure,
         raise AlgebraConsistencyError(
             f"conjugation and closed form disagree for gamma={gamma.coords()} "
             f"on ray through {gamma0.coords()}")
-    return AutomorphismResult(elem, closed, True, gamma0)
+    return AutomorphismResult(elem, closed, gamma0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,15 @@ import numpy as np
 
 from .bernoulli import multiple_bernoulli
 from .checks import Predicate, Residual, im_ratio_predicate
-from .contour import hull_rotation, RotationError
+from .contour import QuadratureError, hull_rotation, RotationError
 from .lattice import RegionError, in_mplus
-from .multisine import log_F_star, log_G_star, log_G_cached, q_G
+from .multisine import _qprod, log_F_star, log_G_star, log_G_cached, q_G
 
 TWO_PI_I = 2j * math.pi
+
+#: orders n of y^n the quantum reflection product may take before it is
+#: reported as not converging
+REFLECTION_MAX_ORDER = 400
 
 
 @dataclass(frozen=True)
@@ -201,16 +205,8 @@ def _xy_for_reflection(p: SolutionPoint) -> tuple[complex, complex]:
 def reflection_B_rhs(p: SolutionPoint, tol: float = 1e-13) -> complex:
     """prod_{n>=0} (1 - x y^n) * prod_{n>=1} (1 - x^(-1) y^n)^(-1)."""
     x, y = _xy_for_reflection(p)
-    out = 1 + 0j
-    u = x
-    while abs(u) > tol:
-        out *= 1 - u
-        u *= y
-    u = y / x
-    while abs(u) > tol:
-        out /= 1 - u
-        u *= y
-    return out
+    return (_qprod(x, y, tol, "reflection (B), x family")
+            / _qprod(y / x, y, tol, "reflection (B), 1/x family"))
 
 
 def reflection_D_rhs(p: SolutionPoint, tol: float = 1e-13) -> complex:
@@ -229,13 +225,15 @@ def reflection_D_rhs(p: SolutionPoint, tol: float = 1e-13) -> complex:
     out = 1 + 0j
     n = 1
     while (max(abs(x), 1 / abs(x), 1.0) * (abs(y) * aq) ** n) * n > tol:
+        if n > REFLECTION_MAX_ORDER:
+            raise QuadratureError(
+                f"reflection (D) product not converged after {REFLECTION_MAX_ORDER} "
+                f"orders in y (|y| |q^(+-1/2)| = {abs(y) * aq:.6f})")
         for k in range(n):
             qpow = qh ** (1 - n + 2 * k)
             out *= (1 - qpow * x * y**n) * (1 - qpow / x * y**n)
             out /= (1 - qpow * qh * y**n) * (1 - qpow / qh * y**n)
         n += 1
-        if n > 400:
-            break
     return out
 
 

@@ -152,6 +152,21 @@ def _strip_timing(obj):
 
 
 def test_verify_deterministic(tmp_path):
+    from conifoldrh.multisine import clear_caches
+    clear_caches()
     _, a = run_cli(tmp_path, "verify", "--suite", "dilog")
+    clear_caches()
     _, b = run_cli(tmp_path, "verify", "--suite", "dilog")
     assert _strip_timing(a) == _strip_timing(b)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--target", "qdilog", "--param", "x=0", "--format", "csv"],
+    ["verify", "--suite", "bernoulli", "--param", "v=1"],
+    ["sweep", "--target", "qrh-limit-B", "--sweep", "t:0.8:0.5:2",
+     "--tol", "1e-3"],
+    ["region", "--order-N", "3"],
+])
+def test_option_not_honoured_is_usage(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err

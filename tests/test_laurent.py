@@ -55,13 +55,6 @@ def test_inverse_monomial():
         lp({0: 1, 1: 1}).inverse_monomial()
 
 
-def test_geometric_inverse():
-    # (1 - q) * its inverse == 1 mod the cutoff
-    p = lp({0: 1, 2: -1})
-    inv = p.geometric_inverse(20)
-    assert (p * inv).truncate(20) == LaurentPoly.one()
-
-
 def test_evaluate():
     p = lp({-1: 1, 2: 3})   # q^(-1/2) + 3 q
     v = p.evaluate(0.5j)

@@ -3,34 +3,19 @@ import math
 
 import pytest
 
-from conifoldrh.contour import ContourSpec
+from conifoldrh import multisine
+from conifoldrh.contour import ContourSpec, QuadratureError
 from conifoldrh.lattice import RegionError
-from conifoldrh.multisine import (ExpVars, F_product, F_star, F_value,
-                                  OmegaTriple, PoleZeroError,
+from conifoldrh.multisine import (F_product, F_star, F_value, PoleZeroError,
                                   asymptotic_infinity_fit,
-                                  asymptotic_order_small_w2, f_moment,
-                                  log_F_contour, log_F_star, log_G_contour,
-                                  log_G_star, qdilog_numeric,
+                                  asymptotic_order_small_w2, clear_caches,
+                                  f_moment, log_F_contour, log_F_star,
+                                  log_G_contour, log_G_star, qdilog_numeric,
                                   reflection_rhs_F, reflection_rhs_G)
 
 Z, OB, W2 = 0.3 + 0.4j, 1 + 0.5j, 0.8 - 0.1j
 W1, W1T = 1 + 0.1j, 0.95 - 0.07j
 W2R = 0.3 - 0.75j     # Im(w1/w2r) > 0 and Im(w1t/w2r) > 0
-
-
-def test_omega_triple_derived():
-    o = OmegaTriple(W1, W1T, W2)
-    assert abs(o.obar - (W1 + W1T) / 2) < 1e-15
-    assert abs(o.dw - (W1 - W1T) / 2) < 1e-15
-    assert o.same_side_margin() > 0
-    assert OmegaTriple(1 + 0j, -1 + 0j, 1j).same_side_margin() < 0
-
-
-def test_exp_vars_recomputed():
-    e = ExpVars.from_params(Z, W1, W1T, W2)
-    ob = (W1 + W1T) / 2
-    assert abs(e.x1 - cmath.exp(2j * math.pi * Z / ob)) < 1e-15
-    assert abs(e.q2 * e.q2t - cmath.exp(2j * math.pi * (W1 + W1T) / W2)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +39,13 @@ def test_qdilog_known_value():
 def test_qdilog_rejects_big_q():
     with pytest.raises(RegionError):
         qdilog_numeric(0.5, 1.0)
+
+
+def test_qdilog_unconverged_product_raises():
+    # |q| so close to 1 that the tail bound needs ~5e9 factors: the product
+    # reports the exhausted factor budget instead of returning a truncation
+    with pytest.raises(QuadratureError, match="not converged"):
+        qdilog_numeric(0.5, 0.99999999)
 
 
 # ---------------------------------------------------------------------------
@@ -183,3 +175,25 @@ def test_moments_cached_and_consistent():
     a = f_moment(-2, Z, OB)
     b = f_moment(-2, Z, OB, method="quad")
     assert abs(a - b) < 1e-9 * max(1.0, abs(a))
+
+
+def test_cache_key_covers_spec():
+    """A warm entry for one ContourSpec is never served for another: the
+    spec whose tilt admits no decaying contour still raises."""
+    clear_caches()
+    bad = ContourSpec(eps_plus=-3)
+    with pytest.raises(QuadratureError):
+        f_moment(-2, Z, OB, "quad", bad)
+    f_moment(-2, Z, OB, "quad", ContourSpec())
+    with pytest.raises(QuadratureError):
+        f_moment(-2, Z, OB, "quad", bad)
+
+
+def test_cache_is_bounded():
+    clear_caches()
+    for j in range(multisine.CACHE_SIZE + 100):
+        f_moment(0, Z + 1e-6 * j, OB, "series")
+        assert multisine._memo.cache_info().currsize <= multisine.CACHE_SIZE
+    assert multisine._memo.cache_info().currsize == multisine.CACHE_SIZE
+    clear_caches()
+    assert multisine._memo.cache_info().currsize == 0

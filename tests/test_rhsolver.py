@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from conifoldrh.contour import QuadratureError
 from conifoldrh.lattice import RegionError
 from conifoldrh.multisine import log_F_star, log_G_star
 from conifoldrh.rhsolver import (SolutionPoint, B_n, D_n, b_predicates,
@@ -10,7 +11,7 @@ from conifoldrh.rhsolver import (SolutionPoint, B_n, D_n, b_predicates,
                                  cs_point, d_predicates, default_tau_grid,
                                  fit_growth_exponent, log_B_n, log_D_n,
                                  qrh2_limit, reflection_B, reflection_D,
-                                 refined_cs_partition,
+                                 reflection_D_rhs, refined_cs_partition,
                                  region_neighborhood_tau, richardson_limit,
                                  wallcross_B, wallcross_D)
 
@@ -98,6 +99,15 @@ def test_reflection_identities():
     rd = reflection_D(P_IV)
     assert rb.rel_err < 1e-8
     assert rd.rel_err < 1e-8
+
+
+def test_reflection_D_reports_exhausted_budget():
+    # |y| |q^(-1/2)| = 0.942: the product needs more than the 400-order
+    # budget at tol 1e-13 and raises instead of returning a truncation
+    p = SolutionPoint(V, W, 2 + 0.2j, 0.08j, 0)
+    assert 0.9 < abs(p.y) / abs(p.q_half) < 1
+    with pytest.raises(QuadratureError, match="400 orders"):
+        reflection_D_rhs(p)
 
 
 def test_reflection_needs_lower_y():
