@@ -2,8 +2,8 @@
 functions, run named verification suites, sweep parameters, scan regions.
 
 Exit codes: 0 ok, 1 failed check, 2 precondition violation, 3 numerical
-failure, 64 usage error.  All output is schema-versioned JSON (or CSV for
-sweeps); wall-clock times live in a separate "timing" field so the rest of
+failure, 64 usage error.  All output is schema-versioned strict JSON (or CSV
+for sweeps); wall-clock times live in a separate "timing" field so the rest of
 the record is reproducible byte for byte.
 """
 
@@ -16,6 +16,7 @@ import math
 import re
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from . import rhsolver, multisine, qtorus, lattice
@@ -23,7 +24,6 @@ from .bernoulli import bernoulli_poly, multiple_bernoulli
 from .checks import Residual
 from .contour import QuadratureError, RotationError
 from .lattice import RegionError
-from .multisine import PoleZeroError
 from .rhsolver import SolutionPoint
 
 EXIT_OK = 0
@@ -45,6 +45,36 @@ SUITES = ("algebra", "dilog", "bernoulli", "difference", "reflection",
 EVAL_TARGETS = ("qdilog", "F", "G", "Fstar", "Gstar", "Bn", "Dn", "Z_cs",
                 "bernoulli", "multiple_bernoulli", "moments")
 
+#: --param names each eval target reads; multiple_bernoulli also reads w1..wr
+EVAL_PARAMS = {
+    "qdilog": ("x", "q"),
+    "F": ("z", "w1bar", "w2"),
+    "G": ("z", "w1", "w1t", "w2"),
+    "Fstar": ("z", "w1bar", "w2"),
+    "Gstar": ("z", "w1", "w1t", "w2"),
+    "Bn": ("v", "w", "t", "n"),
+    "Dn": ("v", "w", "t", "tau", "n"),
+    "Z_cs": ("delta", "mu", "beta"),
+    "bernoulli": ("n", "z"),
+    "multiple_bernoulli": ("n", "r", "z"),
+    "moments": ("order", "z", "w1bar", "w1", "w1t"),
+}
+
+#: eval targets that honour --tol
+TOL_TARGETS = ("qdilog", "F", "G")
+
+#: --param names each sweep target reads (asym-order-* schedules vary w2,
+#: the others t)
+_POINT_PARAMS = ("v", "w", "t", "tau", "n")
+SWEEP_PARAMS = {
+    "qrh-limit-B": _POINT_PARAMS, "qrh-limit-D": _POINT_PARAMS,
+    "growth-B": _POINT_PARAMS, "growth-D": _POINT_PARAMS,
+    "asym-order-F": ("z", "K", "w1bar", "w2dir"),
+    "asym-order-G": ("z", "K", "w1", "w1t", "w2dir"),
+}
+
+REGION_PARAMS = ("v", "w", "t", "n")
+
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _RE_REAL = re.compile(rf"[+-]?{_NUM}")
 _RE_IMAG = re.compile(rf"(?P<body>[+-]?{_NUM}|[+-]?)[ij]")
@@ -53,6 +83,10 @@ _RE_BOTH = re.compile(rf"(?P<re>[+-]?{_NUM})(?P<body>[+-]{_NUM}|[+-])[ij]")
 
 class UsageError(ValueError):
     pass
+
+
+class NonFiniteError(ArithmeticError):
+    """A computed value is infinite or NaN."""
 
 
 def _imag_body(body: str) -> float:
@@ -115,9 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(pv, "--tol", "--order-N", "--order-K")
 
     ps = sub.add_parser("sweep", help="sweep one parameter")
-    ps.add_argument("--target", required=True,
-                    choices=("qrh-limit-B", "qrh-limit-D", "growth-B",
-                             "growth-D", "asym-order-F", "asym-order-G"))
+    ps.add_argument("--target", required=True, choices=tuple(SWEEP_PARAMS))
     ps.add_argument("--sweep", required=True, metavar="NAME:START:RATIO:COUNT",
                     help="geometric schedule; append :lin for a linear step")
     common(ps, "--param", "--format")
@@ -137,13 +169,26 @@ def _params_dict(args) -> dict[str, complex]:
     return out
 
 
-def _point(params: dict, n: int = 0) -> SolutionPoint:
-    merged = dict(DEFAULT_POINT)
-    merged.update({k: v for k, v in params.items() if k in merged})
-    if "n" in params:
-        n = int(params["n"].real)
+def _check_names(params: dict, accepted, what: str) -> None:
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise UsageError(f"unknown --param {', '.join(unknown)} for {what}; "
+                         f"accepted: {', '.join(accepted)}")
+
+
+def _int_param(params: dict, name: str, default: int | None = None) -> int:
+    if name not in params and default is not None:
+        return default
+    z = params[name]
+    if z.imag != 0 or not z.real.is_integer():
+        raise UsageError(f"--param {name} must be an integer, got {z}")
+    return int(z.real)
+
+
+def _point(params: dict) -> SolutionPoint:
+    merged = {**DEFAULT_POINT, **params}
     return SolutionPoint(v=merged["v"], w=merged["w"], t=merged["t"],
-                         tau=merged["tau"], n=n)
+                         tau=merged["tau"], n=_int_param(params, "n", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +197,22 @@ def _point(params: dict, n: int = 0) -> SolutionPoint:
 
 def cmd_eval(args) -> tuple[dict, int]:
     params = _params_dict(args)
-    tol = args.tol if args.tol is not None else 1e-10
+    target = args.target
+    what = f"eval --target {target}"
+    accepted = EVAL_PARAMS[target]
+    if target == "multiple_bernoulli" and "r" in params:
+        accepted += tuple(f"w{i}" for i in range(1, _int_param(params, "r") + 1))
+    _check_names(params, accepted, what)
+    if target in TOL_TARGETS:
+        tol = args.tol if args.tol is not None else 1e-10
+    elif args.tol is not None:
+        raise UsageError(f"--tol is not honoured by {what} "
+                         f"(only by targets {', '.join(TOL_TARGETS)})")
+    else:
+        tol = None
     t0 = time.perf_counter()
     err_est = None
     predicates = []
-    target = args.target
 
     if target == "qdilog":
         value = multisine.qdilog_numeric(params["x"], params.get("q", 0j),
@@ -189,16 +245,16 @@ def cmd_eval(args) -> tuple[dict, int]:
         value = rhsolver.refined_cs_partition(params["delta"], params["mu"],
                                               params["beta"])
     elif target == "bernoulli":
-        n = int(params["n"].real)
-        z = params.get("z", 0j)
-        value = complex(bernoulli_poly(n, z))
+        value = complex(bernoulli_poly(_int_param(params, "n"), params.get("z", 0j)))
     elif target == "multiple_bernoulli":
-        n = int(params["n"].real)
-        r = int(params["r"].real)
+        n, r = _int_param(params, "n"), _int_param(params, "r")
         omegas = [params[f"w{i}"] for i in range(1, r + 1)]
         value = complex(multiple_bernoulli(n, r, params.get("z", 0j), omegas))
     elif target == "moments":
-        order = int(params["order"].real)
+        order = _int_param(params, "order")
+        if "w1bar" in params and ("w1" in params or "w1t" in params):
+            raise UsageError(f"{what} takes either w1bar (F moment) "
+                             "or w1, w1t (G moment), not both")
         if "w1bar" in params:
             value = multisine.f_moment(order, params["z"], params["w1bar"])
         else:
@@ -206,13 +262,16 @@ def cmd_eval(args) -> tuple[dict, int]:
                                        params["w1t"])
     else:  # pragma: no cover
         raise UsageError(f"unknown target {target}")
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise NonFiniteError(f"{what} gave the non-finite value {value}")
 
     record = {
         "schema": 1,
         "command": "eval",
         "target": target,
         "params": {k: _cnum(v) for k, v in sorted(params.items())},
-        "value": _cnum(complex(value)),
+        "value": _cnum(value),
         "error_estimate": err_est,
         "tolerance": tol,
         "predicates": [q.to_json() for q in predicates],
@@ -569,7 +628,12 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
 
 def cmd_sweep(args) -> tuple[dict, int]:
     params = _params_dict(args)
+    what = f"sweep --target {args.target}"
+    _check_names(params, SWEEP_PARAMS[args.target], what)
     name, values = _parse_sweep(args.sweep)
+    varied = "w2" if args.target.startswith("asym-order") else "t"
+    if name != varied:
+        raise UsageError(f"{what} varies |{varied}|, not {name!r}")
     t0 = time.perf_counter()
     rows = []
     p0 = _point(params)
@@ -595,12 +659,12 @@ def cmd_sweep(args) -> tuple[dict, int]:
             rows.append({name: s, "value": _cnum(vals[-1]),
                          "metric": abs(vals[-1])})
         fit = rhsolver.fit_growth_exponent(ts, vals)
-        rows.append({name: float("nan"), "value": [fit["exponent"], 0.0],
+        rows.append({name: None, "value": [fit["exponent"], 0.0],
                      "metric": fit["max_fit_deviation"]})
     else:  # asym-order-F / asym-order-G
         mode = args.target[-1]
         z = params.get("z", 0.3 + 0.4j)
-        K = int(params.get("K", 2 + 0j).real)
+        K = _int_param(params, "K", 2)
         if mode == "F":
             pars = (params.get("w1bar", 1 + 0.05j),)
             S = multisine.logF_partial_sum(z, pars[0], K)
@@ -631,6 +695,7 @@ def cmd_sweep(args) -> tuple[dict, int]:
 
 def cmd_region(args) -> tuple[dict, int]:
     params = _params_dict(args)
+    _check_names(params, REGION_PARAMS, "region")
     p = _point(params)
     t0 = time.perf_counter()
     rep = rhsolver.region_neighborhood_tau(p.v, p.w, p.t, p.n)
@@ -665,13 +730,15 @@ def _emit(record: dict, args) -> None:
                     if isinstance(v, list):
                         sign = "+" if v[1] >= 0 else "-"
                         cells.append(f"{v[0]!r}{sign}{abs(v[1])!r}i")
+                    elif v is None:
+                        cells.append("")
                     else:
                         cells.append(repr(v))
                 lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(record, sort_keys=True, indent=2,
-                          default=_json_default) + "\n"
+        text = json.dumps(_strict(record), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -679,12 +746,20 @@ def _emit(record: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _json_default(obj):
+def _strict(obj):
+    """Strict-JSON form of a record: complex -> [re, im], Fraction -> str,
+    and a non-finite float (e.g. the residual of a failed exact check) -> null."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_strict(obj.real), _strict(obj.imag)]
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, Fraction):
         return str(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+    return obj
 
 
 def main(argv=None) -> int:
@@ -705,6 +780,7 @@ def main(argv=None) -> int:
             record, code = cmd_region(args)
         else:  # pragma: no cover
             return EXIT_USAGE
+        _emit(record, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -714,11 +790,16 @@ def main(argv=None) -> int:
     except (RegionError, RotationError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (QuadratureError, PoleZeroError, ZeroDivisionError,
-            OverflowError) as exc:
+    except (QuadratureError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _emit(record, args)
+    except ValueError as exc:
+        print(f"usage error: invalid input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return code
 
 

@@ -1,10 +1,17 @@
 """Exact Laurent polynomials in a formal half-integer-power variable.
 
-Elements are finite sums  sum_n  c_n * X^(n/2)  with rational c_n, where the
-exponent n runs over integers (so the variable is really X^(1/2)).  The same
-type serves as the coefficient ring over q^(1/2) for the quantum torus and as
-the value ring for the motivic invariants over L^(1/2); the two variables are
-related by q^(1/2) = -L^(1/2), realised here by :meth:`LaurentPoly.negate_var`.
+Elements are finite sums  sum_n  c_n * X^(n/2)  where the exponent n runs
+over integers (so the variable is really X^(1/2)).  Coefficients are integer;
+a ``Fraction`` only where a caller supplies a non-integral rational.  The
+refined DT invariants and the E_q coefficients are integers, so every
+coefficient the exact layer produces lies in Z[X^(+-1/2)] and is stored as a
+Python ``int``.  Mixed int/Fraction arithmetic and hashing are exact, so an
+integral ``Fraction`` that such arithmetic yields equals its ``int``.
+
+The same type serves as the coefficient ring over q^(1/2) for the quantum
+torus and as the value ring for the motivic invariants over L^(1/2); the two
+variables are related by q^(1/2) = -L^(1/2), realised here by
+:meth:`LaurentPoly.negate_var`.
 """
 
 from __future__ import annotations
@@ -15,16 +22,18 @@ from typing import Iterable, Mapping, Union
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _as_exact(x: Scalar) -> Scalar:
+    """Normalise an exact rational: ``int`` when integral, else ``Fraction``."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"coefficients must be exact rationals, got {type(x)!r}")
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial with Fraction coefficients.
+    """Immutable Laurent polynomial with integer coefficients (a
+    ``Fraction`` only where a caller supplies a non-integral rational).
 
     Exponents are stored in half-units: key ``n`` carries the monomial
     X^(n/2).  Zero coefficients are never stored.
@@ -36,7 +45,7 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for n, a in coeffs.items():
-                a = _as_fraction(a)
+                a = _as_exact(a)
                 if a != 0:
                     c[int(n)] = a
         self._c = c
@@ -65,14 +74,14 @@ class LaurentPoly:
     def items(self):
         return self._c.items()
 
-    def coeff(self, half_exp: int) -> Fraction:
-        return self._c.get(half_exp, Fraction(0))
+    def coeff(self, half_exp: int) -> Scalar:
+        return self._c.get(half_exp, 0)
 
     def is_zero(self) -> bool:
         return not self._c
 
     def is_one(self) -> bool:
-        return self._c == {0: Fraction(1)}
+        return self._c == {0: 1}
 
     def is_monomial(self) -> bool:
         return len(self._c) == 1
@@ -97,7 +106,7 @@ class LaurentPoly:
             return NotImplemented
         c = dict(self._c)
         for n, a in other._c.items():
-            s = c.get(n, Fraction(0)) + a
+            s = c.get(n, 0) + a
             if s == 0:
                 c.pop(n, None)
             else:
@@ -116,7 +125,7 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            a = _as_fraction(other)
+            a = _as_exact(other)
             if a == 0:
                 return LaurentPoly()
             out = LaurentPoly.__new__(LaurentPoly)
@@ -124,17 +133,15 @@ class LaurentPoly:
             return out
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c: dict[int, Fraction] = {}
+        c: dict[int, Scalar] = {}
+        get = c.get
+        terms = list(other._c.items())
         for n1, a1 in self._c.items():
-            for n2, a2 in other._c.items():
+            for n2, a2 in terms:
                 n = n1 + n2
-                s = c.get(n, Fraction(0)) + a1 * a2
-                if s == 0:
-                    c.pop(n, None)
-                else:
-                    c[n] = s
+                c[n] = get(n, 0) + a1 * a2
         out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
+        out._c = {n: a for n, a in c.items() if a}
         return out
 
     __rmul__ = __mul__
@@ -161,7 +168,7 @@ class LaurentPoly:
         if len(self._c) != 1:
             raise ValueError("only monomials are units in the Laurent ring")
         ((n, a),) = self._c.items()
-        return LaurentPoly({-n: Fraction(1) / a})
+        return LaurentPoly({-n: Fraction(1, a)})
 
     # -- evaluation / export ---------------------------------------------
 

@@ -218,21 +218,41 @@ def F_product(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12) -> co
     if r <= 0:
         raise RegionError(f"product expansion requires Im(w1bar/w2) > 0 (got {r:.3e})",
                           ["Im(w1bar/w2) > 0"])
-    x1 = cmath.exp(TWO_PI_I * z / w1bar)
-    q1inv = cmath.exp(-TWO_PI_I * w2 / w1bar)
-    x2 = cmath.exp(TWO_PI_I * z / w2)
-    p = cmath.exp(TWO_PI_I * w1bar / w2)
-    inv = _qprod(x1 * q1inv, q1inv, tol, "F product (x1 family)")
+    (u1, q1inv), (x2, p) = _F_families(z, w1bar, w2)
+    inv = _qprod(u1, q1inv, tol, "F product (x1 family)")
     return _qprod(x2, p, tol, "F product (x2 family)") / inv
+
+
+def _F_families(z: complex, w1bar: complex, w2: complex):
+    """(u, q) of the two q-products of F_product: (x1 q1^(-1), q1^(-1)), (x2, p)."""
+    q1inv = cmath.exp(-TWO_PI_I * w2 / w1bar)
+    return ((cmath.exp(TWO_PI_I * z / w1bar) * q1inv, q1inv),
+            (cmath.exp(TWO_PI_I * z / w2), cmath.exp(TWO_PI_I * w1bar / w2)))
+
+
+def _qprod_factors(u: complex, q: complex, tol: float) -> float:
+    """Factors `_qprod(u, q, tol)` multiplies before its stop rule holds."""
+    au, aq = abs(u), abs(q)
+    if aq >= 1:
+        return math.inf
+    need = min(0.5, tol * (1 - aq) / 2)
+    if au < need:
+        return 0.0
+    return math.log(au / need) / -math.log(aq) if aq > 0 else 1.0
 
 
 def F_value(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12) -> complex:
     """F by product expansion when available (either parameter ordering: the
-    contour representation is symmetric in (w1bar, w2)), else by contour."""
-    if im_ratio(w1bar, w2) > 1e-14:
-        return F_product(z, w1bar, w2, tol)
-    if im_ratio(w2, w1bar) > 1e-14:
-        return F_product(z, w2, w1bar, tol)
+    contour representation is symmetric in (w1bar, w2)), else by contour.
+
+    The product route is taken only where both q-products converge within
+    MAX_FACTORS factors; near |p| = 1 or |q1^(-1)| = 1 the contour is used.
+    """
+    for a, b in ((w1bar, w2), (w2, w1bar)):
+        if im_ratio(a, b) > 1e-14 and all(
+                _qprod_factors(u, q, tol) < MAX_FACTORS
+                for u, q in _F_families(z, a, b)):
+            return F_product(z, a, b, tol)
     val, _ = log_F_contour(z, w1bar, w2, ContourSpec(tol=max(1e-13, tol * 1e-2)))
     return cmath.exp(val)
 

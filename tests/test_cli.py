@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
-from conifoldrh.cli import (EXIT_CHECK, EXIT_OK, EXIT_PRECONDITION,
-                            EXIT_USAGE, main, parse_complex)
+from conifoldrh.cli import (EXIT_CHECK, EXIT_NUMERICAL, EXIT_OK,
+                            EXIT_PRECONDITION, EXIT_USAGE, main, parse_complex)
 
 
 @pytest.mark.parametrize("text,value", [
@@ -170,3 +171,110 @@ def test_verify_deterministic(tmp_path):
 def test_option_not_honoured_is_usage(argv, capsys):
     assert main(argv) == EXIT_USAGE
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# input errors and honoured options
+
+
+def test_unknown_param_is_usage(capsys):
+    code = main(["eval", "--target", "Dn", "--param", "tua=0.1i"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "tua" in err and "accepted: v, w, t, tau, n" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--target", "qrh-limit-B", "--sweep", "t:0.8:0.5:2",
+     "--param", "w2=1"],
+    ["region", "--param", "tau=0.1i"],
+    ["eval", "--target", "multiple_bernoulli", "--param", "n=1",
+     "--param", "r=1", "--param", "w1=1", "--param", "w2=1"],
+])
+def test_unread_param_is_usage(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert "unknown --param" in capsys.readouterr().err
+
+
+def test_invalid_input_is_usage(capsys):
+    code = main(["eval", "--target", "bernoulli", "--param", "n=-1"])
+    assert code == EXIT_USAGE
+    assert "n must be >= 0" in capsys.readouterr().err
+
+
+def test_non_integer_index_is_usage(capsys):
+    assert main(["eval", "--target", "bernoulli", "--param", "n=1.5"]) == EXIT_USAGE
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_unexpected_exception_is_numerical(monkeypatch, capsys):
+    import conifoldrh.cli as cli
+
+    def boom(*a, **k):
+        raise TypeError("internal")
+
+    monkeypatch.setattr(cli.multisine, "qdilog_numeric", boom)
+    assert main(["eval", "--target", "qdilog", "--param", "x=0.5",
+                 "--param", "q=0.5"]) == EXIT_NUMERICAL
+    assert "TypeError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["Fstar", "Gstar", "Bn", "Dn", "Z_cs",
+                                    "bernoulli", "multiple_bernoulli", "moments"])
+def test_tol_rejected_where_not_honoured(target, capsys):
+    assert main(["eval", "--target", target, "--tol", "1e-3"]) == EXIT_USAGE
+    assert f"--tol is not honoured by eval --target {target}" in \
+        capsys.readouterr().err
+
+
+def test_tol_honoured_by_F(tmp_path, monkeypatch):
+    import conifoldrh.cli as cli
+    seen = []
+    real = cli.multisine.F_value
+
+    def spy(*a, tol):
+        seen.append(tol)
+        return real(*a, tol=tol)
+
+    monkeypatch.setattr(cli.multisine, "F_value", spy)
+    code, data = run_cli(tmp_path, "eval", "--target", "F", "--tol", "1e-6",
+                         "--param", "z=0.3+0.4i", "--param", "w1bar=1+0.5i",
+                         "--param", "w2=0.8-0.1i")
+    assert code == EXIT_OK
+    assert data["tolerance"] == 1e-6 and seen == [1e-8]
+
+
+def test_eval_F_near_unit_p(tmp_path):
+    code, data = run_cli(tmp_path, "eval", "--target", "F",
+                         "--param", "z=0.3+0.4i", "--param", "w1bar=1",
+                         "--param", "w2=1-0.000001i")
+    assert code == EXIT_OK
+    assert abs(complex(*data["value"]) - (0.97519 - 0.06613j)) < 1e-5
+
+
+def _no_constants(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.parametrize("target", ["growth-B", "growth-D"])
+def test_sweep_output_is_strict_json(target, tmp_path):
+    out = tmp_path / "sweep.json"
+    code = main(["sweep", "--target", target, "--sweep", "t:4:2:7",
+                 "--param", "t=-0.755+0.655i", "--param", "tau=0.054+0.140i",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    data = json.loads(out.read_text(), parse_constant=_no_constants)
+    fit = data["rows"][-1]
+    assert fit["t"] is None and math.isfinite(fit["value"][0])
+
+
+def test_failed_exact_check_is_strict_json(tmp_path, monkeypatch):
+    import conifoldrh.cli as cli
+    from conifoldrh.checks import Residual
+
+    monkeypatch.setitem(cli._SUITE_FUNCS, "bernoulli",
+                        lambda *a: [Residual.exact("forced", False)])
+    out = tmp_path / "x.json"
+    assert main(["verify", "--suite", "bernoulli", "--out", str(out)]) == EXIT_CHECK
+    row = json.loads(out.read_text(), parse_constant=_no_constants)["checks"][0]
+    assert row["passed"] is False and row["rel_err"] is None

@@ -59,3 +59,40 @@ def test_evaluate():
     p = lp({-1: 1, 2: 3})   # q^(-1/2) + 3 q
     v = p.evaluate(0.5j)
     assert abs(v - (1 / 0.5j + 3 * (0.5j) ** 2)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# integer coefficients
+
+
+def test_integral_fraction_stored_as_int():
+    p = lp({0: Fraction(6, 3), 1: Fraction(-4, 1), 2: True})
+    assert [type(a) for _, a in p.items()] == [int, int, int]
+    assert p == lp({0: 2, 1: -4, 2: 1})
+    assert type(p.coeff(0)) is int and p.coeff(0) == 2
+    assert type(p.coeff(7)) is int and p.coeff(7) == 0
+
+
+def test_non_integral_fraction_round_trips():
+    p = lp({0: Fraction(1, 3), 1: 2})
+    assert p.coeff(0) == Fraction(1, 3) and type(p.coeff(0)) is Fraction
+    assert (p * 3).coeff(0) == 1
+    third = lp({0: Fraction(1, 3)})
+    assert third + third + third == LaurentPoly.one()
+    assert (p * lp({0: 3}) - lp({0: 1, 1: 6})).is_zero()
+    assert hash(lp({0: Fraction(5)})) == hash(lp({0: 5}))
+
+
+def test_inverse_monomial_keeps_units_integral():
+    for a in (1, -1):
+        inv = LaurentPoly.monomial(3, a).inverse_monomial()
+        assert inv == LaurentPoly.monomial(-3, a)
+        assert type(inv.coeff(-3)) is int
+    assert LaurentPoly.monomial(2, 4).inverse_monomial().coeff(-2) == Fraction(1, 4)
+    assert LaurentPoly.monomial(2, Fraction(2, 3)).inverse_monomial().coeff(-2) == \
+        Fraction(3, 2)
+
+
+def test_to_json_strings():
+    p = lp({-1: -3, 0: Fraction(4, 2), 3: Fraction(1, 2)})
+    assert p.to_json() == [[-1, "-3"], [0, "2"], [3, "1/2"]]

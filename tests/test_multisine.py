@@ -70,6 +70,17 @@ def test_contour_difference_relations():
     assert abs(cmath.exp(d2) - 1 / (1 - x1)) < 1e-10
 
 
+def test_F_value_near_unit_p_takes_contour():
+    # Im(w1bar/w2) = 1e-6 > 0, but |p| = exp(-2 pi 1e-6) needs ~4e6 factors,
+    # beyond MAX_FACTORS: F_value must not take the product route
+    z, w1bar, w2 = 0.3 + 0.4j, 1, 1 - 1e-6j
+    with pytest.raises(QuadratureError, match="not converged"):
+        F_product(z, w1bar, w2)
+    lf, _ = log_F_contour(z, w1bar, w2)
+    assert abs(lf - (-0.0228 - 0.0677j)) < 1e-4
+    assert abs(F_value(z, w1bar, w2) - cmath.exp(lf)) < 1e-8
+
+
 def test_product_requires_orientation():
     with pytest.raises(RegionError):
         F_product(Z, OB, 0.8 + 0.6j)   # Im(obar/w2) < 0

@@ -180,6 +180,15 @@ def test_dt_ray_ell_inf_two_factors_per_k():
     assert got.coeffs == acc.coeffs
 
 
+def test_dt_ray_coefficients_are_integers():
+    # refined DT invariants and the E_q coefficients are integers, so the
+    # exact layer never leaves Z[q^(+-1/2)]
+    series = dt_ray(S, conifold_ray_charges("ell_n", 1), 4, 400)
+    coeffs = [a for c in series.coeffs for _, a in c.items()]
+    assert len(coeffs) > 700
+    assert all(type(a) is int for a in coeffs)
+
+
 def test_dt_ray_empty_and_collinearity():
     assert all(c.is_zero() for c in dt_ray(S, [], 3, 20).coeffs[1:])
     with pytest.raises(ValueError):
@@ -296,6 +305,13 @@ def test_sector_matches_ray_composition(g):
     direct = sector_closed_form(g, 2, 2, 60)
     composed = sector_from_rays(S, g, 2, 2, 60)
     assert direct == composed
+
+
+@pytest.mark.parametrize("g", [BETA_V, DELTA_V])
+def test_sector_coefficients_are_integers(g):
+    elem = sector_from_rays(S, g, 3, 3, 60)
+    coeffs = [a for c in elem.terms.values() for _, a in c.items()]
+    assert coeffs and all(type(a) is int for a in coeffs)
 
 
 # ---------------------------------------------------------------------------
