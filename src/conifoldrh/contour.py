@@ -2,24 +2,47 @@
 
 The contours used by the integral representations are a straight line through
 the origin (rotated by a unit complex c), with a small semicircle over the
-origin: c * ([-R, -eps] + upper semicircle + [eps, R]).  Panels are refined by
-bisection, with the per-panel error estimated from the difference between
-embedded Gauss rules; refinement continues until the summed estimate is below
-a fraction of the requested tolerance, so halving the tolerance provably
-tightens the reported estimate.
+origin: c * ([-R, -eps] + upper semicircle + [eps, R]).  Each panel is
+integrated by the nested Gauss-Kronrod pair G10/K21 (QUADPACK qk21): the 21
+Kronrod nodes contain the 10 Gauss nodes, so one set of 21 evaluations gives
+the K21 value and the error estimate |K21 - G10|.  Panels sit in a heap keyed
+on their estimate and the worst one is bisected first; refinement continues
+until the summed estimate is below a fraction of the requested tolerance, so
+halving the tolerance provably tightens the reported estimate.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-_X10, _W10 = np.polynomial.legendre.leggauss(10)
-_X21, _W21 = np.polynomial.legendre.leggauss(21)
+#: Kronrod nodes of qk21 on [-1, 1] paired +-x, with their K21 weights; the
+#: nodes of the first list are also the 10-point Gauss nodes (G10 weight last)
+_GAUSS_PAIRS = (
+    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390,
+     0.066671344308688137593568809893332),
+    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190,
+     0.149451349150580593145776339657697),
+    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805,
+     0.219086362515982043995534934228163),
+    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707,
+     0.269266719309996355091226921569469),
+    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068,
+     0.295524224714752870173892994651338),
+)
+_KRONROD_PAIRS = (
+    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192),
+    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580),
+    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366),
+    (0.562757134668604683339000099272694, 0.123491976262065851077600525452338),
+    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717),
+)
+#: K21 weight of the centre node (not a Gauss node)
+_KRONROD_CENTRE = 0.149445554002916905664936468389821
 
 #: refinement stops once the summed panel estimate drops below this fraction
 #: of the requested tolerance
@@ -51,43 +74,50 @@ class ContourSpec:
 
 
 def _panel(f: Callable[[complex], complex], a: complex, b: complex) -> tuple[complex, float]:
-    """Integral over the straight segment [a, b] with an error estimate."""
+    """K21 integral over the straight segment [a, b], with |K21 - G10|."""
     mid = (a + b) / 2
     half = (b - a) / 2
-    z10 = mid + half * _X10
-    z21 = mid + half * _X21
-    f10 = np.array([f(z) for z in z10])
-    f21 = np.array([f(z) for z in z21])
-    i10 = half * np.dot(_W10, f10)
-    i21 = half * np.dot(_W21, f21)
-    return i21, abs(i21 - i10)
+    kron = _KRONROD_CENTRE * f(mid)
+    gauss = 0j
+    for x, wk, wg in _GAUSS_PAIRS:
+        d = half * x
+        pair = f(mid - d) + f(mid + d)
+        kron += wk * pair
+        gauss += wg * pair
+    for x, wk in _KRONROD_PAIRS:
+        d = half * x
+        kron += wk * (f(mid - d) + f(mid + d))
+    return half * kron, abs(half * (kron - gauss))
 
 
 def integrate_segment(f, a: complex, b: complex, tol: float,
                       max_panels: int = 4000) -> tuple[complex, float]:
     """Adaptive integral of f over [a, b] (complex straight segment).
 
-    Refines the worst panel until the summed estimate is below SAFETY*tol or
+    Bisects the worst panel until the summed estimate is below SAFETY*tol or
     the panel budget runs out; the achieved estimate is returned either way
-    (callers enforce their overall budget).
+    (callers enforce their overall budget).  The panel values are summed
+    exactly rounded, so the result does not depend on the heap order.
     """
     val, err = _panel(f, a, b)
-    panels = [(err, a, b, val)]
+    order = itertools.count()
+    heap = [(-err, next(order), a, b, val)]
     total_err = err
-    while total_err > SAFETY * tol and len(panels) < max_panels:
-        panels.sort(key=lambda p: p[0])
-        err0, a0, b0, v0 = panels.pop()
+    while total_err > SAFETY * tol and len(heap) < max_panels:
+        neg_err, _, a0, b0, _ = heapq.heappop(heap)
         m = (a0 + b0) / 2
         vl, el = _panel(f, a0, m)
         vr, er = _panel(f, m, b0)
-        panels.append((el, a0, m, vl))
-        panels.append((er, m, b0, vr))
-        total_err += el + er - err0
-    return complex(sum(p[3] for p in panels)), float(total_err)
+        heapq.heappush(heap, (-el, next(order), a0, m, vl))
+        heapq.heappush(heap, (-er, next(order), m, b0, vr))
+        total_err += el + er + neg_err
+    return (complex(math.fsum(p[4].real for p in heap),
+                    math.fsum(p[4].imag for p in heap)), float(total_err))
 
 
 def integrate_arc(f, radius: float, c: complex, tol: float,
-                  phi0: float = math.pi, phi1: float = 0.0) -> tuple[complex, float]:
+                  phi0: float = math.pi, phi1: float = 0.0,
+                  max_panels: int = 4000) -> tuple[complex, float]:
     """Integral of f over the rotated arc  s = c * radius * e^(i phi)."""
 
     def g(phi):
@@ -95,7 +125,7 @@ def integrate_arc(f, radius: float, c: complex, tol: float,
         s = c * radius * cmath.exp(1j * phi)
         return f(s) * 1j * s
 
-    return integrate_segment(g, phi0, phi1, tol)
+    return integrate_segment(g, phi0, phi1, tol, max_panels)
 
 
 def geometric_knots(eps: float, R: float) -> list[float]:
@@ -120,7 +150,7 @@ def detour_integral(f, eps: float, R: float, c: complex, tol: float,
         v, e = integrate_segment(f, -c * x1, -c * x0, budget_tol, max_panels)
         val += v
         err += e
-    v, e = integrate_arc(f, eps, c, tol / 4)
+    v, e = integrate_arc(f, eps, c, tol / 4, max_panels=max_panels)
     val += v
     err += e
     for x0, x1 in zip(knots, knots[1:]):

@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from conifoldrh.contour import (ContourSpec, QuadratureError, RotationError,
-                                detour_integral, hull_rotation,
+from conifoldrh.contour import (SAFETY, ContourSpec, QuadratureError,
+                                RotationError, detour_integral, hull_rotation,
                                 integrate_segment)
 from conifoldrh.lattice import RegionError
 from conifoldrh.multisine import (f_moment_quad, f_moment_residue_oracle,
@@ -21,6 +21,73 @@ def test_segment_oscillatory():
     val, err = integrate_segment(lambda s: cmath.exp(1j * 40 * s), 0.0, 2.0, 1e-11)
     exact = (cmath.exp(80j) - 1) / (40j)
     assert abs(val - exact) < 1e-10
+
+
+
+class Counted:
+    """Integrand wrapper that counts its scalar calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, s):
+        self.calls += 1
+        return self.f(s)
+
+
+#: a complex segment for the exactness checks
+SEG_A, SEG_B = -0.3 + 0.2j, 0.7 + 0.9j
+
+
+def _power_integral(k):
+    return (SEG_B ** (k + 1) - SEG_A ** (k + 1)) / (k + 1)
+
+
+def test_one_panel_is_21_evaluations():
+    f = Counted(cmath.exp)
+    val, err = integrate_segment(f, 0.0, 0.5 + 0.5j, 1e-3)
+    assert f.calls == 21
+    assert abs(val - (cmath.exp(0.5 + 0.5j) - 1)) < 1e-14
+
+
+@pytest.mark.parametrize("k", range(32))
+def test_kronrod_rule_exact_to_degree_31(k):
+    val, _ = integrate_segment(lambda s: s**k, SEG_A, SEG_B, 1.0, max_panels=1)
+    exact = _power_integral(k)
+    assert abs(val - exact) <= 1e-14 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("k", range(20))
+def test_embedded_gauss_rule_exact_to_degree_19(k):
+    # on one panel the estimate is |K21 - G10|; K21 is exact here, so the
+    # estimate is the G10 error
+    _, err = integrate_segment(lambda s: s**k, SEG_A, SEG_B, 1.0, max_panels=1)
+    assert err <= 1e-14 * max(1.0, abs(_power_integral(k)))
+
+
+def test_embedded_gauss_rule_not_exact_at_degree_20():
+    _, err = integrate_segment(lambda s: s**20, SEG_A, SEG_B, 1.0, max_panels=1)
+    assert err > 1e-12
+
+
+def test_exhausted_budget_returns_estimate():
+    """Past the panel budget the call returns its estimate, above SAFETY*tol,
+    instead of raising: exactly max_panels panels, 21 (2 n - 1) calls."""
+    f = Counted(cmath.sqrt)
+    val, err = integrate_segment(f, 0.0, 1 + 1j, 1e-30, max_panels=50)
+    assert f.calls == 21 * (2 * 50 - 1)
+    assert err > SAFETY * 1e-30
+    assert abs(val - 2 / 3 * (1 + 1j) ** 1.5) < 1e-6
+
+
+def test_detour_arc_honours_panel_budget():
+    """max_panels caps the origin semicircle as well as the half-lines."""
+    f = Counted(lambda s: s**-4)
+    with pytest.raises(QuadratureError):
+        detour_integral(f, 1e-3, 8.0, 1 + 0j, 1e-14, max_panels=20)
+    # 13 half-line segments on each side plus the arc, each at most
+    # 21 (2 * 20 - 1) calls
+    assert f.calls <= 27 * 21 * (2 * 20 - 1)
 
 
 def test_detour_picks_up_residue():
@@ -124,3 +191,15 @@ def test_quadrature_self_consistency():
     _, e1 = log_G_contour(*args, ContourSpec(tol=1e-7))
     _, e2 = log_G_contour(*args, ContourSpec(tol=5e-8))
     assert e2 <= e1 / 2
+
+
+def test_shift_identity_beyond_panel_budget():
+    """Where log G exhausts the panel budget on the origin arc and the
+    innermost half-line panel (|w2| ~ 2e3, tol 1e-8), the returned values
+    still satisfy G(z + w1) / G(z) = 1 / F(z + w1bar | w1t, w2)."""
+    from conifoldrh.multisine import F_value, log_G_contour
+    z, w1, w1t = 0.336278 + 0.481368j, 1.199328 + 0.062274j, 1.005438 - 0.190325j
+    w2 = 1928.137 * cmath.exp(-1.12475j)
+    spec = ContourSpec(tol=1e-8)
+    shift = log_G_contour(z + w1, w1, w1t, w2, spec)[0] - log_G_contour(z, w1, w1t, w2, spec)[0]
+    assert abs(cmath.exp(shift) * F_value(z + (w1 + w1t) / 2, w1t, w2) - 1) < 1e-8
