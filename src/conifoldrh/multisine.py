@@ -368,38 +368,87 @@ def f_moment_series(order: int, z: complex, w1bar: complex) -> complex:
     return (TWO_PI_I / w1bar) ** (order + 1) * polylog(-order, x1)
 
 
+#: terms one Lambert series of `_g_family` may take before the residue
+#: route is declared impractically slow and the moment goes to quadrature
+MAX_LAMBERT_TERMS = 20_000
+
+
+def _lambert_terms(order: int, aw: float, tol: float) -> float:
+    """Terms `_g_family` sums before its stop rule holds: the first n past
+    the peak order/(-ln|w|) of n^order |w|^n with n^max(order,0) |w|^n <= tol."""
+    if aw <= 0:
+        return 0.0
+    lw = -math.log(aw)
+    p = max(order, 0)
+    n = max(p / lw, 1.0)
+    # n -> (p ln n - ln tol)/lw rises monotonically to the crossing past the peak
+    for _ in range(8):
+        n = max(n, (p * math.log(n) - math.log(tol)) / lw)
+    return n
+
+
+def _expm1(x: complex) -> complex:
+    """e^x - 1 without the cancellation of cmath.exp(x) - 1 at small |x|."""
+    h = math.sin(x.imag / 2)
+    return complex(math.expm1(x.real) * math.cos(x.imag) - 2 * h * h,
+                   math.exp(x.real) * math.sin(x.imag))
+
+
 def _g_family(order: int, z: complex, a: complex, b: complex,
               tol: float = 1e-16) -> complex:
-    """Sum of residues at the poles 2 pi i m / a, m >= 1, of the g integrand."""
-    rho_h = cmath.exp(1j * math.pi * b / a)
+    """Sum of residues at the poles 2 pi i m / a, m >= 1, of the g integrand.
+
+    The residues make the double sum sum_{m>=0} Li_(-order)(w q^m); swapped
+    term by term it is the Lambert series sum_{n>=1} n^order w^n / (1 - q^n),
+    which needs about log(tol)/log|w| terms however close |q| is to 1.
+    The families near coincidence as b/a nears an integer k: the small
+    Im(b/a) that sets |q| would be rounded against the O(1) real part, and
+    1 - q^n would cancel.  So rho = exp(pi i b/a) and q = rho^(+-2) are
+    taken from e = (b - k a)/a, and 1 - q^n is accumulated from
+    1 - q = -expm1(log q) as (1 - q^(n-1)) + q^(n-1) (1 - q).
+    """
+    k = round((b / a).real)
+    e = (b - k * a) / a
+    rho_h = (-1) ** k * cmath.exp(1j * math.pi * e)
     u = cmath.exp(TWO_PI_I * z / a)
     pref = (TWO_PI_I / a) ** order / a
     ar = abs(rho_h)
     if abs(ar - 1) < 1e-9:
         raise RegionError("coincident pole families (w1t/w1 real); use quadrature",
                           ["w1t/w1 not real"])
-    acc = 0j
     if ar < 1:
         warg = -u * rho_h
-        step = rho_h * rho_h
+        log_q = TWO_PI_I * e
         sign = 1
     else:
         warg = -u / rho_h
-        step = 1 / (rho_h * rho_h)
+        log_q = -TWO_PI_I * e
         sign = -1
-    if abs(warg) >= 1 - 1e-12:
+    aw = abs(warg)
+    if aw >= 1 - 1e-12:
         raise RegionError(
-            f"g-moment residue series diverges (|first argument| = {abs(warg):.6f})",
+            f"g-moment residue series diverges (|first argument| = {aw:.6f})",
             ["|u rho^(+-1/2)| < 1"])
-    # geometric decay rate |step| < 1; bail out to quadrature when the decay
-    # is so slow that the sum would need an absurd number of terms
-    niter = math.log(max(tol, 1e-300) / abs(warg)) / math.log(abs(step))
-    if niter > 20000:
-        raise RegionError("pole families nearly coincident; residue series "
-                          "impractically slow", ["w1t/w1 not nearly real"])
-    while abs(warg) > tol:
-        acc += polylog(-order, warg)
-        warg *= step
+    # bail out to quadrature when |w| is so close to 1 that the series would
+    # need an absurd number of terms
+    nterms = _lambert_terms(order, aw, tol)
+    if nterms > MAX_LAMBERT_TERMS:
+        raise RegionError(f"pole families nearly coincident; residue series "
+                          f"impractically slow ({nterms:.0f} terms)",
+                          ["w1t/w1 not nearly real"])
+    p = max(order, 0)
+    peak = p / -math.log(aw) if aw else 0.0
+    step = cmath.exp(log_q)
+    d = -_expm1(log_q)
+    acc = 0j
+    n = 1
+    wn, qn, dn = warg, step, d      # w^n, q^n, 1 - q^n
+    while n <= peak or n**p * abs(wn) > tol:
+        acc += n**order * wn / dn
+        n += 1
+        wn *= warg
+        dn += qn * d
+        qn *= step
     return sign * pref * acc
 
 

@@ -77,6 +77,29 @@ def test_verify_algebra_passes(tmp_path):
                if "conjugation" in c["name"])
 
 
+def test_ell0_row_checks_euler_expansion(monkeypatch):
+    """The ell_0 ray row compares dt_ray with Euler's expansion of
+    E_q(-q^(1/2) u)^(-1) and fails when the two disagree."""
+    import conifoldrh.cli as cli
+    from conifoldrh.laurent import LaurentPoly
+
+    name = "DT(ell_0) ray series == Euler expansion"
+    # u^2 coefficient q (1 + q + 2q^2 + ...): partitions into parts <= 2
+    assert cli._euler_ell0(2, 8)[2] == LaurentPoly({2: 1, 4: 1, 6: 2, 8: 2})
+    row = next(r for r in cli._suite_algebra(3, 12, 1e-8) if r.name == name)
+    assert row.passed and row.meta["series"]
+    good = cli._euler_ell0
+
+    def off_by_one(order, qcut):
+        out = good(order, qcut)
+        out[2] = out[2] + LaurentPoly.monomial(qcut)
+        return out
+
+    monkeypatch.setattr(cli, "_euler_ell0", off_by_one)
+    row = next(r for r in cli._suite_algebra(3, 12, 1e-8) if r.name == name)
+    assert not row.passed
+
+
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
     import conifoldrh.cli as cli
 

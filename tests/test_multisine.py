@@ -9,7 +9,8 @@ from conifoldrh.lattice import RegionError
 from conifoldrh.multisine import (F_product, F_star, F_value, PoleZeroError,
                                   asymptotic_infinity_fit,
                                   asymptotic_order_small_w2, clear_caches,
-                                  f_moment, log_F_contour, log_F_star,
+                                  f_moment, g_moment, g_moment_quad,
+                                  g_moment_series, log_F_contour, log_F_star,
                                   log_G_contour, log_G_star, qdilog_numeric,
                                   reflection_rhs_F, reflection_rhs_G)
 
@@ -208,3 +209,46 @@ def test_cache_is_bounded():
     assert multisine._memo.cache_info().currsize == multisine.CACHE_SIZE
     clear_caches()
     assert multisine._memo.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# g-moment residue series: guard and route near coincident pole families
+
+#: w1t/w1 = 1 - i sigma with |q| = exp(-2 pi sigma) = 0.999: the t -> 0 regime
+W1Q = cmath.exp(0.1j)
+W1TQ = W1Q * (1 - 1j * -math.log(0.999) / (2 * math.pi))
+DWQ = (W1Q - W1TQ) / 2
+
+
+def test_g_series_guard_falls_back_to_quadrature():
+    # at z = dw, |w| = |q| = 0.999: the Lambert series would need ~37000 terms
+    clear_caches()
+    with pytest.raises(RegionError, match="impractically slow"):
+        multisine._g_family(-2, DWQ, W1Q, W1TQ)
+    for order in (-2, -1):
+        with pytest.raises(RegionError, match="impractically slow"):
+            g_moment(order, DWQ, W1Q, W1TQ, method="series")
+        quad, _ = g_moment_quad(order, DWQ, W1Q, W1TQ)
+        assert abs(g_moment(order, DWQ, W1Q, W1TQ) - quad) < 1e-8 * abs(quad)
+
+
+def test_g_series_route_at_small_w_near_unit_q():
+    # at z = v, |w| ~ 0.1: the series needs about 16 terms although
+    # |q| = 0.999 (summed over m, Li(w q^m) would need ~34000), so it runs
+    clear_caches()
+    for order in (-2, -1, 0, 1):
+        series = g_moment_series(order, Z, W1Q, W1TQ)
+        assert g_moment(order, Z, W1Q, W1TQ) == series
+        quad, _ = g_moment_quad(order, Z, W1Q, W1TQ)
+        assert abs(series - quad) < 1e-8 * abs(quad)
+
+
+def test_lambert_term_count():
+    # the guard's count is the loop's: past the peak of n^order |w|^n,
+    # the first n with n^max(order, 0) |w|^n <= tol
+    for order, aw in ((-2, 0.1), (0, 0.5), (1, 0.9), (3, 0.99), (3, 0.3)):
+        n = math.ceil(multisine._lambert_terms(order, aw, 1e-16))
+        p = max(order, 0)
+        assert n > p / -math.log(aw)
+        assert n**p * aw**n <= 1e-16 < (n - 1)**p * aw**(n - 1) or n == 1
+    assert multisine._lambert_terms(0, 0.0, 1e-16) == 0
