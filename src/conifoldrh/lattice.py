@@ -66,9 +66,6 @@ class ChargeVector:
     def is_electric(self) -> bool:
         return self.ma == 0 and self.mb == 0
 
-    def is_magnetic(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def electric_part(self) -> "ChargeVector":
         return ChargeVector(self.a, self.b, 0, 0)
 

@@ -80,21 +80,8 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def is_one(self) -> bool:
-        return self._c == {0: 1}
-
     def is_monomial(self) -> bool:
         return len(self._c) == 1
-
-    def min_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self._c)
-
-    def max_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._c)
 
     def support(self) -> Iterable[int]:
         return sorted(self._c)

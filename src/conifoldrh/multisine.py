@@ -21,8 +21,6 @@ import cmath
 import math
 from functools import lru_cache
 
-import numpy as np
-
 from .bernoulli import bernoulli_numbers, multiple_bernoulli, zeta_int
 from .checks import Predicate, Residual, im_ratio, im_ratio_predicate
 from .contour import (ContourSpec, QuadratureError, choose_outer_cutoff,
@@ -149,16 +147,24 @@ def log_G_contour(z: complex, w1: complex, w1t: complex, w2: complex,
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _memo(fn, *args):
+def _memo(signs: tuple, fn, *args):
+    return fn(*args)
+
+
+def _cached(fn, *args):
     """fn(*args), remembered under the key (fn, *args): every argument,
     including a ContourSpec and the route name, selects its own entry, and
-    a call that raises stores nothing."""
-    return fn(*args)
+    a call that raises stores nothing.  0.0 == -0.0 as a key, but a phase
+    (and so a contour rotation) tells them apart, so the sign of each part
+    of every real or complex argument joins the key."""
+    signs = tuple(math.copysign(1.0, x) for a in args
+                  if isinstance(a, (float, complex)) for x in (a.real, a.imag))
+    return _memo(signs, fn, *args)
 
 
 def log_G_cached(z: complex, w1: complex, w1t: complex, w2: complex,
                  tol: float = 3e-11) -> tuple[complex, float]:
-    return _memo(log_G_contour, z, w1, w1t, w2, ContourSpec(tol=tol))
+    return _cached(log_G_contour, z, w1, w1t, w2, ContourSpec(tol=tol))
 
 
 def clear_caches() -> None:
@@ -457,8 +463,8 @@ def g_moment_series(order: int, z: complex, w1: complex, w1t: complex) -> comple
     return TWO_PI_I * (_g_family(order, z, w1, w1t) + _g_family(order, z, w1t, w1))
 
 
-def _moment(series, quad, order: int, args: tuple, method: str,
-            spec: ContourSpec | None) -> complex:
+def _moment(series, quad, order: int, method: str, spec: ContourSpec | None,
+            *args: complex) -> complex:
     """One moment by route: "quad", "series", or (any other method) the
     residue series with quadrature where the series is unavailable."""
     if method != "quad":
@@ -474,14 +480,14 @@ def f_moment(order: int, z: complex, w1bar: complex, method: str = "auto",
              spec: ContourSpec | None = None) -> complex:
     """Moment integral with selectable route; "auto" prefers the residue series
     (exact resummation of the contour) and falls back to quadrature."""
-    return _memo(_moment, f_moment_series, f_moment_quad, order, (z, w1bar),
-                 method, spec)
+    return _cached(_moment, f_moment_series, f_moment_quad, order, method, spec,
+                   z, w1bar)
 
 
 def g_moment(order: int, z: complex, w1: complex, w1t: complex,
              method: str = "auto", spec: ContourSpec | None = None) -> complex:
-    return _memo(_moment, g_moment_series, g_moment_quad, order, (z, w1, w1t),
-                 method, spec)
+    return _cached(_moment, g_moment_series, g_moment_quad, order, method, spec,
+                   z, w1, w1t)
 
 
 def f_moment_residue_oracle(order: int, z: complex, w1bar: complex,
@@ -677,13 +683,17 @@ def logG_partial_sum(z: complex, w1: complex, w1t: complex, K: int,
 
 
 def fit_loglog_slope(xs, ys) -> tuple[float, float]:
-    """Least-squares slope of log|y| against log|x|, plus max fit deviation."""
-    lx = np.log(np.abs(np.asarray(xs, dtype=complex)))
-    ly = np.log(np.abs(np.asarray(ys, dtype=complex)))
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    resid = ly - A @ coef
-    return float(coef[0]), float(np.max(np.abs(resid)))
+    """Least-squares line of log|y| against log|x| in closed form: its slope
+    and the largest absolute residual.  A zero y gives log 0 = -inf and so a
+    non-finite slope."""
+    lx = [math.log(abs(x)) for x in xs]
+    ly = [math.log(abs(y)) if y else -math.inf for y in ys]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    sxx = sum((u - mx) ** 2 for u in lx)
+    if sxx == 0:
+        raise ValueError("a log-log slope needs at least two distinct |x|")
+    slope = sum((u - mx) * (v - my) for u, v in zip(lx, ly)) / sxx
+    return slope, max(abs(v - my - slope * (u - mx)) for u, v in zip(lx, ly))
 
 
 def asymptotic_order_small_w2(mode: str, z: complex, params: tuple, K: int,
@@ -721,11 +731,49 @@ def asymptotic_order_small_w2(mode: str, z: complex, params: tuple, K: int,
             "remainders": [abs(r) for r in rem]}
 
 
-def _complex_lstsq(basis_rows: list[list[complex]], values: list[complex]):
-    A = np.asarray(basis_rows, dtype=complex)
-    y = np.asarray(values, dtype=complex)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return coef
+def _complex_lstsq(basis_rows: list[list[complex]],
+                   values: list[complex]) -> list[complex]:
+    """Least-squares solution c of A c = y by Householder QR.
+
+    The columns of A run from w2^2 down to 1/w2^2, so each is first scaled
+    to unit largest modulus; normal equations would square the condition
+    number that remains."""
+    m, n = len(basis_rows), len(basis_rows[0])
+    scale = [max(abs(row[j]) for row in basis_rows) for j in range(n)]
+    # the augmented matrix [A / scale | y], reduced in place to [R | Q^H y]
+    a = [[row[j] / scale[j] for j in range(n)] + [yi]
+         for row, yi in zip(basis_rows, values)]
+    for k in range(n):
+        x0 = a[k][k]
+        alpha = -math.sqrt(sum(abs(a[i][k]) ** 2 for i in range(k, m)))
+        if x0:
+            alpha *= x0 / abs(x0)
+        # H = I - 2 v v^H / (v^H v) maps column k below row k onto alpha e_k
+        v = [x0 - alpha] + [a[i][k] for i in range(k + 1, m)]
+        vv = sum(abs(vi) ** 2 for vi in v)
+        for j in range(k, n + 1):
+            d = 2 * sum(vi.conjugate() * a[i][j] for i, vi in enumerate(v, k)) / vv
+            for i, vi in enumerate(v, k):
+                a[i][j] -= d * vi
+    c = [0j] * n
+    for k in reversed(range(n)):
+        c[k] = (a[k][n] - sum(a[k][j] * c[j] for j in range(k + 1, n))) / a[k][k]
+    return [ck / sj for ck, sj in zip(c, scale)]
+
+
+def _infinity_fit_rows(mode: str, w2s: list[complex],
+                       factor: float) -> list[list[complex]]:
+    """Basis rows of asymptotic_infinity_fit: the change of each term of the
+    large-w2 expansion from w2 to factor * w2, for every w2 but the last.
+    Fitting consecutive differences removes the unknown O(1) constant, which
+    otherwise limits how well the log coefficient can be resolved."""
+    lf = math.log(factor)
+    if mode == "F":
+        return [[w2 * (factor - 1), lf, (1 / factor - 1) / w2,
+                 (1 / factor**2 - 1) / w2**2] for w2 in w2s[:-1]]
+    return [[w2 * w2 * (factor**2 - 1), w2 * (factor - 1), lf,
+             (1 / factor - 1) / w2, (1 / factor**2 - 1) / w2**2]
+            for w2 in w2s[:-1]]
 
 
 def asymptotic_infinity_fit(mode: str, z: complex, params: tuple,
@@ -743,16 +791,11 @@ def asymptotic_infinity_fit(mode: str, z: complex, params: tuple,
     from .bernoulli import bernoulli_poly
 
     w2s = [w2_dir * scale0 * factor**m for m in range(npts)]
-    lf = math.log(factor)
-    # Fitting consecutive differences removes the unknown O(1) constant, which
-    # otherwise limits how well the log coefficient can be resolved.
     if mode == "F":
         (w1bar,) = params
         vals = [log_F_contour(z, w1bar, w2, ContourSpec(tol=tol))[0] for w2 in w2s]
         diffs = [vals[j + 1] - vals[j] for j in range(npts - 1)]
-        rows = [[w2 * (factor - 1), lf, (1 / factor - 1) / w2,
-                 (1 / factor**2 - 1) / w2**2] for w2 in w2s[:-1]]
-        coef = _complex_lstsq(rows, diffs)
+        coef = _complex_lstsq(_infinity_fit_rows(mode, w2s, factor), diffs)
         targets = {
             "linear": (-1j * math.pi / 12 / w1bar, coef[0]),
             "log": (complex(bernoulli_poly(1, z / w1bar)), coef[1]),
@@ -762,10 +805,7 @@ def asymptotic_infinity_fit(mode: str, z: complex, params: tuple,
         obar = (w1 + w1t) / 2
         vals = [log_G_contour(z, w1, w1t, w2, ContourSpec(tol=tol))[0] for w2 in w2s]
         diffs = [vals[j + 1] - vals[j] for j in range(npts - 1)]
-        rows = [[w2 * w2 * (factor**2 - 1), w2 * (factor - 1), lf,
-                 (1 / factor - 1) / w2, (1 / factor**2 - 1) / w2**2]
-                for w2 in w2s[:-1]]
-        coef = _complex_lstsq(rows, diffs)
+        coef = _complex_lstsq(_infinity_fit_rows(mode, w2s, factor), diffs)
         b02 = complex(multiple_bernoulli(0, 2, z + obar, [w1, w1t]))
         b12 = complex(multiple_bernoulli(1, 2, z + obar, [w1, w1t]))
         b22 = complex(multiple_bernoulli(2, 2, z + obar, [w1, w1t]))

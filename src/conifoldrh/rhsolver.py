@@ -22,13 +22,12 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bernoulli import multiple_bernoulli
 from .checks import Predicate, Residual, im_ratio_predicate
 from .contour import QuadratureError, hull_rotation, RotationError
 from .lattice import RegionError, in_mplus
-from .multisine import _qprod, log_F_star, log_G_star, log_G_cached, q_G
+from .multisine import (_qprod, fit_loglog_slope, log_F_star, log_G_star,
+                        log_G_cached, q_G)
 
 TWO_PI_I = 2j * math.pi
 
@@ -297,12 +296,7 @@ def qrh2_limit(p: SolutionPoint, which: str = "B", npts: int = 8,
 
 def fit_growth_exponent(ts: list[complex], values: list[complex]) -> dict:
     """Fit log|value| = k log|t| + c; returns the exponent and fit quality."""
-    lx = np.log(np.abs(np.asarray(ts, dtype=complex)))
-    ly = np.array([math.log(abs(v)) if v != 0 else -math.inf for v in values])
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    resid = float(np.max(np.abs(ly - A @ coef)))
-    k = float(coef[0])
+    k, resid = fit_loglog_slope(ts, values)
     return {"exponent": k, "max_fit_deviation": resid,
             "finite": math.isfinite(k)}
 

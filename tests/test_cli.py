@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -301,3 +305,22 @@ def test_failed_exact_check_is_strict_json(tmp_path, monkeypatch):
     assert main(["verify", "--suite", "bernoulli", "--out", str(out)]) == EXIT_CHECK
     row = json.loads(out.read_text(), parse_constant=_no_constants)["checks"][0]
     assert row["passed"] is False and row["rel_err"] is None
+
+
+@pytest.mark.parametrize("schedule", ["t:4:1:3", "t:4:2:1"])
+def test_growth_sweep_over_one_abs_t_is_usage(schedule, capsys):
+    # one distinct |t| determines no exponent
+    assert main(["sweep", "--target", "growth-B", "--sweep", schedule]) == EXIT_USAGE
+    assert "two distinct" in capsys.readouterr().err
+
+
+def test_fresh_import_does_not_load_numpy():
+    """The runtime is the standard library: a fresh interpreter that imports
+    the package and its CLI has not loaded numpy, whose import alone used to
+    be more than half of a cold start."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import conifoldrh, conifoldrh.cli, sys; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          check=True)
+    assert done.stdout.strip() == "False"

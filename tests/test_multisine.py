@@ -11,8 +11,9 @@ from conifoldrh.multisine import (F_product, F_star, F_value, PoleZeroError,
                                   asymptotic_order_small_w2, clear_caches,
                                   f_moment, g_moment, g_moment_quad,
                                   g_moment_series, log_F_contour, log_F_star,
-                                  log_G_contour, log_G_star, qdilog_numeric,
-                                  reflection_rhs_F, reflection_rhs_G)
+                                  log_G_cached, log_G_contour, log_G_star,
+                                  qdilog_numeric, reflection_rhs_F,
+                                  reflection_rhs_G)
 
 Z, OB, W2 = 0.3 + 0.4j, 1 + 0.5j, 0.8 - 0.1j
 W1, W1T = 1 + 0.1j, 0.95 - 0.07j
@@ -209,6 +210,45 @@ def test_cache_is_bounded():
     assert multisine._memo.cache_info().currsize == multisine.CACHE_SIZE
     clear_caches()
     assert multisine._memo.cache_info().currsize == 0
+
+
+def _bits(v):
+    if isinstance(v, tuple):
+        return tuple(_bits(u) for u in v)
+    v = complex(v)
+    return v.real.hex(), v.imag.hex()
+
+
+def _zero_flips(args):
+    """args with the sign of one zero real or imaginary part flipped, for
+    every such part of every argument."""
+    for i, a in enumerate(args):
+        if a.real == 0:
+            yield args[:i] + (complex(-a.real, a.imag),) + args[i + 1:]
+        if a.imag == 0:
+            yield args[:i] + (complex(a.real, -a.imag),) + args[i + 1:]
+
+
+@pytest.mark.parametrize("fn,args", [
+    # w1 on the negative real axis: its phase is +pi or -pi by the zero's sign
+    (log_G_cached, (0.3j, complex(-1, 0), -0.9j, -1j)),
+    (log_G_cached, (complex(0.3, 0), complex(1, 0), complex(0.95, 0), -0.75j)),
+    # z on the negative real axis sets the moment contour's rotation
+    (lambda z, w: f_moment(0, z, w, "quad"), (complex(-0.4, 0), 1 + 0.5j)),
+    (lambda z, w: f_moment(1, z, w), (complex(-0.4, 0), 1 + 0.5j)),
+    (lambda z, w: f_moment(1, z, w), (0.4j, complex(1, 0))),
+    (lambda z, a, b: g_moment(0, z, a, b, "quad"), (0.4j, complex(1, 0), complex(0.95, 0))),
+    (lambda z, a, b: g_moment(1, z, a, b), (0.4j, complex(1, 0), complex(0.95, 0))),
+])
+def test_cache_tells_signed_zeros_apart(fn, args):
+    """0.0 == -0.0 as a dict key, but a phase tells them apart: a warm call
+    with one zero's sign flipped returns exactly what a cold call returns."""
+    for flipped in _zero_flips(args):
+        clear_caches()
+        cold = fn(*flipped)
+        clear_caches()
+        fn(*args)
+        assert _bits(fn(*flipped)) == _bits(cold)
 
 
 # ---------------------------------------------------------------------------
