@@ -1,4 +1,5 @@
-"""Residual records and named predicates shared by the numerical layers.
+"""Residual records, named region predicates, and `require`: the one place
+that raises `RegionError`, naming each failed predicate.
 
 Every identity check reports (lhs, rhs, absolute, relative) rather than a
 bare boolean, so failures stay diagnosable from the JSON output alone.
@@ -9,18 +10,49 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+class RegionError(ValueError):
+    """A point violates a named region predicate."""
+
+    def __init__(self, message: str, failed: list[str] | None = None):
+        super().__init__(message)
+        self.failed = failed or []
+
+
 @dataclass(frozen=True)
 class Predicate:
-    """A named region/validity condition with its numerical witness."""
+    """A named region/validity condition: it holds when the witness value
+    exceeds the margin.  An upper bound x < b is stated as value -x,
+    margin -b."""
 
     name: str
-    ok: bool
-    value: float | None = None    # e.g. the Im(...) that must be positive
-    kind: str = "region"          # "region" | "tau" | "half-plane" | "numeric"
+    value: float                  # e.g. the Im(...) that must be positive
+    kind: str = "region"          # "region" | "tau" | "half-plane"
+    margin: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return self.value > self.margin
 
     def to_json(self) -> dict:
         return {"name": self.name, "ok": self.ok, "value": self.value,
                 "kind": self.kind}
+
+
+_KIND_WORDING = (("tau", "outside tau-neighborhood"),
+                 ("half-plane", "outside t half-plane"),
+                 ("region", "region violation"))
+
+
+def require(preds: list[Predicate], what: str) -> None:
+    """Raise RegionError naming every failed predicate, grouped by kind:
+    tau-neighborhood conditions guard convergence of the moment integrals,
+    t half-plane conditions only the defining formula."""
+    bad = [p for p in preds if not p.ok]
+    if bad:
+        parts = [f"{wording}: " + ", ".join(p.name for p in bad if p.kind == kind)
+                 for kind, wording in _KIND_WORDING if any(p.kind == kind for p in bad)]
+        raise RegionError(f"{what} undefined; " + "; ".join(parts),
+                          [p.name for p in bad])
 
 
 @dataclass
@@ -75,5 +107,4 @@ def im_ratio(num: complex, den: complex) -> float:
 def im_ratio_predicate(label: str, num: complex, den: complex,
                        kind: str = "region") -> Predicate:
     """Predicate Im(num/den) > 0 with the witness value recorded."""
-    val = im_ratio(num, den)
-    return Predicate(name=f"Im({label}) > 0", ok=val > 0, value=val, kind=kind)
+    return Predicate(f"Im({label}) > 0", im_ratio(num, den), kind)

@@ -21,10 +21,9 @@ from fractions import Fraction
 
 from . import rhsolver, multisine, qtorus, lattice
 from .bernoulli import bernoulli_poly, multiple_bernoulli
-from .checks import Residual
+from .checks import RegionError, Residual
 from .laurent import LaurentPoly
-from .contour import QuadratureError, RotationError
-from .lattice import RegionError
+from .contour import QuadratureError
 from .rhsolver import SolutionPoint
 
 EXIT_OK = 0
@@ -535,10 +534,27 @@ def _suite_wallcrossing(order_n: int, qcut: int, tol: float) -> list[Residual]:
     rhs = cmath.exp(rhsolver.log_F_star(p0.v, p0.w, -p0.t, enforce=False))
     out.append(Residual.compare("extension consistency (B, mirrored)", lhs, rhs, tol,
                                 meta={"mirror_t": _cnum(p_m.t)}))
-    # inversion is constructional: R_(l,-gm) := R_(l,gm)^(-1) exactly
-    out.append(Residual.exact("inversion identity (constructional)", True,
-                              meta={"note": "holds by definition, not independent"}))
+    out.append(_inversion_identity(order_n, qcut))
     return out
+
+
+def _inversion_identity(order_n: int, qcut: int) -> Residual:
+    """R_(l,-gm) R_(l,gm) == 1 through u-order N: each side computed by its
+    own conjugation, on rays ell_1 and ell_inf, for both magnetic generators."""
+    from .lattice import BETA_V, DELTA_V, ChargeVector
+    s = lattice.conifold_bps(DEFAULT_POINT["v"], DEFAULT_POINT["w"])
+    one = qtorus.QTorusElement.generator(ChargeVector())
+    rays = (("ell_1", qtorus.conifold_ray_charges("ell_n", 1)),
+            ("ell_inf", qtorus.conifold_ray_charges("ell_inf", kmax=order_n)))
+    pairs = {}
+    for ray_name, ray in rays:
+        for name, gm in (("beta_v", BETA_V), ("delta_v", DELTA_V)):
+            inv = qtorus.bps_automorphism(s, ray, -gm, order_n, qcut).element
+            fwd = qtorus.bps_automorphism(s, ray, gm, order_n, qcut).element
+            prod = inv.mul(fwd, qcut).truncate_electric(order_n, order_n)
+            pairs[f"{ray_name} {name}"] = prod == one
+    return Residual.exact("inversion identity R(-gm) R(gm) == 1",
+                          all(pairs.values()), meta={"pairs": pairs})
 
 
 def _suite_qrh_limits(order_n: int, qcut: int, tol: float) -> list[Residual]:
@@ -803,7 +819,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"usage error: missing parameter {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RegionError, RotationError) as exc:
+    except RegionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (QuadratureError, ArithmeticError) as exc:

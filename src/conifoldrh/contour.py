@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .checks import RegionError
+
 #: Kronrod nodes of qk21 on [-1, 1] paired +-x, with their K21 weights; the
 #: nodes of the first list are also the 10-point Gauss nodes (G10 weight last)
 _GAUSS_PAIRS = (
@@ -53,12 +55,8 @@ class QuadratureError(RuntimeError):
     """Numerical failure: non-convergent tail or panel budget exhausted."""
 
 
-class RotationError(ValueError):
+class RotationError(RegionError):
     """No admissible contour rotation exists for the given directions."""
-
-    def __init__(self, message, failed=None):
-        super().__init__(message)
-        self.failed = failed or []
 
 
 @dataclass(frozen=True)

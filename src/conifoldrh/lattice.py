@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .checks import Predicate, RegionError, require  # noqa: F401 (RegionError re-exported)
 from .laurent import LaurentPoly
 
 TWO_PI_I = 2j * math.pi
@@ -25,14 +26,6 @@ RAY_ANGLE_TOL = 1e-12
 #: Directions closer than this (but farther than RAY_ANGLE_TOL) to an active
 #: ray are reported as ambiguous instead of being silently snapped.
 RAY_AMBIGUOUS_TOL = 1e-9
-
-
-class RegionError(ValueError):
-    """A point violates a named region predicate."""
-
-    def __init__(self, message: str, failed: list[str] | None = None):
-        super().__init__(message)
-        self.failed = failed or []
 
 
 @dataclass(frozen=True)
@@ -91,23 +84,19 @@ def skew_pair(g1: ChargeVector, g2: ChargeVector) -> int:
 
 
 def mplus_predicates(v: complex, w: complex,
-                     scan_depth: int = MPLUS_SCAN_DEPTH) -> list[tuple[str, bool]]:
-    """Named predicate checklist for membership in the region M+."""
-    preds = [("w != 0", w != 0)]
-    bad_n = None
-    if w != 0:
-        for n in range(-scan_depth, scan_depth + 1):
-            if v + n * w == 0:
-                bad_n = n
-                break
-    preds.append((f"v + n*w != 0 for |n| <= {scan_depth}", bad_n is None))
-    im_ok = w != 0 and (v / w).imag > 0
-    preds.append(("Im(v/w) > 0", im_ok))
-    return preds
+                     scan_depth: int = MPLUS_SCAN_DEPTH) -> list[Predicate]:
+    """Named predicate checklist for membership in the region M+, with the
+    witnesses |w|, min_n |v + n w| and Im(v/w)."""
+    return [
+        Predicate("w != 0", abs(w)),
+        Predicate(f"v + n*w != 0 for |n| <= {scan_depth}",
+                  min(abs(v + n * w) for n in range(-scan_depth, scan_depth + 1))),
+        Predicate("Im(v/w) > 0", (v / w).imag if w != 0 else math.nan),
+    ]
 
 
 def in_mplus(v: complex, w: complex, scan_depth: int = MPLUS_SCAN_DEPTH) -> bool:
-    return all(ok for _, ok in mplus_predicates(v, w, scan_depth))
+    return all(p.ok for p in mplus_predicates(v, w, scan_depth))
 
 
 def conifold_omega(gamma: ChargeVector) -> LaurentPoly:
@@ -155,10 +144,7 @@ class RefinedBPSStructure:
 def conifold_bps(v: complex, w: complex,
                  scan_depth: int = MPLUS_SCAN_DEPTH) -> RefinedBPSStructure:
     """Conifold BPS structure at (v, w); rejects points outside M+."""
-    failed = [name for name, ok in mplus_predicates(v, w, scan_depth) if not ok]
-    if failed:
-        raise RegionError(
-            "stability point outside M+: failed " + "; ".join(failed), failed)
+    require(mplus_predicates(v, w, scan_depth), "conifold BPS structure")
     return RefinedBPSStructure(v=v, w=w)
 
 
@@ -190,8 +176,7 @@ class RayGeometry:
     w: complex
 
     def __post_init__(self):
-        if not in_mplus(self.v, self.w):
-            raise RegionError("(v, w) outside M+")
+        require(mplus_predicates(self.v, self.w), "ray geometry")
 
     def ell_n_dir(self, n: int) -> complex:
         return TWO_PI_I * (self.v + n * self.w)

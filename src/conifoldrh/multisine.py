@@ -22,10 +22,10 @@ import math
 from functools import lru_cache
 
 from .bernoulli import bernoulli_numbers, multiple_bernoulli, zeta_int
-from .checks import Predicate, Residual, im_ratio, im_ratio_predicate
+from .checks import (Predicate, RegionError, Residual, im_ratio,
+                     im_ratio_predicate, require)
 from .contour import (ContourSpec, QuadratureError, choose_outer_cutoff,
                       detour_integral, hull_rotation)
-from .lattice import RegionError
 
 TWO_PI_I = 2j * math.pi
 
@@ -97,9 +97,8 @@ def _strip_rotation(directions: list[complex], names: list[str],
         c, _ = hull_rotation(directions, names)
         return c
     c = spec.rotation
-    failed = [nm for d, nm in zip(directions, names) if (c * d).real <= 0]
-    if failed:
-        raise RegionError("supplied rotation violates: " + ", ".join(failed), failed)
+    require([Predicate(nm, (c * d).real) for d, nm in zip(directions, names)],
+            "contour at the supplied rotation")
     return c
 
 
@@ -204,9 +203,7 @@ def _qprod(u: complex, q: complex, tol: float, where: str) -> complex:
 
 def qdilog_numeric(x: complex, q: complex, tol: float = 1e-12) -> complex:
     """E_q(x) = prod_{k>=0} (1 - x q^k) for |q| < 1."""
-    if abs(q) >= 1:
-        raise RegionError(f"qdilog_numeric requires |q| < 1, got {abs(q):.6f}",
-                          ["|q| < 1"])
+    require([Predicate("|q| < 1", 1 - abs(q))], "qdilog_numeric")
     return _qprod(complex(x), q, tol, "qdilog_numeric")
 
 
@@ -220,10 +217,7 @@ def F_product(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12) -> co
     F = prod_{k>=1} (1 - x1 q1^(-k))^(-1) * prod_{k>=0} (1 - x2 p^k),
     p = (q2 q2t)^(1/2) = exp(2 pi i w1bar / w2).
     """
-    r = im_ratio(w1bar, w2)
-    if r <= 0:
-        raise RegionError(f"product expansion requires Im(w1bar/w2) > 0 (got {r:.3e})",
-                          ["Im(w1bar/w2) > 0"])
+    require([im_ratio_predicate("w1bar/w2", w1bar, w2)], "product expansion of F")
     (u1, q1inv), (x2, p) = _F_families(z, w1bar, w2)
     inv = _qprod(u1, q1inv, tol, "F product (x1 family)")
     return _qprod(x2, p, tol, "F product (x2 family)") / inv
@@ -301,8 +295,7 @@ def f_moment_quad(order: int, z: complex, w1bar: complex,
                   spec: ContourSpec | None = None) -> tuple[complex, float]:
     """f^c_order(z, w1bar) = int_{cC} e^(zs) s^order / (e^(w1bar s) - 1) ds."""
     spec = spec or ContourSpec()
-    if im_ratio(z, w1bar) <= 0:
-        raise RegionError("f-moment requires Im(z/w1bar) > 0", ["Im(z/w1bar) > 0"])
+    require([im_ratio_predicate("z/w1bar", z, w1bar)], "f-moment")
     c = spec.rotation if spec.rotation is not None else \
         _moment_rotation(z, (w1bar,), spec.eps_plus)
 
@@ -317,10 +310,8 @@ def g_moment_quad(order: int, z: complex, w1: complex, w1t: complex,
     """g^c_order(z, w1, w1t) =
     int_{cC} -e^((z+w1bar)s) s^order / ((e^(w1 s)-1)(e^(w1t s)-1)) ds."""
     spec = spec or ContourSpec()
-    failed = [nm for nm, num, den in (("Im(z/w1) > 0", z, w1), ("Im(z/w1t) > 0", z, w1t))
-              if im_ratio(num, den) <= 0]
-    if failed:
-        raise RegionError("g-moment requires " + " and ".join(failed), failed)
+    require([im_ratio_predicate("z/w1", z, w1), im_ratio_predicate("z/w1t", z, w1t)],
+            "g-moment")
     obar = (w1 + w1t) / 2
     c = spec.rotation if spec.rotation is not None else \
         _moment_rotation(z + obar, (w1, w1t), spec.eps_plus)
@@ -368,9 +359,8 @@ def f_moment_series(order: int, z: complex, w1bar: complex) -> complex:
     """Residue-sum closed form: f^c_order = (2 pi i / w1bar)^(order+1) Li_(-order)(x1),
     x1 = exp(2 pi i z / w1bar); converges for Im(z/w1bar) > 0."""
     x1 = cmath.exp(TWO_PI_I * z / w1bar)
-    if abs(x1) >= 1 - 1e-12:
-        raise RegionError("residue series requires Im(z/w1bar) > 0 with margin",
-                          ["Im(z/w1bar) > 0"])
+    require([Predicate("|x1| < 1", 1 - abs(x1), margin=1e-12)],
+            "f-moment residue series")
     return (TWO_PI_I / w1bar) ** (order + 1) * polylog(-order, x1)
 
 
@@ -419,9 +409,6 @@ def _g_family(order: int, z: complex, a: complex, b: complex,
     u = cmath.exp(TWO_PI_I * z / a)
     pref = (TWO_PI_I / a) ** order / a
     ar = abs(rho_h)
-    if abs(ar - 1) < 1e-9:
-        raise RegionError("coincident pole families (w1t/w1 real); use quadrature",
-                          ["w1t/w1 not real"])
     if ar < 1:
         warg = -u * rho_h
         log_q = TWO_PI_I * e
@@ -431,17 +418,15 @@ def _g_family(order: int, z: complex, a: complex, b: complex,
         log_q = -TWO_PI_I * e
         sign = -1
     aw = abs(warg)
-    if aw >= 1 - 1e-12:
-        raise RegionError(
-            f"g-moment residue series diverges (|first argument| = {aw:.6f})",
-            ["|u rho^(+-1/2)| < 1"])
+    require([Predicate("w1t/w1 not real", abs(ar - 1), margin=1e-9),
+             Predicate("|u rho^(+-1/2)| < 1", 1 - aw, margin=1e-12)],
+            "g-moment residue series")
     # bail out to quadrature when |w| is so close to 1 that the series would
     # need an absurd number of terms
     nterms = _lambert_terms(order, aw, tol)
     if nterms > MAX_LAMBERT_TERMS:
-        raise RegionError(f"pole families nearly coincident; residue series "
-                          f"impractically slow ({nterms:.0f} terms)",
-                          ["w1t/w1 not nearly real"])
+        raise RegionError(f"residue series impractically slow ({nterms:.0f} "
+                          "terms): w1t/w1 not nearly real", ["w1t/w1 not nearly real"])
     p = max(order, 0)
     peak = p / -math.log(aw) if aw else 0.0
     step = cmath.exp(log_q)
@@ -497,8 +482,7 @@ def f_moment_residue_oracle(order: int, z: complex, w1bar: complex,
     if order > -1:
         raise ValueError("direct residue sum only converges for order <= -1")
     x1 = cmath.exp(TWO_PI_I * z / w1bar)
-    if abs(x1) >= 1:
-        raise RegionError("residue sum requires Im(z/w1bar) > 0")
+    require([Predicate("|x1| < 1", 1 - abs(x1))], "f-moment residue sum")
     acc = 0j
     m = 1
     term = x1
@@ -526,10 +510,8 @@ def F_star_predicates(z: complex, w1bar: complex) -> list[Predicate]:
 
 def log_F_star(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12,
                method: str = "auto", enforce: bool = True) -> complex:
-    preds = F_star_predicates(z, w1bar)
-    bad = [p.name for p in preds if not p.ok]
-    if bad and enforce:
-        raise RegionError("F* undefined: " + ", ".join(bad), bad)
+    if enforce:
+        require(F_star_predicates(z, w1bar), "F*")
     return cmath.log(F_value(z, w1bar, w2, tol)) + q_F(z, w1bar, w2, method)
 
 
@@ -565,10 +547,8 @@ def G_star_predicates(z: complex, w1: complex, w1t: complex) -> list[Predicate]:
 def log_G_star(z: complex, w1: complex, w1t: complex, w2: complex,
                tol: float = 3e-11, method: str = "auto",
                enforce: bool = True) -> complex:
-    preds = G_star_predicates(z, w1, w1t)
-    bad = [p.name for p in preds if not p.ok]
-    if bad and enforce:
-        raise RegionError("G* undefined: " + ", ".join(bad), bad)
+    if enforce:
+        require(G_star_predicates(z, w1, w1t), "G*")
     dw = (w1 - w1t) / 2
     lg_z, _ = log_G_cached(z, w1, w1t, w2, tol)
     lg_dw, _ = log_G_cached(dw, w1, w1t, w2, tol)
@@ -584,14 +564,15 @@ def G_star(z: complex, w1: complex, w1t: complex, w2: complex,
 # reflection right-hand sides
 
 
+def _reflection_predicates(w1: complex, w1t: complex, w2: complex) -> list[Predicate]:
+    return [im_ratio_predicate("w1/w2", w1, w2), im_ratio_predicate("w1t/w2", w1t, w2)]
+
+
 def reflection_rhs_F(z: complex, w1: complex, w1t: complex, w2: complex,
                      tol: float = 1e-12) -> complex:
     """prod_{k>=0}(1 - x2 p^k) prod_{k>=1}(1 - x2^(-1) p^k)^(-1),
     p = (q2 q2t)^(1/2); requires Im(w1/w2) > 0 and Im(w1t/w2) > 0."""
-    failed = [nm for nm, num in (("Im(w1/w2) > 0", w1), ("Im(w1t/w2) > 0", w1t))
-              if im_ratio(num, w2) <= 0]
-    if failed:
-        raise RegionError("reflection RHS (F): " + ", ".join(failed), failed)
+    require(_reflection_predicates(w1, w1t, w2), "reflection RHS (F)")
     obar = (w1 + w1t) / 2
     x2 = cmath.exp(TWO_PI_I * z / w2)
     p = cmath.exp(TWO_PI_I * obar / w2)
@@ -604,10 +585,7 @@ def reflection_rhs_G(z: complex, w1: complex, w1t: complex, w2: complex,
     """prod_{k1,k2>=0} (1 - x2 q2^(k1+1/2) q2t^(k2+1/2))
                        (1 - x2^(-1) q2^(k1+1/2) q2t^(k2+1/2));
     requires Im(w1/w2) > 0 and Im(w1t/w2) > 0."""
-    failed = [nm for nm, num in (("Im(w1/w2) > 0", w1), ("Im(w1t/w2) > 0", w1t))
-              if im_ratio(num, w2) <= 0]
-    if failed:
-        raise RegionError("reflection RHS (G): " + ", ".join(failed), failed)
+    require(_reflection_predicates(w1, w1t, w2), "reflection RHS (G)")
     x2 = cmath.exp(TWO_PI_I * z / w2)
     q2h = cmath.exp(1j * math.pi * w1 / w2)
     q2th = cmath.exp(1j * math.pi * w1t / w2)
@@ -633,8 +611,7 @@ def reflection_rhs_G(z: complex, w1: complex, w1t: complex, w2: complex,
 def residue_lemma_check(w: complex, d: int, tol: float = 1e-10) -> Residual:
     """Quadrature of -int_C e^(ws) s^(1-d) / (e^(ws)-1)^2 ds against
     (d-1) zeta(d) / (2 pi i) * (w / 2 pi i)^(d-2);  d = 1 uses the factor 1."""
-    if w.real <= 0:
-        raise RegionError("residue lemma requires Re(w) > 0", ["Re(w) > 0"])
+    require([Predicate("Re(w) > 0", w.real)], "residue lemma")
     c = cmath.exp(-0.5j * cmath.phase(w))
 
     def f(s: complex) -> complex:

@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass, replace
 
 from .bernoulli import multiple_bernoulli
-from .checks import Predicate, Residual, im_ratio_predicate
-from .contour import QuadratureError, hull_rotation, RotationError
-from .lattice import RegionError, in_mplus
+from .checks import Predicate, Residual, im_ratio_predicate, require
+from .contour import QuadratureError
+from .lattice import mplus_predicates
 from .multisine import (_qprod, fit_loglog_slope, log_F_star, log_G_star,
                         log_G_cached, q_G)
 
@@ -85,7 +85,7 @@ def d_predicates(p: SolutionPoint) -> list[Predicate]:
     w1, w1t = p.w - tt2, p.w + tt2
     z0 = p.v + n * p.w - n * tt2
     preds = [
-        Predicate("Im(tau/2) > 0", (tau / 2).imag > 0, (tau / 2).imag, kind="tau"),
+        Predicate("Im(tau/2) > 0", (tau / 2).imag, kind="tau"),
         im_ratio_predicate("z0/(w-t*tau/2)", z0, w1, kind="tau"),
         im_ratio_predicate("z0/(w+t*tau/2)", z0, w1t, kind="tau"),
         im_ratio_predicate("z0/(-t)", z0, -t, kind="half-plane"),
@@ -99,34 +99,17 @@ def d_predicates(p: SolutionPoint) -> list[Predicate]:
     return preds
 
 
-def _enforce(preds: list[Predicate], what: str) -> None:
-    bad = [p for p in preds if not p.ok]
-    if not bad:
-        return
-    tau_bad = [p.name for p in bad if p.kind == "tau"]
-    hp_bad = [p.name for p in bad if p.kind == "half-plane"]
-    other = [p.name for p in bad if p.kind not in ("tau", "half-plane")]
-    parts = []
-    if tau_bad:
-        parts.append("outside tau-neighborhood: " + ", ".join(tau_bad))
-    if hp_bad:
-        parts.append("outside t half-plane: " + ", ".join(hp_bad))
-    if other:
-        parts.append("region violation: " + ", ".join(other))
-    raise RegionError(f"{what} undefined; " + "; ".join(parts),
-                      [p.name for p in bad])
-
-
 # ---------------------------------------------------------------------------
 # B_n and D_n
 
 
 def log_B_n(p: SolutionPoint, enforce: bool = True, tol: float = 1e-12) -> complex:
-    """log B_n = log F*(v + n w | w, -t)."""
+    """log B_n = log F*(v + n w | w, -t); b_predicates contains the F*
+    checklist, so it is checked here once."""
     if enforce:
-        _enforce(b_predicates(p), f"B_{p.n}")
+        require(b_predicates(p), f"B_{p.n}")
     z = p.v + p.n * p.w
-    return log_F_star(z, p.w, -p.t, tol=tol, enforce=enforce)
+    return log_F_star(z, p.w, -p.t, tol=tol, enforce=False)
 
 
 def B_n(p: SolutionPoint, enforce: bool = True, tol: float = 1e-12) -> complex:
@@ -137,21 +120,22 @@ def log_D_n(p: SolutionPoint, enforce: bool = True, tol: float = 3e-11) -> compl
     """log D_n per the shifted-argument product formula.
 
     The tau-neighborhood predicates (Im(dw/omega) > 0 for the G* factor) are
-    genuine convergence conditions of the moment integrals and are always
-    enforced through the G* layer; enforce=False only relaxes the t
-    half-plane conditions, under which the value continues analytically.
+    genuine convergence conditions of the moment integrals, which enforce
+    them in any case; enforce=False only relaxes the t half-plane
+    conditions, under which the value continues analytically.  d_predicates
+    contains every factor's G*/F* checklist (dw = -t tau/2).
     """
     if enforce:
-        _enforce(d_predicates(p), f"D_{p.n}")
+        require(d_predicates(p), f"D_{p.n}")
     n, t, tau = p.n, p.t, p.tau
     tt2 = t * tau / 2
     w1, w1t = p.w - tt2, p.w + tt2
     z0 = p.v + n * p.w - n * tt2
-    total = log_G_star(z0, w1, w1t, -t, tol=tol, enforce=enforce)
+    total = log_G_star(z0, w1, w1t, -t, tol=tol, enforce=False)
     for k in range(n):
         zk = p.v + n * p.w + (1 - n + 2 * k) * tt2
         # B_0(zk, w + t tau/2, t) = F*(zk | w + t tau/2, -t)
-        total += log_F_star(zk, w1t, -t, tol=min(tol, 1e-12), enforce=enforce)
+        total += log_F_star(zk, w1t, -t, tol=min(tol, 1e-12), enforce=False)
     return total
 
 
@@ -194,10 +178,8 @@ def wallcross_D(p: SolutionPoint, tol: float = 1e-8,
 
 def _xy_for_reflection(p: SolutionPoint) -> tuple[complex, complex]:
     x, y = p.x, p.y
-    if abs(y) >= 1 - 1e-12:
-        raise RegionError(
-            "reflection products require |y| < 1, i.e. Im(w/t) < 0 "
-            "(t on the -i Sigma(0) side)", ["|y| < 1"])
+    require([Predicate("|y| < 1", 1 - abs(y), margin=1e-12)],
+            "reflection products (t on the -i Sigma(0) side)")
     return x, y
 
 
@@ -218,9 +200,8 @@ def reflection_D_rhs(p: SolutionPoint, tol: float = 1e-13) -> complex:
     x, y = _xy_for_reflection(p)
     qh = p.q_half
     aq = max(abs(qh), 1 / abs(qh))
-    if abs(y) * aq >= 1 - 1e-12:
-        raise RegionError("reflection (D) requires |y| < |q^(+-1/2)|",
-                          ["|y| < |q^(1/2)| and |y| < |q^(-1/2)|"])
+    require([Predicate("|y| < |q^(1/2)| and |y| < |q^(-1/2)|", 1 - abs(y) * aq,
+                       margin=1e-12)], "reflection (D) product")
     out = 1 + 0j
     n = 1
     while (max(abs(x), 1 / abs(x), 1.0) * (abs(y) * aq) ** n) * n > tol:
@@ -329,8 +310,7 @@ def region_neighborhood_tau(v: complex, w: complex, t: complex, n: int,
     """Evaluate the D_n predicate checklist over a tau-grid in the upper
     half-plane; returns the admissible subset (an empty set is a finding,
     not an error)."""
-    if not in_mplus(v, w):
-        raise RegionError("(v, w) outside M+")
+    require(mplus_predicates(v, w), "tau-region scan")
     if tau_grid is None:
         tau_grid = default_tau_grid()
     rows = []
@@ -362,11 +342,6 @@ def sin3(z: complex, omegas: tuple[complex, complex, complex],
     """Triple sine via G: sin_3(z | a, b, c) = G(z - (a+b)/2 | a, b, c)
     * exp(-(pi i/6) B_{3,3}(z | a, b, c))."""
     a, b, c = omegas
-    try:
-        hull_rotation(list(omegas), ["w1", "w1t", "w2"])
-    except RotationError as exc:
-        raise RegionError("sin_3 parameters must lie on one side of a line "
-                          "through the origin", ["same-side"]) from exc
     lg, _ = log_G_cached(z - (a + b) / 2, a, b, c, tol)
     pref = -1j * math.pi / 6 * complex(multiple_bernoulli(3, 3, z, [a, b, c]))
     return cmath.exp(lg + pref)
@@ -408,10 +383,8 @@ def cs_match_residual(p: SolutionPoint, tol: float = 1e-8,
     """
     tt2 = p.t * p.tau / 2
     w1, w1t = p.w - tt2, p.w + tt2
-    if abs(w1 * w1t - 1) > 1e-10:
-        raise RegionError("point is off the CS matching locus "
-                          "(need (w-t tau/2)(w+t tau/2) = 1)",
-                          ["w^2 - (t tau/2)^2 = 1"])
+    require([Predicate("w^2 - (t tau/2)^2 = 1", -abs(w1 * w1t - 1), margin=-1e-10)],
+            "CS matching locus")
     omegas = (w1, w1t, -p.t)
     # evaluated at its own tolerance so the sin_3 quadratures are independent
     # of the cached G evaluations inside D_0

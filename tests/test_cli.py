@@ -324,3 +324,67 @@ def test_fresh_import_does_not_load_numpy():
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)),
                           check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_inversion_row_fails_on_perturbed_coefficient(monkeypatch):
+    """The inversion row multiplies R_(l,-gm) by R_(l,gm), each computed by
+    its own conjugation, and fails when one coefficient of one is off."""
+    import dataclasses
+
+    import conifoldrh.cli as cli
+    from conifoldrh import qtorus
+    from conifoldrh.laurent import LaurentPoly
+
+    row = cli._inversion_identity(3, 12)
+    assert row.passed and list(row.meta["pairs"]) == [
+        "ell_1 beta_v", "ell_1 delta_v", "ell_inf beta_v", "ell_inf delta_v"]
+    good = qtorus.bps_automorphism
+    calls = []
+
+    def perturbed(s, ray, gamma, order, qcut):
+        res = good(s, ray, gamma, order, qcut)
+        calls.append(gamma)
+        if len(calls) > 1:
+            return res
+        # first call: ell_1 acting on -beta_v; shift its u^1 coefficient by 1
+        terms = dict(res.element.terms)
+        g = next(g for g in terms if g != gamma)
+        terms[g] = terms[g] + LaurentPoly.one()
+        return dataclasses.replace(res, element=qtorus.QTorusElement(terms))
+
+    monkeypatch.setattr(qtorus, "bps_automorphism", perturbed)
+    row = cli._inversion_identity(3, 12)
+    assert not row.passed
+    assert row.meta["pairs"] == {"ell_1 beta_v": False, "ell_1 delta_v": True,
+                                 "ell_inf beta_v": True, "ell_inf delta_v": True}
+
+
+def test_region_outside_mplus_names_predicate(capsys):
+    assert main(["region", "--param", "v=1", "--param", "w=1"]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "Im(v/w) > 0" in err and "v + n*w != 0" in err
+
+
+def _readme_commands() -> list[str]:
+    """Every `conifoldrh ...` line of the README's CLI block, continuation
+    lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [" ".join(line.split()) for line in joined.splitlines()
+            if line.strip().startswith("conifoldrh ")]
+
+
+def test_readme_lists_the_commands():
+    cmds = _readme_commands()
+    for part in ("verify --suite all", "region", "--target qrh-limit-D",
+                 "--target growth-D"):
+        assert any(part in c for c in cmds)
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_command_exits_zero(command, tmp_path, monkeypatch, capsys):
+    import shlex
+
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(command)[1:]) == EXIT_OK
