@@ -124,7 +124,7 @@ def multiple_bernoulli(n: int, r: int, z, omegas) -> object:
     return series[n] * math.factorial(n) / denom
 
 
-def zeta_int(d: int, nterms: int = 64) -> float:
+def zeta_int(d: int) -> float:
     """zeta(d) for integer d >= 2: direct series with an Euler-Maclaurin tail.
 
     zeta(2) is returned as pi^2/6 exactly (in floating point); for the rest
@@ -135,8 +135,8 @@ def zeta_int(d: int, nterms: int = 64) -> float:
         raise ValueError("d must be >= 2")
     if d == 2:
         return math.pi**2 / 6
-    head = sum(m ** (-float(d)) for m in range(1, nterms))
-    n = float(nterms)
+    head = sum(m ** (-float(d)) for m in range(1, 64))
+    n = 64.0
     tail = (n ** (1 - d) / (d - 1) + 0.5 * n ** (-d) + d / 12 * n ** (-d - 1)
             - d * (d + 1) * (d + 2) / 720 * n ** (-d - 3))
     return head + tail

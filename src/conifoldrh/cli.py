@@ -402,10 +402,9 @@ def _difference_points(count: int):
     return pts
 
 
-def _suite_difference(order_n: int, qcut: int, tol: float,
-                      npoints: int = 3) -> list[Residual]:
+def _suite_difference(order_n: int, qcut: int, tol: float) -> list[Residual]:
     out = []
-    for i, (z, w1, w1t, w2) in enumerate(_difference_points(npoints)):
+    for i, (z, w1, w1t, w2) in enumerate(_difference_points(3)):
         ob = (w1 + w1t) / 2
         x1 = cmath.exp(2j * math.pi * z / ob)
         x2 = cmath.exp(2j * math.pi * z / w2)
@@ -441,10 +440,9 @@ def _suite_difference(order_n: int, qcut: int, tol: float,
     return out
 
 
-def _suite_reflection(order_n: int, qcut: int, tol: float,
-                      npoints: int = 2) -> list[Residual]:
+def _suite_reflection(order_n: int, qcut: int, tol: float) -> list[Residual]:
     out = []
-    for i, (z, w1, w1t, w2) in enumerate(_difference_points(npoints)):
+    for i, (z, w1, w1t, w2) in enumerate(_difference_points(2)):
         ob, dw = (w1 + w1t) / 2, (w1 - w1t) / 2
         Fv = multisine.F_value
         out.append(Residual.compare(
@@ -527,15 +525,22 @@ def _suite_wallcrossing(order_n: int, qcut: int, tol: float) -> list[Residual]:
         for k in range(n):
             rhs /= 1 - p0.q_half ** (1 - n + 2 * k) * p0.x * p0.y**n
     out.append(Residual.compare(f"D telescoping to m={m}", lhs, rhs, 1e-7))
-    # symmetry extension R_(-l,-gm)(-t) = R_(l,gm)(t): for B this is literal
-    # equality of F*(v+nw | w, -t) computed at (t) and at the mirrored (-t)
-    p_m = SolutionPoint(p0.v, p0.w, -p0.t, p0.tau, 0)
-    lhs = rhsolver.B_n(p0, enforce=False)
-    rhs = cmath.exp(rhsolver.log_F_star(p0.v, p0.w, -p0.t, enforce=False))
-    out.append(Residual.compare("extension consistency (B, mirrored)", lhs, rhs, tol,
-                                meta={"mirror_t": _cnum(p_m.t)}))
+    out.append(_extension_consistency(tol))
     out.append(_inversion_identity(order_n, qcut))
     return out
+
+
+def _extension_consistency(tol: float) -> Residual:
+    """Symmetry extension R_(-l,-gm)(-t) = R_(l,gm)(t): for B it is the
+    equality of B_0(t) with F*(v | w, -t) at the mirrored slot -t.  B_0 takes
+    the product route (Im(-t/w) > 0 at the default point), the mirrored side
+    the contour integral plus Q_F, so the two share no evaluation of F."""
+    p0 = _point({})
+    lhs = rhsolver.B_n(p0, enforce=False)
+    rhs = cmath.exp(multisine.log_F_contour(p0.v, p0.w, -p0.t)[0]
+                    + multisine.q_F(p0.v, p0.w, -p0.t))
+    return Residual.compare("extension consistency (B, mirrored)", lhs, rhs, tol,
+                            meta={"mirror_t": _cnum(-p0.t)})
 
 
 def _inversion_identity(order_n: int, qcut: int) -> Residual:
@@ -583,9 +588,15 @@ def _suite_cs_match(order_n: int, qcut: int, tol: float) -> list[Residual]:
     for t, tau, v in base:
         p = rhsolver.cs_point(t, tau, v)
         out.append(rhsolver.cs_match_residual(p, tol))
-    z1 = rhsolver.refined_cs_partition(1.2 + 0.4j, 0.8 + 0.3j, 1.0 + 0j)
-    out.append(Residual.compare("Z_cs finite at beta=1 (vs itself)", z1, z1, tol))
+    out.append(_zcs_finite())
     return out
+
+
+def _zcs_finite() -> Residual:
+    """Z_cs at beta = 1, where sqrt(beta) = 1/sqrt(beta): holds iff finite."""
+    z1 = rhsolver.refined_cs_partition(1.2 + 0.4j, 0.8 + 0.3j, 1.0 + 0j)
+    return Residual.exact("Z_cs finite at beta=1", cmath.isfinite(z1),
+                          meta={"value": _cnum(z1)})
 
 
 _SUITE_FUNCS = {
@@ -667,29 +678,15 @@ def cmd_sweep(args) -> tuple[dict, int]:
     if name != varied:
         raise UsageError(f"{what} varies |{varied}|, not {name!r}")
     t0 = time.perf_counter()
-    rows = []
     p0 = _point(params)
     if args.target in ("qrh-limit-B", "qrh-limit-D"):
-        which = args.target[-1]
-        tdir = p0.t / abs(p0.t)
-        for s in values:
-            p = SolutionPoint(p0.v, p0.w, tdir * s, p0.tau, p0.n)
-            val = (rhsolver.B_n(p, enforce=False) if which == "B"
-                   else rhsolver.D_n(p, enforce=False))
-            rows.append({name: s, "value": _cnum(val),
-                         "metric": abs(val - 1)})
+        _, vals = rhsolver.along_ray(p0, args.target[-1], values)
+        rows = [{name: s, "value": _cnum(val), "metric": abs(val - 1)}
+                for s, val in zip(values, vals)]
     elif args.target in ("growth-B", "growth-D"):
-        which = args.target[-1]
-        tdir = p0.t / abs(p0.t)
-        ts, vals = [], []
-        for s in values:
-            p = SolutionPoint(p0.v, p0.w, tdir * s, p0.tau, p0.n)
-            lv = (rhsolver.log_B_n(p, enforce=False) if which == "B"
-                  else rhsolver.log_D_n(p, enforce=False))
-            ts.append(tdir * s)
-            vals.append(cmath.exp(lv))
-            rows.append({name: s, "value": _cnum(vals[-1]),
-                         "metric": abs(vals[-1])})
+        ts, vals = rhsolver.along_ray(p0, args.target[-1], values)
+        rows = [{name: s, "value": _cnum(val), "metric": abs(val)}
+                for s, val in zip(values, vals)]
         fit = rhsolver.fit_growth_exponent(ts, vals)
         rows.append({name: None, "value": [fit["exponent"], 0.0],
                      "metric": fit["max_fit_deviation"]})
@@ -705,6 +702,7 @@ def cmd_sweep(args) -> tuple[dict, int]:
             S = multisine.logG_partial_sum(z, pars[0], pars[1], K)
         w2dir = params.get("w2dir", cmath.exp(-0.2j))
         w2dir /= abs(w2dir)
+        rows = []
         for s in values:
             w2 = w2dir * s
             if mode == "F":

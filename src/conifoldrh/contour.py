@@ -61,13 +61,10 @@ class RotationError(RegionError):
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Contour parameters; None means choose automatically per integrand."""
+    """Quadrature budget; the rotation, semicircle radius and outer cutoff
+    follow from each integrand."""
 
-    eps: float | None = None      # radius of the origin semicircle
-    R: float | None = None        # outer cutoff
-    rotation: complex | None = None  # unit complex c
     tol: float = 3e-11
-    eps_plus: float | None = None    # tilt used for the moment-integral rotation
     max_panels: int = 4000
 
 
@@ -114,16 +111,16 @@ def integrate_segment(f, a: complex, b: complex, tol: float,
 
 
 def integrate_arc(f, radius: float, c: complex, tol: float,
-                  phi0: float = math.pi, phi1: float = 0.0,
                   max_panels: int = 4000) -> tuple[complex, float]:
-    """Integral of f over the rotated arc  s = c * radius * e^(i phi)."""
+    """Integral of f over the rotated upper semicircle  s = c * radius * e^(i phi),
+    phi from pi down to 0."""
 
     def g(phi):
         phi = phi.real
         s = c * radius * cmath.exp(1j * phi)
         return f(s) * 1j * s
 
-    return integrate_segment(g, phi0, phi1, tol, max_panels)
+    return integrate_segment(g, math.pi, 0.0, tol, max_panels)
 
 
 def geometric_knots(eps: float, R: float) -> list[float]:
@@ -165,16 +162,16 @@ def detour_integral(f, eps: float, R: float, c: complex, tol: float,
     return complex(val), float(max(err, SAFETY * tol))
 
 
-def choose_outer_cutoff(f, c: complex, eps: float, tol: float,
-                        r_start: float = 8.0, r_max: float = 1e6) -> float:
-    """Grow R until the integrand is negligible at both rotated endpoints.
+def choose_outer_cutoff(f, c: complex, eps: float, tol: float) -> float:
+    """Grow R from 8 (or 4 eps) up to 1e6 until the integrand is negligible
+    at both rotated endpoints.
 
     The integrands here decay exponentially along both half-lines whenever the
     validity conditions hold, so |f| at the endpoint (times a unit scale) is a
     usable proxy for the tail.
     """
-    R = max(r_start, 4 * eps)
-    while R <= r_max:
+    R = max(8.0, 4 * eps)
+    while R <= 1e6:
         if abs(f(c * R)) + abs(f(-c * R)) < tol * 1e-3:
             return R
         R *= 2

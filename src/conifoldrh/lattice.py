@@ -10,14 +10,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .checks import Predicate, RegionError, require  # noqa: F401 (RegionError re-exported)
 from .laurent import LaurentPoly
 
 TWO_PI_I = 2j * math.pi
 
-#: Default depth for the finite "v + n w != 0" scan in the M+ membership test.
+#: Depth of the finite "v + n w != 0" scan in the M+ membership test.
 MPLUS_SCAN_DEPTH = 64
 
 #: Angular tolerance (radians) for deciding that a direction lies on a ray.
@@ -83,20 +82,20 @@ def skew_pair(g1: ChargeVector, g2: ChargeVector) -> int:
     return (g1.ma * g2.a - g1.a * g2.ma) + (g1.mb * g2.b - g1.b * g2.mb)
 
 
-def mplus_predicates(v: complex, w: complex,
-                     scan_depth: int = MPLUS_SCAN_DEPTH) -> list[Predicate]:
+def mplus_predicates(v: complex, w: complex) -> list[Predicate]:
     """Named predicate checklist for membership in the region M+, with the
     witnesses |w|, min_n |v + n w| and Im(v/w)."""
     return [
         Predicate("w != 0", abs(w)),
-        Predicate(f"v + n*w != 0 for |n| <= {scan_depth}",
-                  min(abs(v + n * w) for n in range(-scan_depth, scan_depth + 1))),
+        Predicate(f"v + n*w != 0 for |n| <= {MPLUS_SCAN_DEPTH}",
+                  min(abs(v + n * w)
+                      for n in range(-MPLUS_SCAN_DEPTH, MPLUS_SCAN_DEPTH + 1))),
         Predicate("Im(v/w) > 0", (v / w).imag if w != 0 else math.nan),
     ]
 
 
-def in_mplus(v: complex, w: complex, scan_depth: int = MPLUS_SCAN_DEPTH) -> bool:
-    return all(p.ok for p in mplus_predicates(v, w, scan_depth))
+def in_mplus(v: complex, w: complex) -> bool:
+    return all(p.ok for p in mplus_predicates(v, w))
 
 
 def conifold_omega(gamma: ChargeVector) -> LaurentPoly:
@@ -115,36 +114,36 @@ def conifold_omega(gamma: ChargeVector) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class RefinedBPSStructure:
-    """Lattice + central charge + invariant counts at a stability point."""
+    """Lattice + central charge at a stability point; the invariants are
+    conifold_omega."""
 
     v: complex
     w: complex
-    omega: Callable[[ChargeVector], LaurentPoly] = conifold_omega
 
     def central_charge(self, gamma: ChargeVector) -> complex:
         # extended by zero on the magnetic half
         return TWO_PI_I * (gamma.a * self.v + gamma.b * self.w)
 
-    def support_constant(self, box: int = 8) -> float:
-        """Empirical support constant: min |Z(g)| / ||g|| over a coordinate box.
+    def support_constant(self) -> float:
+        """Empirical support constant: min |Z(g)| / ||g|| over the coordinate
+        box |a|, |b| <= 8.
 
         Only charges with nonzero invariant contribute.  The constant is
         reported, not asserted against any prescribed value.
         """
         best = math.inf
-        for a in range(-box, box + 1):
-            for b in range(-box, box + 1):
+        for a in range(-8, 9):
+            for b in range(-8, 9):
                 g = ChargeVector(a, b)
-                if g.is_zero() or self.omega(g).is_zero():
+                if g.is_zero() or conifold_omega(g).is_zero():
                     continue
                 best = min(best, abs(self.central_charge(g)) / g.max_norm())
         return best
 
 
-def conifold_bps(v: complex, w: complex,
-                 scan_depth: int = MPLUS_SCAN_DEPTH) -> RefinedBPSStructure:
+def conifold_bps(v: complex, w: complex) -> RefinedBPSStructure:
     """Conifold BPS structure at (v, w); rejects points outside M+."""
-    require(mplus_predicates(v, w, scan_depth), "conifold BPS structure")
+    require(mplus_predicates(v, w), "conifold BPS structure")
     return RefinedBPSStructure(v=v, w=w)
 
 
@@ -204,23 +203,22 @@ class RayGeometry:
             rays.append((f"-ell({n})", cmath.phase(-d)))
         return rays
 
-    def classify_ray(self, t: complex, nmax: int = 16,
-                     angle_tol: float = RAY_ANGLE_TOL,
-                     ambiguous_tol: float = RAY_AMBIGUOUS_TOL) -> RayClassification:
-        """Classify the ray through t against the active rays, scanning |n| <= nmax.
+    def classify_ray(self, t: complex) -> RayClassification:
+        """Classify the ray through t against the active rays, scanning |n| <= 16.
 
-        Directions within angle_tol of an active ray are active; within
-        ambiguous_tol they are flagged ambiguous rather than resolved either way.
+        Directions within RAY_ANGLE_TOL of an active ray are active; within
+        RAY_AMBIGUOUS_TOL they are flagged ambiguous rather than resolved
+        either way.
         """
         if t == 0:
             raise ValueError("t must be nonzero")
         phase = cmath.phase(t)
-        rays = self.active_rays(nmax)
+        rays = self.active_rays(16)
         name, dist = min(((nm, abs(_angle_diff(phase, ph))) for nm, ph in rays),
                          key=lambda item: item[1])
-        if dist <= angle_tol:
+        if dist <= RAY_ANGLE_TOL:
             return RayClassification(status="active", ray=name)
-        if dist <= ambiguous_tol:
+        if dist <= RAY_AMBIGUOUS_TOL:
             return RayClassification(status="ambiguous", ray=name)
         # containing sector: bracket between the nearest rays on either side
         above = min(rays, key=lambda r: _angle_diff(r[1], phase) % (2 * math.pi))

@@ -36,9 +36,9 @@ EPS_POLE_FRACTION = 0.45
 
 #: candidate tilts for the moment-integral rotation c = e^(-i(theta+eps_plus));
 #: the value is deformation-invariant in the admissible window, so the tilt is
-#: chosen to balance the decay rates at the two contour ends (the nominal
-#: 1e-3 tilt makes the -infinity tail ~ 1/sin(1e-3) long and is kept only as
-#: an explicit override)
+#: chosen to balance the decay rates at the two contour ends (a tilt as small
+#: as 1e-3 makes the -infinity tail ~ 1/sin(1e-3) long, so it is the last
+#: candidate)
 EPS_PLUS_GRID = (0.35, 0.25, 0.18, 0.12, 0.08, 0.05, 0.03, 0.02, 0.012,
                  0.008, 0.005, 0.003, 0.002, 0.0015, 0.001)
 
@@ -81,25 +81,13 @@ def _contour(f, omegas: tuple, c: complex,
              spec: ContourSpec) -> tuple[complex, float]:
     """Integral of f over the detour contour rotated by c.
 
-    The semicircle radius defaults to EPS_POLE_FRACTION of the distance to the
-    nearest pole 2 pi i / w of the integrand, the outer cutoff to the first
-    radius where f is negligible; the spec overrides either.
+    The semicircle radius is EPS_POLE_FRACTION of the distance to the nearest
+    pole 2 pi i / w of the integrand, the outer cutoff the first radius where
+    f is negligible.
     """
-    eps = spec.eps if spec.eps is not None else \
-        EPS_POLE_FRACTION * 2 * math.pi / max(abs(w) for w in omegas)
-    R = spec.R if spec.R is not None else choose_outer_cutoff(f, c, eps, spec.tol)
+    eps = EPS_POLE_FRACTION * 2 * math.pi / max(abs(w) for w in omegas)
+    R = choose_outer_cutoff(f, c, eps, spec.tol)
     return detour_integral(f, eps, R, c, spec.tol, spec.max_panels)
-
-
-def _strip_rotation(directions: list[complex], names: list[str],
-                    spec: ContourSpec) -> complex:
-    if spec.rotation is None:
-        c, _ = hull_rotation(directions, names)
-        return c
-    c = spec.rotation
-    require([Predicate(nm, (c * d).real) for d, nm in zip(directions, names)],
-            "contour at the supplied rotation")
-    return c
 
 
 def log_F_contour(z: complex, w1bar: complex, w2: complex,
@@ -107,13 +95,12 @@ def log_F_contour(z: complex, w1bar: complex, w2: complex,
     """log F(z | w1bar, w2) by rotated-contour quadrature.
 
     Valid when a rotation c exists with Re(c w1bar) > 0, Re(c w2) > 0 and
-    0 < Re(c z) < Re(c (w1bar + w2)); the rotation is chosen automatically
-    unless supplied.
+    0 < Re(c z) < Re(c (w1bar + w2)); hull_rotation chooses it.
     """
     spec = spec or ContourSpec()
     dirs = [w1bar, w2, z, w1bar + w2 - z]
     names = ["Re(c*w1bar)>0", "Re(c*w2)>0", "Re(c*z)>0", "Re(c*(w1bar+w2-z))>0"]
-    c = _strip_rotation(dirs, names, spec)
+    c, _ = hull_rotation(dirs, names)
 
     def f(s: complex) -> complex:
         return _exp_over_prod(z, (w1bar, w2), s) / s
@@ -133,7 +120,7 @@ def log_G_contour(z: complex, w1: complex, w1t: complex, w2: complex,
     dirs = [w1, w1t, w2, z + obar, obar + w2 - z]
     names = ["Re(c*w1)>0", "Re(c*w1t)>0", "Re(c*w2)>0",
              "Re(c*(z+w1bar))>0", "Re(c*(w1bar+w2-z))>0"]
-    c = _strip_rotation(dirs, names, spec)
+    c, _ = hull_rotation(dirs, names)
 
     def f(s: complex) -> complex:
         return -_exp_over_prod(z + obar, (w1, w1t, w2), s) / s
@@ -152,10 +139,10 @@ def _memo(signs: tuple, fn, *args):
 
 def _cached(fn, *args):
     """fn(*args), remembered under the key (fn, *args): every argument,
-    including a ContourSpec and the route name, selects its own entry, and
-    a call that raises stores nothing.  0.0 == -0.0 as a key, but a phase
-    (and so a contour rotation) tells them apart, so the sign of each part
-    of every real or complex argument joins the key."""
+    including a ContourSpec, selects its own entry, and a call that raises
+    stores nothing.  0.0 == -0.0 as a key, but a phase (and so a contour
+    rotation) tells them apart, so the sign of each part of every real or
+    complex argument joins the key."""
     signs = tuple(math.copysign(1.0, x) for a in args
                   if isinstance(a, (float, complex)) for x in (a.real, a.imag))
     return _memo(signs, fn, *args)
@@ -261,13 +248,12 @@ def F_value(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12) -> comp
 # moment integrals f^c_(k-2), g^c_(k-2)
 
 
-def _moment_rotation(zeff: complex, omegas: tuple,
-                     eps_plus: float | None) -> complex:
+def _moment_rotation(zeff: complex, omegas: tuple) -> complex:
     """c = e^(-i(theta + eps_plus)) with theta = arg(zeff) - pi/2.
 
-    With eps_plus unset, the tilt is picked from a grid to maximise the
-    weakest decay/clearance rate; the integral does not depend on the choice
-    (no pole is crossed inside the admissible window).
+    The tilt eps_plus is picked from EPS_PLUS_GRID to maximise the weakest
+    decay/clearance rate; the integral does not depend on the choice (no
+    pole is crossed inside the admissible window).
     """
     theta = cmath.phase(zeff) - math.pi / 2
     wsum = sum(omegas)
@@ -279,11 +265,6 @@ def _moment_rotation(zeff: complex, omegas: tuple,
         clear = min((w * c).real for w in omegas)      # pole clearance
         return min(m_minus, m_plus, clear)
 
-    if eps_plus is not None:
-        if rates(eps_plus) <= 0:
-            raise QuadratureError(
-                f"moment integrand does not decay for eps_plus={eps_plus}")
-        return cmath.exp(-1j * (theta + eps_plus))
     best = max(EPS_PLUS_GRID, key=rates)
     if rates(best) <= 0:
         raise QuadratureError("decay failure at contour ends for every tilt; "
@@ -296,8 +277,7 @@ def f_moment_quad(order: int, z: complex, w1bar: complex,
     """f^c_order(z, w1bar) = int_{cC} e^(zs) s^order / (e^(w1bar s) - 1) ds."""
     spec = spec or ContourSpec()
     require([im_ratio_predicate("z/w1bar", z, w1bar)], "f-moment")
-    c = spec.rotation if spec.rotation is not None else \
-        _moment_rotation(z, (w1bar,), spec.eps_plus)
+    c = _moment_rotation(z, (w1bar,))
 
     def f(s: complex) -> complex:
         return _exp_over_prod(z, (w1bar,), s) * s**order
@@ -313,8 +293,7 @@ def g_moment_quad(order: int, z: complex, w1: complex, w1t: complex,
     require([im_ratio_predicate("z/w1", z, w1), im_ratio_predicate("z/w1t", z, w1t)],
             "g-moment")
     obar = (w1 + w1t) / 2
-    c = spec.rotation if spec.rotation is not None else \
-        _moment_rotation(z + obar, (w1, w1t), spec.eps_plus)
+    c = _moment_rotation(z + obar, (w1, w1t))
 
     def f(s: complex) -> complex:
         return -_exp_over_prod(z + obar, (w1, w1t), s) * s**order
@@ -424,9 +403,8 @@ def _g_family(order: int, z: complex, a: complex, b: complex,
     # bail out to quadrature when |w| is so close to 1 that the series would
     # need an absurd number of terms
     nterms = _lambert_terms(order, aw, tol)
-    if nterms > MAX_LAMBERT_TERMS:
-        raise RegionError(f"residue series impractically slow ({nterms:.0f} "
-                          "terms): w1t/w1 not nearly real", ["w1t/w1 not nearly real"])
+    require([Predicate("w1t/w1 not nearly real", MAX_LAMBERT_TERMS - nterms)],
+            f"g-moment residue series (impractically slow: {nterms:.0f} terms)")
     p = max(order, 0)
     peak = p / -math.log(aw) if aw else 0.0
     step = cmath.exp(log_q)
@@ -448,31 +426,23 @@ def g_moment_series(order: int, z: complex, w1: complex, w1t: complex) -> comple
     return TWO_PI_I * (_g_family(order, z, w1, w1t) + _g_family(order, z, w1t, w1))
 
 
-def _moment(series, quad, order: int, method: str, spec: ContourSpec | None,
-            *args: complex) -> complex:
-    """One moment by route: "quad", "series", or (any other method) the
-    residue series with quadrature where the series is unavailable."""
-    if method != "quad":
-        try:
-            return series(order, *args)
-        except (RegionError, PoleZeroError):
-            if method == "series":
-                raise
-    return quad(order, *args, spec)[0]
+def _moment(series, quad, order: int, *args: complex) -> complex:
+    """One moment: the residue series, else quadrature where the series is
+    unavailable."""
+    try:
+        return series(order, *args)
+    except (RegionError, PoleZeroError):
+        return quad(order, *args)[0]
 
 
-def f_moment(order: int, z: complex, w1bar: complex, method: str = "auto",
-             spec: ContourSpec | None = None) -> complex:
-    """Moment integral with selectable route; "auto" prefers the residue series
-    (exact resummation of the contour) and falls back to quadrature."""
-    return _cached(_moment, f_moment_series, f_moment_quad, order, method, spec,
-                   z, w1bar)
+def f_moment(order: int, z: complex, w1bar: complex) -> complex:
+    """Moment integral by the residue series (exact resummation of the
+    contour) where it converges, else by quadrature."""
+    return _cached(_moment, f_moment_series, f_moment_quad, order, z, w1bar)
 
 
-def g_moment(order: int, z: complex, w1: complex, w1t: complex,
-             method: str = "auto", spec: ContourSpec | None = None) -> complex:
-    return _cached(_moment, g_moment_series, g_moment_quad, order, method, spec,
-                   z, w1, w1t)
+def g_moment(order: int, z: complex, w1: complex, w1t: complex) -> complex:
+    return _cached(_moment, g_moment_series, g_moment_quad, order, z, w1, w1t)
 
 
 def f_moment_residue_oracle(order: int, z: complex, w1bar: complex,
@@ -497,10 +467,10 @@ def f_moment_residue_oracle(order: int, z: complex, w1bar: complex,
 # starred functions
 
 
-def q_F(z: complex, w1bar: complex, w2: complex, method: str = "auto") -> complex:
+def q_F(z: complex, w1bar: complex, w2: complex) -> complex:
     """Q_F = -f_(-2)/w2 + f_(-1)/2 + (pi i/12)(w2/w1bar)."""
-    f2 = f_moment(-2, z, w1bar, method)
-    f1 = f_moment(-1, z, w1bar, method)
+    f2 = f_moment(-2, z, w1bar)
+    f1 = f_moment(-1, z, w1bar)
     return -f2 / w2 + f1 / 2 + 1j * math.pi / 12 * w2 / w1bar
 
 
@@ -509,26 +479,24 @@ def F_star_predicates(z: complex, w1bar: complex) -> list[Predicate]:
 
 
 def log_F_star(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12,
-               method: str = "auto", enforce: bool = True) -> complex:
+               enforce: bool = True) -> complex:
     if enforce:
         require(F_star_predicates(z, w1bar), "F*")
-    return cmath.log(F_value(z, w1bar, w2, tol)) + q_F(z, w1bar, w2, method)
+    return cmath.log(F_value(z, w1bar, w2, tol)) + q_F(z, w1bar, w2)
 
 
-def F_star(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12,
-           method: str = "auto") -> complex:
-    return cmath.exp(log_F_star(z, w1bar, w2, tol, method))
+def F_star(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12) -> complex:
+    return cmath.exp(log_F_star(z, w1bar, w2, tol))
 
 
-def q_G(z: complex, w1: complex, w1t: complex, w2: complex,
-        method: str = "auto") -> complex:
+def q_G(z: complex, w1: complex, w1t: complex, w2: complex) -> complex:
     """Q_G = -(g_(-2)(z) - g_(-2)(dw))/w2 + (g_(-1)(z) - g_(-1)(dw))/2
            + (B_{1,2}(z+obar) - B_{1,2}(w1)) zeta(2) w2 / (2 pi i),
     with dw = (w1 - w1t)/2 and the B_{1,2} taken at parameters (w1, w1t)."""
     dw = (w1 - w1t) / 2
     obar = (w1 + w1t) / 2
-    g2 = g_moment(-2, z, w1, w1t, method) - g_moment(-2, dw, w1, w1t, method)
-    g1 = g_moment(-1, z, w1, w1t, method) - g_moment(-1, dw, w1, w1t, method)
+    g2 = g_moment(-2, z, w1, w1t) - g_moment(-2, dw, w1, w1t)
+    g1 = g_moment(-1, z, w1, w1t) - g_moment(-1, dw, w1, w1t)
     b12 = (multiple_bernoulli(1, 2, z + obar, [w1, w1t])
            - multiple_bernoulli(1, 2, w1, [w1, w1t]))
     return -g2 / w2 + g1 / 2 + b12 * zeta_int(2) * w2 / TWO_PI_I
@@ -545,19 +513,18 @@ def G_star_predicates(z: complex, w1: complex, w1t: complex) -> list[Predicate]:
 
 
 def log_G_star(z: complex, w1: complex, w1t: complex, w2: complex,
-               tol: float = 3e-11, method: str = "auto",
-               enforce: bool = True) -> complex:
+               tol: float = 3e-11, enforce: bool = True) -> complex:
     if enforce:
         require(G_star_predicates(z, w1, w1t), "G*")
     dw = (w1 - w1t) / 2
     lg_z, _ = log_G_cached(z, w1, w1t, w2, tol)
     lg_dw, _ = log_G_cached(dw, w1, w1t, w2, tol)
-    return lg_z - lg_dw + q_G(z, w1, w1t, w2, method)
+    return lg_z - lg_dw + q_G(z, w1, w1t, w2)
 
 
 def G_star(z: complex, w1: complex, w1t: complex, w2: complex,
-           tol: float = 3e-11, method: str = "auto") -> complex:
-    return cmath.exp(log_G_star(z, w1, w1t, w2, tol, method))
+           tol: float = 3e-11) -> complex:
+    return cmath.exp(log_G_star(z, w1, w1t, w2, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +582,7 @@ def residue_lemma_check(w: complex, d: int, tol: float = 1e-10) -> Residual:
     c = cmath.exp(-0.5j * cmath.phase(w))
 
     def f(s: complex) -> complex:
-        a = w * s
-        if a.real > 0:
-            e = cmath.exp(-a)
-            return -e * s ** (1 - d) / (1 - e) ** 2
-        e = cmath.exp(a)
-        return -e * s ** (1 - d) / (e - 1) ** 2
+        return -_exp_over_prod(w, (w, w), s) * s ** (1 - d)
 
     lhs, err = _contour(f, (w,), c, ContourSpec(tol=tol))
     factor = 1.0 if d == 1 else (d - 1) * zeta_int(d)
@@ -634,11 +596,10 @@ def residue_lemma_check(w: complex, d: int, tol: float = 1e-10) -> Residual:
 # asymptotic expansions
 
 
-def logF_partial_sum(z: complex, w1bar: complex, K: int,
-                     method: str = "auto"):
+def logF_partial_sum(z: complex, w1bar: complex, K: int):
     """Callable w2 -> sum_{k=0..K} B_k w2^(k-1) f_(k-2)(z, w1bar) / k!."""
     nums = bernoulli_numbers(K)
-    moms = [f_moment(k - 2, z, w1bar, method) for k in range(K + 1)]
+    moms = [f_moment(k - 2, z, w1bar) for k in range(K + 1)]
 
     def S(w2: complex) -> complex:
         return sum(complex(nums[k]) * w2 ** (k - 1) * moms[k] / math.factorial(k)
@@ -647,10 +608,9 @@ def logF_partial_sum(z: complex, w1bar: complex, K: int,
     return S
 
 
-def logG_partial_sum(z: complex, w1: complex, w1t: complex, K: int,
-                     method: str = "auto"):
+def logG_partial_sum(z: complex, w1: complex, w1t: complex, K: int):
     nums = bernoulli_numbers(K)
-    moms = [g_moment(k - 2, z, w1, w1t, method) for k in range(K + 1)]
+    moms = [g_moment(k - 2, z, w1, w1t) for k in range(K + 1)]
 
     def S(w2: complex) -> complex:
         return sum(complex(nums[k]) * w2 ** (k - 1) * moms[k] / math.factorial(k)
@@ -674,10 +634,9 @@ def fit_loglog_slope(xs, ys) -> tuple[float, float]:
 
 
 def asymptotic_order_small_w2(mode: str, z: complex, params: tuple, K: int,
-                              w2_dir: complex, scale0: float = 0.4,
-                              ratio: float = 0.5, npts: int = 7,
-                              tol: float = 3e-11) -> dict:
-    """Empirical order of |log X - S_K| as w2 -> 0 along w2_dir.
+                              w2_dir: complex, tol: float = 3e-11) -> dict:
+    """Empirical order of |log X - S_K| as w2 -> 0 along w2_dir, at
+    |w2| = 0.4 * 2^-m, m = 0..6.
 
     The remainder after the K-th term scales like w2^K when B_(K+1) != 0 and
     like w2^(K+1) otherwise (odd Bernoulli numbers vanish), so the fitted
@@ -698,7 +657,7 @@ def asymptotic_order_small_w2(mode: str, z: complex, params: tuple, K: int,
     else:
         raise ValueError("mode must be 'F' or 'G'")
 
-    w2s = [w2_dir * scale0 * ratio**m for m in range(npts)]
+    w2s = [w2_dir * 0.4 * 0.5**m for m in range(7)]
     rem = [logX(w2) - S(w2) for w2 in w2s]
     slope, dev = fit_loglog_slope(w2s, rem)
     nearest = round(slope)
@@ -738,27 +697,23 @@ def _complex_lstsq(basis_rows: list[list[complex]],
     return [ck / sj for ck, sj in zip(c, scale)]
 
 
-def _infinity_fit_rows(mode: str, w2s: list[complex],
-                       factor: float) -> list[list[complex]]:
+def _infinity_fit_rows(mode: str, w2s: list[complex]) -> list[list[complex]]:
     """Basis rows of asymptotic_infinity_fit: the change of each term of the
-    large-w2 expansion from w2 to factor * w2, for every w2 but the last.
+    large-w2 expansion from w2 to 2 w2, for every w2 but the last.
     Fitting consecutive differences removes the unknown O(1) constant, which
     otherwise limits how well the log coefficient can be resolved."""
-    lf = math.log(factor)
+    # w2^2, w2, log w2, 1/w2, 1/w2^2 change by 3 w2^2, w2, log 2, -1/(2 w2)
+    # and -3/(4 w2^2)
+    lf = math.log(2.0)
     if mode == "F":
-        return [[w2 * (factor - 1), lf, (1 / factor - 1) / w2,
-                 (1 / factor**2 - 1) / w2**2] for w2 in w2s[:-1]]
-    return [[w2 * w2 * (factor**2 - 1), w2 * (factor - 1), lf,
-             (1 / factor - 1) / w2, (1 / factor**2 - 1) / w2**2]
-            for w2 in w2s[:-1]]
+        return [[w2, lf, -0.5 / w2, -0.75 / w2**2] for w2 in w2s[:-1]]
+    return [[w2 * w2 * 3, w2, lf, -0.5 / w2, -0.75 / w2**2] for w2 in w2s[:-1]]
 
 
 def asymptotic_infinity_fit(mode: str, z: complex, params: tuple,
-                            w2_dir: complex, scale0: float = 16.0,
-                            factor: float = 2.0, npts: int = 8,
-                            tol: float = 1e-8) -> dict:
-    """Fit the large-w2 growth of log F / log G and compare the leading
-    coefficients with their closed forms.
+                            w2_dir: complex, tol: float = 1e-8) -> dict:
+    """Fit the large-w2 growth of log F / log G at |w2| = 16 * 2^m, m = 0..7,
+    and compare the leading coefficients with their closed forms.
 
     F:  log F ~ -(pi i/12)(w2/w1bar) + B_1(z/w1bar) log w2 + O(1)
     G:  log G ~ B_{0,2} zeta(3)/(4 pi^2) w2^2 - B_{1,2} zeta(2)/(2 pi i) w2
@@ -767,12 +722,12 @@ def asymptotic_infinity_fit(mode: str, z: complex, params: tuple,
     """
     from .bernoulli import bernoulli_poly
 
-    w2s = [w2_dir * scale0 * factor**m for m in range(npts)]
+    w2s = [w2_dir * 16.0 * 2.0**m for m in range(8)]
     if mode == "F":
         (w1bar,) = params
         vals = [log_F_contour(z, w1bar, w2, ContourSpec(tol=tol))[0] for w2 in w2s]
-        diffs = [vals[j + 1] - vals[j] for j in range(npts - 1)]
-        coef = _complex_lstsq(_infinity_fit_rows(mode, w2s, factor), diffs)
+        diffs = [vals[j + 1] - vals[j] for j in range(7)]
+        coef = _complex_lstsq(_infinity_fit_rows(mode, w2s), diffs)
         targets = {
             "linear": (-1j * math.pi / 12 / w1bar, coef[0]),
             "log": (complex(bernoulli_poly(1, z / w1bar)), coef[1]),
@@ -781,8 +736,8 @@ def asymptotic_infinity_fit(mode: str, z: complex, params: tuple,
         w1, w1t = params
         obar = (w1 + w1t) / 2
         vals = [log_G_contour(z, w1, w1t, w2, ContourSpec(tol=tol))[0] for w2 in w2s]
-        diffs = [vals[j + 1] - vals[j] for j in range(npts - 1)]
-        coef = _complex_lstsq(_infinity_fit_rows(mode, w2s, factor), diffs)
+        diffs = [vals[j + 1] - vals[j] for j in range(7)]
+        coef = _complex_lstsq(_infinity_fit_rows(mode, w2s), diffs)
         b02 = complex(multiple_bernoulli(0, 2, z + obar, [w1, w1t]))
         b12 = complex(multiple_bernoulli(1, 2, z + obar, [w1, w1t]))
         b22 = complex(multiple_bernoulli(2, 2, z + obar, [w1, w1t]))

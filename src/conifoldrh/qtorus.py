@@ -3,10 +3,11 @@
 Elements are finite sums  sum_g  c_g(q^(1/2)) * y_g  over the doubled charge
 lattice, with the twisted product
 
-    y_g1 * y_g2 = q^(<g1,g2>/2) * y_(g1+g2)
+    y_g1 * y_g2 = q^(<g1,g2>/2) * y_(g1+g2).
 
-(equivalently x_g1 * x_g2 = L^(<g1,g2>/2) x_(g1+g2) with q^(1/2) = -L^(1/2)
-and y_g = sigma(g) x_g for a quadratic refinement sigma).
+Products are formed in this y basis only.  The x basis of the motivic
+literature, x_g1 * x_g2 = L^(<g1,g2>/2) x_(g1+g2) with q^(1/2) = -L^(1/2),
+is related by y_g = sigma(g) x_g for a quadratic refinement sigma.
 
 The wall-crossing operator attached to an active ray is conjugation by a
 product of quantum dilogarithms.  Everything in this module is exact: the
@@ -76,8 +77,8 @@ class QTorusElement:
         self.terms = {g: c for g, c in (terms or {}).items() if not c.is_zero()}
 
     @classmethod
-    def generator(cls, g: ChargeVector, coeff: LaurentPoly | None = None) -> "QTorusElement":
-        return cls({g: coeff if coeff is not None else LaurentPoly.one()})
+    def generator(cls, g: ChargeVector) -> "QTorusElement":
+        return cls({g: LaurentPoly.one()})
 
     def __add__(self, other: "QTorusElement") -> "QTorusElement":
         t = dict(self.terms)
@@ -89,15 +90,12 @@ class QTorusElement:
                 t[g] = s
         return QTorusElement(t)
 
-    def mul(self, other: "QTorusElement", qcut: int | None = None,
-            rule: str = "y") -> "QTorusElement":
-        """Twisted product; rule "y" twists by q^(<,>/2), rule "x" by L^(<,>/2)."""
+    def mul(self, other: "QTorusElement", qcut: int | None = None) -> "QTorusElement":
+        """Twisted product y_g1 * y_g2 = q^(<g1,g2>/2) y_(g1+g2)."""
         out: dict[ChargeVector, LaurentPoly] = {}
         for g1, c1 in self.terms.items():
             for g2, c2 in other.terms.items():
-                k = skew_pair(g1, g2)
-                sign = 1 if (rule == "y" or k % 2 == 0) else -1
-                c = c1 * c2 * LaurentPoly.monomial(k, sign)
+                c = c1 * c2 * LaurentPoly.monomial(skew_pair(g1, g2))
                 if qcut is not None:
                     c = c.truncate(qcut)
                 g = g1 + g2
@@ -385,8 +383,7 @@ class AutomorphismResult:
 
 def bps_automorphism(structure: RefinedBPSStructure,
                      ray_charges: list[tuple[ChargeVector, LaurentPoly]],
-                     gamma: ChargeVector, order: int, qcut: int,
-                     work_margin: int | None = None) -> AutomorphismResult:
+                     gamma: ChargeVector, order: int, qcut: int) -> AutomorphismResult:
     """Action of the ray automorphism on y_gamma, computed two ways.
 
     (a) genuine conjugation of y_gamma by the DT product, (b) the closed-form
@@ -406,8 +403,7 @@ def bps_automorphism(structure: RefinedBPSStructure,
         return AutomorphismResult(ident, ident, None)
     gamma0, _ = _primitive_direction([g for g, _ in ray_charges])
     c = skew_pair(gamma0, gamma)
-    margin = work_margin if work_margin is not None else 2 * order * (abs(c) + 2)
-    work_cut = qcut + margin
+    work_cut = qcut + 2 * order * (abs(c) + 2)
     f = dt_ray(structure, ray_charges, order, work_cut)
     elem = conjugation_element(f, gamma).truncate_q(qcut)
     closed = closed_form_element(ray_charges, gamma, order, work_cut).truncate_q(qcut)
@@ -442,20 +438,19 @@ def conifold_ray_charges(kind: str, n: int | None = None,
 
 
 def _electric_factor(coeff: LaurentPoly, charge: ChargeVector, e: int,
-                     adeg: int, bdeg: int, qcut: int,
-                     sigma: QuadraticRefinement = SIGMA) -> QTorusElement:
+                     adeg: int, bdeg: int, qcut: int) -> QTorusElement:
     """(1 - coeff * x_charge)^e as a bidegree-truncated electric element (y basis)."""
     jmax = min(adeg // abs(charge.a) if charge.a else 10**9,
                bdeg // abs(charge.b) if charge.b else 10**9)
     elem = QTorusElement({ChargeVector(): LaurentPoly.one(),
-                          charge: (-coeff * sigma(charge)).truncate(qcut)})
+                          charge: (-coeff * SIGMA(charge)).truncate(qcut)})
     if e >= 0:
         acc = QTorusElement.generator(ChargeVector())
         for _ in range(e):
             acc = acc.mul(elem, qcut=qcut).truncate_electric(adeg, bdeg)
         return acc
     # inverse of 1 - t: geometric series in the (truncation-)nilpotent part
-    t = QTorusElement({charge: (coeff * sigma(charge)).truncate(qcut)})
+    t = QTorusElement({charge: (coeff * SIGMA(charge)).truncate(qcut)})
     inv = QTorusElement.generator(ChargeVector())
     term = QTorusElement.generator(ChargeVector())
     for _ in range(jmax):
@@ -469,8 +464,8 @@ def _electric_factor(coeff: LaurentPoly, charge: ChargeVector, e: int,
     return out
 
 
-def sector_closed_form(gamma: ChargeVector, adeg: int, bdeg: int, qcut: int,
-                       sigma: QuadraticRefinement = SIGMA) -> QTorusElement:
+def sector_closed_form(gamma: ChargeVector, adeg: int, bdeg: int,
+                       qcut: int) -> QTorusElement:
     """Multiplier of the just-under-a-half-plane sector automorphism on x_gamma.
 
     Three product families: rays through beta + n delta (n >= 0), through
@@ -481,23 +476,15 @@ def sector_closed_form(gamma: ChargeVector, adeg: int, bdeg: int, qcut: int,
 
     def mul_factor(coeff, charge, e):
         nonlocal acc
-        f = _electric_factor(coeff, charge, e, adeg, bdeg, qcut, sigma)
+        f = _electric_factor(coeff, charge, e, adeg, bdeg, qcut)
         acc = acc.mul(f, qcut=qcut).truncate_electric(adeg, bdeg)
 
-    for n in range(0, bdeg + 1):
-        g = ChargeVector(1, n)
+    for g in ([ChargeVector(1, n) for n in range(0, bdeg + 1)]
+              + [ChargeVector(-1, n) for n in range(1, bdeg + 1)]):
         pairing = skew_pair(g, gamma)
         m_abs, sgn = abs(pairing), (1 if pairing > 0 else -1)
-        if m_abs:
-            for k in range(m_abs):
-                mul_factor(LaurentPoly.monomial(1 - m_abs + 2 * k), g, sgn)
-    for n in range(1, bdeg + 1):
-        g = ChargeVector(-1, n)
-        pairing = skew_pair(g, gamma)
-        m_abs, sgn = abs(pairing), (1 if pairing > 0 else -1)
-        if m_abs:
-            for k in range(m_abs):
-                mul_factor(LaurentPoly.monomial(1 - m_abs + 2 * k), g, sgn)
+        for k in range(m_abs):
+            mul_factor(LaurentPoly.monomial(1 - m_abs + 2 * k), g, sgn)
     d_pair = skew_pair(DELTA, gamma)
     if d_pair != 0:
         sgn = 1 if d_pair > 0 else -1
@@ -511,8 +498,7 @@ def sector_closed_form(gamma: ChargeVector, adeg: int, bdeg: int, qcut: int,
 
 
 def sector_from_rays(structure: RefinedBPSStructure, gamma: ChargeVector,
-                     adeg: int, bdeg: int, qcut: int,
-                     sigma: QuadraticRefinement = SIGMA) -> QTorusElement:
+                     adeg: int, bdeg: int, qcut: int) -> QTorusElement:
     """Sector multiplier assembled from the individual ray automorphisms.
 
     Rays are composed in clockwise order, ell(0), ell(1), ..., ell_inf,

@@ -147,22 +147,22 @@ def D_n(p: SolutionPoint, enforce: bool = True, tol: float = 3e-11) -> complex:
 # wall crossing
 
 
-def wallcross_B(p: SolutionPoint, tol: float = 1e-8,
-                enforce: bool = False) -> Residual:
-    """B_(n+1)/B_n against (1 - x y^n)^(-1) at the point's sector index."""
-    lb = log_B_n(p, enforce)
-    lb1 = log_B_n(p.shifted(p.n + 1), enforce)
+def wallcross_B(p: SolutionPoint, tol: float = 1e-8) -> Residual:
+    """B_(n+1)/B_n against (1 - x y^n)^(-1) at the point's sector index,
+    through the continuation (enforce=False)."""
+    lb = log_B_n(p, enforce=False)
+    lb1 = log_B_n(p.shifted(p.n + 1), enforce=False)
     lhs = cmath.exp(lb1 - lb)
     rhs = 1 / (1 - p.x * p.y**p.n)
     return Residual.compare(f"B_wallcrossing(n={p.n})", lhs, rhs, tol,
                             meta={"n": p.n})
 
 
-def wallcross_D(p: SolutionPoint, tol: float = 1e-8,
-                enforce: bool = False) -> Residual:
-    """D_(n+1)/D_n against prod_{k=0}^{n-1} (1 - q^((1-n+2k)/2) x y^n)^(-1)."""
-    ld = log_D_n(p, enforce)
-    ld1 = log_D_n(p.shifted(p.n + 1), enforce)
+def wallcross_D(p: SolutionPoint, tol: float = 1e-8) -> Residual:
+    """D_(n+1)/D_n against prod_{k=0}^{n-1} (1 - q^((1-n+2k)/2) x y^n)^(-1),
+    through the continuation (enforce=False)."""
+    ld = log_D_n(p, enforce=False)
+    ld1 = log_D_n(p.shifted(p.n + 1), enforce=False)
     lhs = cmath.exp(ld1 - ld)
     rhs = 1 + 0j
     for k in range(p.n):
@@ -246,31 +246,23 @@ def reflection_D(p: SolutionPoint, tol: float = 1e-8) -> Residual:
 # qRH2 limits and qRH3 growth
 
 
-def richardson_limit(values: list[complex], ratio: float = 0.5,
-                     levels: int = 3) -> complex:
-    """Extrapolate a sequence f(h_j), h_j = h_0 ratio^j, assuming integer
-    power corrections h, h^2, ... (classic Richardson table)."""
+def richardson_limit(values: list[complex]) -> complex:
+    """Extrapolate a sequence f(h_j), h_j = h_0 2^-j, assuming power
+    corrections h, h^2, h^3 (a three-level Richardson table)."""
     table = [complex(v) for v in values]
-    for m in range(1, levels + 1):
-        r = ratio ** (-m)
+    for m in range(1, 4):
+        r = 2.0**m
         table = [(r * table[j + 1] - table[j]) / (r - 1)
                  for j in range(len(table) - 1)]
     return table[-1]
 
 
-def qrh2_limit(p: SolutionPoint, which: str = "B", npts: int = 8,
-               ratio: float = 0.5, tol: float = 1e-6,
-               enforce: bool = True) -> Residual:
-    """t -> 0 limit along the ray through p.t: Richardson-extrapolated value
-    of B_n or D_n, compared with 1."""
-    vals = []
-    for j in range(npts):
-        pj = replace(p, t=p.t * ratio**j)
-        if which == "B":
-            vals.append(B_n(pj, enforce=enforce))
-        else:
-            vals.append(D_n(pj, enforce=enforce))
-    lim = richardson_limit(vals, ratio)
+def qrh2_limit(p: SolutionPoint, which: str = "B", tol: float = 1e-6) -> Residual:
+    """t -> 0 limit along the ray through p.t: the Richardson-extrapolated
+    value of B_n or D_n at t = p.t 2^-j, j = 0..7, compared with 1."""
+    solution = B_n if which == "B" else D_n
+    vals = [solution(replace(p, t=p.t * 0.5**j)) for j in range(8)]
+    lim = richardson_limit(vals)
     return Residual.compare(f"qrh2_limit_{which}(n={p.n})", lim, 1.0, tol,
                             meta={"raw_last": [vals[-1].real, vals[-1].imag]})
 
@@ -282,20 +274,22 @@ def fit_growth_exponent(ts: list[complex], values: list[complex]) -> dict:
             "finite": math.isfinite(k)}
 
 
-def check_qrh3_growth(p: SolutionPoint, which: str = "B", npts: int = 7,
-                      factor: float = 2.0, scale0: float = 4.0,
-                      enforce: bool = False) -> dict:
+def along_ray(p: SolutionPoint, which: str,
+              radii: list[float]) -> tuple[list[complex], list[complex]]:
+    """(ts, values) of B_n or D_n through the continuation (enforce=False)
+    at t = (p.t/|p.t|) r for each radius r."""
+    tdir = p.t / abs(p.t)
+    ts = [tdir * r for r in radii]
+    log_x = log_B_n if which == "B" else log_D_n
+    return ts, [cmath.exp(log_x(replace(p, t=t), enforce=False)) for t in ts]
+
+
+def check_qrh3_growth(p: SolutionPoint, which: str = "B") -> dict:
     """|t| -> infinity polynomial-growth exponent of B_n or D_n along the ray
-    through p.t; the Q prefactors cancel the super-polynomial pieces, so the
-    fitted log-log slope must be finite with small deviation."""
-    ts, vals = [], []
-    for j in range(npts):
-        tj = p.t / abs(p.t) * scale0 * factor**j
-        pj = replace(p, t=tj)
-        lv = log_B_n(pj, enforce) if which == "B" else log_D_n(pj, enforce)
-        ts.append(tj)
-        vals.append(cmath.exp(lv))
-    out = fit_growth_exponent(ts, vals)
+    through p.t, at |t| = 4 * 2^j, j = 0..6; the Q prefactors cancel the
+    super-polynomial pieces, so the fitted log-log slope must be finite with
+    small deviation."""
+    out = fit_growth_exponent(*along_ray(p, which, [4.0 * 2.0**j for j in range(7)]))
     out["which"] = which
     out["n"] = p.n
     return out
@@ -305,16 +299,13 @@ def check_qrh3_growth(p: SolutionPoint, which: str = "B", npts: int = 7,
 # tau-region scan
 
 
-def region_neighborhood_tau(v: complex, w: complex, t: complex, n: int,
-                            tau_grid: list[complex] | None = None) -> dict:
-    """Evaluate the D_n predicate checklist over a tau-grid in the upper
-    half-plane; returns the admissible subset (an empty set is a finding,
-    not an error)."""
+def region_neighborhood_tau(v: complex, w: complex, t: complex, n: int) -> dict:
+    """Evaluate the D_n predicate checklist over default_tau_grid in the
+    upper half-plane; returns the admissible subset (an empty set is a
+    finding, not an error)."""
     require(mplus_predicates(v, w), "tau-region scan")
-    if tau_grid is None:
-        tau_grid = default_tau_grid()
     rows = []
-    for tau in tau_grid:
+    for tau in default_tau_grid():
         p = SolutionPoint(v, w, t, tau, n)
         preds = d_predicates(p)
         rows.append({"tau": tau, "ok": all(q.ok for q in preds),
@@ -324,11 +315,12 @@ def region_neighborhood_tau(v: complex, w: complex, t: complex, n: int,
             "n_admissible": len(admissible), "n_total": len(rows)}
 
 
-def default_tau_grid(radii=(0.3, 0.15, 0.075, 0.0375), nangles: int = 24) -> list[complex]:
+def default_tau_grid() -> list[complex]:
+    """tau = r e^(i pi j/24), j = 1..23, for r = 0.3, 0.15, 0.075, 0.0375."""
     grid = []
-    for r in radii:
-        for j in range(1, nangles):
-            ang = math.pi * j / nangles
+    for r in (0.3, 0.15, 0.075, 0.0375):
+        for j in range(1, 24):
+            ang = math.pi * j / 24
             grid.append(r * cmath.exp(1j * ang))
     return grid
 
@@ -370,8 +362,7 @@ def cs_point(t: complex, tau: complex, v: complex) -> SolutionPoint:
     return SolutionPoint(v=v, w=w, t=t, tau=tau, n=0)
 
 
-def cs_match_residual(p: SolutionPoint, tol: float = 1e-8,
-                      enforce: bool = True) -> Residual:
+def cs_match_residual(p: SolutionPoint, tol: float = 1e-8) -> Residual:
     """sin_3 ratio of the partition function against the prefactor-adjusted
     D_0 under the identification
 
@@ -389,7 +380,7 @@ def cs_match_residual(p: SolutionPoint, tol: float = 1e-8,
     # evaluated at its own tolerance so the sin_3 quadratures are independent
     # of the cached G evaluations inside D_0
     lhs = sin3(p.v + p.w, omegas, tol=1e-11) / sin3(w1, omegas, tol=1e-11)
-    ld0 = log_D_n(p.shifted(0), enforce=enforce)
+    ld0 = log_D_n(p.shifted(0))
     qg = q_G(p.v, w1, w1t, -p.t)
     b33 = (multiple_bernoulli(3, 3, p.v + p.w, list(omegas))
            - multiple_bernoulli(3, 3, w1, list(omegas)))

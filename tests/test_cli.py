@@ -359,6 +359,67 @@ def test_inversion_row_fails_on_perturbed_coefficient(monkeypatch):
                                  "ell_inf beta_v": True, "ell_inf delta_v": True}
 
 
+def test_extension_row_fails_on_perturbed_side(monkeypatch):
+    """The extension row takes B_0 by the product route and F*(v | w, -t)
+    by the contour: the B side makes no contour call, the row passes, and
+    it fails when either side is off by 1e-6."""
+    import conifoldrh.cli as cli
+    from conifoldrh import multisine, rhsolver
+
+    p0 = cli._point({})
+    good_b, good_f = rhsolver.B_n, multisine.log_F_contour
+    contour_calls = []
+
+    def counted(*args):
+        contour_calls.append(args)
+        return good_f(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(multisine, "log_F_contour", counted)
+        multisine.clear_caches()
+        good_b(p0, enforce=False)
+    assert contour_calls == []
+    assert cli._extension_consistency(1e-8).passed
+    with monkeypatch.context() as m:
+        m.setattr(rhsolver, "B_n", lambda *a, **k: good_b(*a, **k) * (1 + 1e-6))
+        assert not cli._extension_consistency(1e-8).passed
+    with monkeypatch.context() as m:
+        m.setattr(multisine, "log_F_contour",
+                  lambda *a: (good_f(*a)[0] + 1e-6, 0.0))
+        assert not cli._extension_consistency(1e-8).passed
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(math.inf, 1)])
+def test_zcs_row_fails_on_non_finite_value(bad, monkeypatch):
+    import conifoldrh.cli as cli
+    from conifoldrh import rhsolver
+
+    assert cli._zcs_finite().passed
+    monkeypatch.setattr(rhsolver, "refined_cs_partition", lambda *a: bad)
+    assert not cli._zcs_finite().passed
+
+
+def test_growth_sweep_matches_verify_exponent(tmp_path):
+    """sweep --target growth-B over |t| = 4 * 2^j, j < 7, at the qrh-limits
+    point fits the exponent that the suite's growth row reports."""
+    import cmath
+
+    def full(z):
+        return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
+
+    t = 0.8 * cmath.exp(1j * (math.pi - 0.5))
+    tau = 0.15 * cmath.exp(1.2j)
+    code, sweep = run_cli(tmp_path, "sweep", "--target", "growth-B",
+                          "--sweep", "t:4:2:7", "--param", f"t={full(t)}",
+                          "--param", f"tau={full(tau)}", "--param", "n=1")
+    assert code == EXIT_OK
+    code, suite = run_cli(tmp_path, "verify", "--suite", "qrh-limits")
+    assert code == EXIT_OK
+    row = next(c for c in suite["checks"]
+               if c["name"] == "qrh3 growth exponent finite (B)")
+    assert abs(sweep["rows"][-1]["value"][0] - row["meta"]["exponent"]) < 1e-12
+
+
 def test_region_outside_mplus_names_predicate(capsys):
     assert main(["region", "--param", "v=1", "--param", "w=1"]) == EXIT_PRECONDITION
     err = capsys.readouterr().err

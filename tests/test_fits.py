@@ -17,7 +17,7 @@ DIRECTIONS = [cmath.exp(-0.3j), cmath.exp(0.4j), 1.0, cmath.exp(-1.2j)]
 
 def _rows(mode, w2_dir):
     # asymptotic_infinity_fit's default schedule: w2 = 16 * 2^m, m = 0..7
-    return _infinity_fit_rows(mode, [w2_dir * 16.0 * 2.0**m for m in range(8)], 2.0)
+    return _infinity_fit_rows(mode, [w2_dir * 16.0 * 2.0**m for m in range(8)])
 
 
 def _balanced(rows, rng):

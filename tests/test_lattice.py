@@ -63,7 +63,7 @@ def test_central_charge_and_support():
                - 2j * math.pi * (2 * V + 5 * W)) < 1e-14
     # extended by zero on the magnetic half
     assert s.central_charge(ChargeVector(0, 0, 3, -1)) == 0
-    c = s.support_constant(box=8)
+    c = s.support_constant()
     assert c > 0
     # the min over a box is a genuine lower bound inside that box
     for a in range(-8, 9):

@@ -174,38 +174,41 @@ def test_reflection_rhs_regions():
 
 def test_asymptotic_order_F_small():
     r = asymptotic_order_small_w2("F", Z, (1 + 0.05j,), 1,
-                                  w2_dir=cmath.exp(-0.2j), npts=6)
+                                  w2_dir=cmath.exp(-0.2j))
     assert r["passed"] and abs(r["slope"] - 1) < 0.2
 
 
 def test_asymptotic_infinity_F_small():
-    fit = asymptotic_infinity_fit("F", Z, (1 + 0.05j,), cmath.exp(-0.3j),
-                                  scale0=16, npts=6)
+    fit = asymptotic_infinity_fit("F", Z, (1 + 0.05j,), cmath.exp(-0.3j))
     assert fit["linear"]["rel_err"] < 1e-4
 
 
 def test_moments_cached_and_consistent():
     a = f_moment(-2, Z, OB)
-    b = f_moment(-2, Z, OB, method="quad")
+    b = multisine.f_moment_quad(-2, Z, OB)[0]
     assert abs(a - b) < 1e-9 * max(1.0, abs(a))
 
 
 def test_cache_key_covers_spec():
-    """A warm entry for one ContourSpec is never served for another: the
-    spec whose tilt admits no decaying contour still raises."""
+    """A warm entry for one tolerance is never served for another: with
+    both tolerances warm, each call returns its own cold value."""
+    tols = (1e-7, 3e-11)
+    cold = {}
+    for tol in tols:
+        clear_caches()
+        cold[tol] = log_G_cached(Z, W1, W1T, W2R, tol)
+    assert cold[tols[0]] != cold[tols[1]]
     clear_caches()
-    bad = ContourSpec(eps_plus=-3)
-    with pytest.raises(QuadratureError):
-        f_moment(-2, Z, OB, "quad", bad)
-    f_moment(-2, Z, OB, "quad", ContourSpec())
-    with pytest.raises(QuadratureError):
-        f_moment(-2, Z, OB, "quad", bad)
+    for tol in tols:
+        log_G_cached(Z, W1, W1T, W2R, tol)
+    for tol in tols:
+        assert log_G_cached(Z, W1, W1T, W2R, tol) == cold[tol]
 
 
 def test_cache_is_bounded():
     clear_caches()
     for j in range(multisine.CACHE_SIZE + 100):
-        f_moment(0, Z + 1e-6 * j, OB, "series")
+        f_moment(0, Z + 1e-6 * j, OB)
         assert multisine._memo.cache_info().currsize <= multisine.CACHE_SIZE
     assert multisine._memo.cache_info().currsize == multisine.CACHE_SIZE
     clear_caches()
@@ -233,11 +236,10 @@ def _zero_flips(args):
     # w1 on the negative real axis: its phase is +pi or -pi by the zero's sign
     (log_G_cached, (0.3j, complex(-1, 0), -0.9j, -1j)),
     (log_G_cached, (complex(0.3, 0), complex(1, 0), complex(0.95, 0), -0.75j)),
-    # z on the negative real axis sets the moment contour's rotation
-    (lambda z, w: f_moment(0, z, w, "quad"), (complex(-0.4, 0), 1 + 0.5j)),
     (lambda z, w: f_moment(1, z, w), (complex(-0.4, 0), 1 + 0.5j)),
     (lambda z, w: f_moment(1, z, w), (0.4j, complex(1, 0))),
-    (lambda z, a, b: g_moment(0, z, a, b, "quad"), (0.4j, complex(1, 0), complex(0.95, 0))),
+    # w1t/w1 is real, so the series is refused and quadrature runs
+    (lambda z, a, b: g_moment(0, z, a, b), (0.4j, complex(1, 0), complex(0.95, 0))),
     (lambda z, a, b: g_moment(1, z, a, b), (0.4j, complex(1, 0), complex(0.95, 0))),
 ])
 def test_cache_tells_signed_zeros_apart(fn, args):
@@ -267,7 +269,7 @@ def test_g_series_guard_falls_back_to_quadrature():
         multisine._g_family(-2, DWQ, W1Q, W1TQ)
     for order in (-2, -1):
         with pytest.raises(RegionError, match="impractically slow"):
-            g_moment(order, DWQ, W1Q, W1TQ, method="series")
+            g_moment_series(order, DWQ, W1Q, W1TQ)
         quad, _ = g_moment_quad(order, DWQ, W1Q, W1TQ)
         assert abs(g_moment(order, DWQ, W1Q, W1TQ) - quad) < 1e-8 * abs(quad)
 

@@ -10,7 +10,7 @@ import pytest
 
 from conifoldrh import lattice, multisine, rhsolver
 from conifoldrh.checks import Predicate, RegionError, require
-from conifoldrh.contour import ContourSpec, RotationError, hull_rotation
+from conifoldrh.contour import RotationError, hull_rotation
 from conifoldrh.rhsolver import SolutionPoint
 
 V, W = 0.3 + 0.4j, 1.0 + 0j
@@ -35,8 +35,6 @@ CASES = {
     "log_F_star": lambda: multisine.log_F_star(Z_BAD, 1.0, W2),
     "log_G_star": lambda: multisine.log_G_star(0.25 + 0.45j, W1T, W1, W2),
     "residue_lemma_check": lambda: multisine.residue_lemma_check(-1 + 0j, 2),
-    "supplied rotation": lambda: multisine.log_F_contour(
-        V, 1.0, W2, ContourSpec(rotation=-1 + 0j)),
     "reflection_rhs_F": lambda: multisine.reflection_rhs_F(V, W1, W1T, 1.0),
     "reflection_rhs_G": lambda: multisine.reflection_rhs_G(V, W1, W1T, 1.0),
     "f_moment_residue_oracle": lambda: multisine.f_moment_residue_oracle(
@@ -66,9 +64,9 @@ def test_precondition_names_its_predicate(name):
 
 
 def test_mplus_witnesses():
-    preds = {p.name: p for p in lattice.mplus_predicates(1.0, 1.0, 4)}
+    preds = {p.name: p for p in lattice.mplus_predicates(1.0, 1.0)}
     assert preds["w != 0"].value == 1.0
-    assert preds["v + n*w != 0 for |n| <= 4"].value == 0.0   # n = -1
+    assert preds["v + n*w != 0 for |n| <= 64"].value == 0.0   # n = -1
     assert preds["Im(v/w) > 0"].value == 0.0
     assert [p.ok for p in preds.values()] == [True, False, False]
     assert lattice.in_mplus(V, W)

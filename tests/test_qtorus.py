@@ -61,13 +61,13 @@ def test_product_associative(g1, g2, g3):
 @given(charges, charges)
 @settings(max_examples=40)
 def test_xy_translation_intertwines(g1, g2):
-    """Products computed in x-coefficients (L-twist) and converted to the
-    y basis agree with products computed directly in y-coefficients."""
+    """The x-basis product x_g1 x_g2 = L^(<g1,g2>/2) x_(g1+g2), with
+    L^(1/2) = -q^(1/2), converted to the y basis agrees with the product
+    computed directly in y-coefficients."""
     def x_to_y(elem):
         return QTorusElement({g: c * SIGMA(g) for g, c in elem.terms.items()})
 
-    xprod = QTorusElement({g1: LaurentPoly.one()}).mul(
-        QTorusElement({g2: LaurentPoly.one()}), rule="x")
+    xprod = QTorusElement({g1 + g2: minus_q_half_power(skew_pair(g1, g2))})
     lhs = x_to_y(xprod)
     rhs = x_to_y(QTorusElement({g1: LaurentPoly.one()})).mul(
         x_to_y(QTorusElement({g2: LaurentPoly.one()})))

@@ -71,8 +71,8 @@ def test_wallcrossing_at_default_point(n):
 
 
 def test_wallcrossing_at_admissible_point():
-    rb = wallcross_B(P_IV, enforce=False)
-    rd = wallcross_D(P_IV, enforce=False)
+    rb = wallcross_B(P_IV)
+    rd = wallcross_D(P_IV)
     assert rb.rel_err < 1e-8 and rd.rel_err < 1e-8
 
 
@@ -162,8 +162,8 @@ def test_region_neighborhood_tau():
 
 
 def test_region_grid_shape():
-    grid = default_tau_grid(radii=(0.1,), nangles=6)
-    assert len(grid) == 5
+    grid = default_tau_grid()
+    assert len(grid) == 4 * 23
     assert all(t.imag > 0 for t in grid)
 
 
