@@ -236,6 +236,9 @@ def _zero_flips(args):
     # w1 on the negative real axis: its phase is +pi or -pi by the zero's sign
     (log_G_cached, (0.3j, complex(-1, 0), -0.9j, -1j)),
     (log_G_cached, (complex(0.3, 0), complex(1, 0), complex(0.95, 0), -0.75j)),
+    # z on the negative real axis sets the moment contour's rotation
+    (lambda z, w: multisine._cached(multisine.f_moment_quad, 0, z, w),
+     (complex(-0.4, 0), 1 + 0.5j)),
     (lambda z, w: f_moment(1, z, w), (complex(-0.4, 0), 1 + 0.5j)),
     (lambda z, w: f_moment(1, z, w), (0.4j, complex(1, 0))),
     # w1t/w1 is real, so the series is refused and quadrature runs
