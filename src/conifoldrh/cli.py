@@ -63,6 +63,20 @@ EVAL_PARAMS = {
 #: eval targets that honour --tol
 TOL_TARGETS = ("qdilog", "F", "G")
 
+#: verify options each suite reads; --suite all accepts every one
+SUITE_OPTIONS = {
+    "algebra": ("--order-N", "--order-K"),
+    "dilog": ("--tol", "--order-N", "--order-K"),
+    "bernoulli": (),
+    "difference": ("--tol",),
+    "reflection": ("--tol",),
+    "asymptotics": (),
+    "wallcrossing": ("--tol", "--order-N", "--order-K"),
+    "qrh-limits": (),
+    "cs-match": ("--tol",),
+    "all": ("--tol", "--order-N", "--order-K"),
+}
+
 #: --param names each sweep target reads (asym-order-* schedules vary w2,
 #: the others t)
 _POINT_PARAMS = ("v", "w", "t", "tau", "n")
@@ -128,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--param": dict(action="append", default=[], metavar="NAME=VALUE",
                         help="named complex parameter, e.g. v=0.3+0.4i"),
         "--tol": dict(type=float, default=None),
-        "--order-N": dict(type=int, default=4, dest="order_n"),
+        "--order-N": dict(type=int, default=None, dest="order_n"),
         "--order-K": dict(type=int, default=None, dest="order_k"),
         "--format": dict(choices=("json", "csv"), default="json"),
     }
@@ -394,10 +408,8 @@ def _difference_points(count: int):
         w1t = 1 + complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.22, -0.04))
         w2 = cmath.exp(1j * rng.uniform(-1.35, -0.7)) * rng.uniform(0.6, 1.2)
         z = 0.25 + complex(rng.uniform(-0.05, 0.1), rng.uniform(0.35, 0.6))
-        dw = (w1 - w1t) / 2
-        conds = [(z / w1).imag > 0, (z / w1t).imag > 0, (dw / w1).imag > 0,
-                 (dw / w1t).imag > 0, (w1 / w2).imag > 0, (w1t / w2).imag > 0]
-        if all(conds):
+        if all(p.ok for p in multisine.G_star_predicates(z, w1, w1t)
+               + multisine.reflection_predicates(w1, w1t, w2)):
             pts.append((z, w1, w1t, w2))
     return pts
 
@@ -612,9 +624,8 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(name: str, order_n: int = 4, order_k: int | None = None,
-              tol: float = 1e-8) -> list[tuple[str, Residual]]:
-    qcut = order_k if order_k is not None else 4 * order_n
+def run_suite(name: str, order_n: int, qcut: int,
+              tol: float) -> list[tuple[str, Residual]]:
     names = list(_SUITE_FUNCS) if name == "all" else [name]
     out = []
     for nm in names:
@@ -624,18 +635,27 @@ def run_suite(name: str, order_n: int = 4, order_k: int | None = None,
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    reads = SUITE_OPTIONS[args.suite]
+    given = {"--tol": args.tol, "--order-N": args.order_n, "--order-K": args.order_k}
+    for flag, value in given.items():
+        if value is not None and flag not in reads:
+            readers = [s for s, opts in SUITE_OPTIONS.items() if flag in opts]
+            raise UsageError(f"{flag} is not honoured by verify --suite {args.suite} "
+                             f"(only by suites {', '.join(readers)})")
     tol = args.tol if args.tol is not None else 1e-8
+    order_n = args.order_n if args.order_n is not None else 4
+    qcut = args.order_k if args.order_k is not None else 4 * order_n
     t0 = time.perf_counter()
-    rows = run_suite(args.suite, args.order_n, args.order_k, tol)
+    rows = run_suite(args.suite, order_n, qcut, tol)
     checks = [{"suite": nm, **res.to_json()} for nm, res in rows]
     n_fail = sum(1 for c in checks if not c["passed"])
     record = {
         "schema": 1,
         "command": "verify",
         "suite": args.suite,
-        "tolerance": tol,
-        "order_N": args.order_n,
-        "order_K": args.order_k if args.order_k is not None else 4 * args.order_n,
+        "tolerance": tol if "--tol" in reads else None,
+        "order_N": order_n if "--order-N" in reads else None,
+        "order_K": qcut if "--order-K" in reads else None,
         "checks": checks,
         "n_checks": len(checks),
         "n_failed": n_fail,
@@ -692,25 +712,15 @@ def cmd_sweep(args) -> tuple[dict, int]:
                      "metric": fit["max_fit_deviation"]})
     else:  # asym-order-F / asym-order-G
         mode = args.target[-1]
-        z = params.get("z", 0.3 + 0.4j)
-        K = _int_param(params, "K", 2)
-        if mode == "F":
-            pars = (params.get("w1bar", 1 + 0.05j),)
-            S = multisine.logF_partial_sum(z, pars[0], K)
-        else:
-            pars = (params.get("w1", 1 + 0.1j), params.get("w1t", 0.95 - 0.07j))
-            S = multisine.logG_partial_sum(z, pars[0], pars[1], K)
+        pars = ((params.get("w1bar", 1 + 0.05j),) if mode == "F" else
+                (params.get("w1", 1 + 0.1j), params.get("w1t", 0.95 - 0.07j)))
         w2dir = params.get("w2dir", cmath.exp(-0.2j))
         w2dir /= abs(w2dir)
-        rows = []
-        for s in values:
-            w2 = w2dir * s
-            if mode == "F":
-                lv = multisine.log_F_contour(z, pars[0], w2)[0]
-            else:
-                lv = multisine.log_G_contour(z, pars[0], pars[1], w2)[0]
-            rows.append({name: s, "value": _cnum(lv),
-                         "metric": abs(lv - S(w2))})
+        logs, rems = multisine.small_w2_remainders(
+            mode, params.get("z", 0.3 + 0.4j), pars, _int_param(params, "K", 2),
+            [w2dir * s for s in values])
+        rows = [{name: s, "value": _cnum(lv), "metric": abs(rem)}
+                for s, lv, rem in zip(values, logs, rems)]
     record = {
         "schema": 1,
         "command": "sweep",

@@ -194,7 +194,7 @@ def hull_rotation(directions: list[complex],
         if d == 0:
             raise RotationError(f"direction {nm} vanishes", [nm])
         args.append(cmath.phase(d))
-    if len(args) == 1:
+    if len(set(args)) == 1:
         return cmath.exp(-1j * args[0]), math.pi / 2
     # widest gap on the circle; hull = complement
     order = sorted(args)

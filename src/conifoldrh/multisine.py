@@ -34,14 +34,6 @@ TWO_PI_I = 2j * math.pi
 #: between the two half-lines stays benign in double precision
 EPS_POLE_FRACTION = 0.45
 
-#: candidate tilts for the moment-integral rotation c = e^(-i(theta+eps_plus));
-#: the value is deformation-invariant in the admissible window, so the tilt is
-#: chosen to balance the decay rates at the two contour ends (a tilt as small
-#: as 1e-3 makes the -infinity tail ~ 1/sin(1e-3) long, so it is the last
-#: candidate)
-EPS_PLUS_GRID = (0.35, 0.25, 0.18, 0.12, 0.08, 0.05, 0.03, 0.02, 0.012,
-                 0.008, 0.005, 0.003, 0.002, 0.0015, 0.001)
-
 #: factors one q-product may take before it is reported as not converging
 MAX_FACTORS = 200_000
 
@@ -77,14 +69,19 @@ def _exp_over_prod(zeff: complex, omegas: tuple, s: complex) -> complex:
     return cmath.exp(zeff * s - shift) / den
 
 
-def _contour(f, omegas: tuple, c: complex,
-             spec: ContourSpec) -> tuple[complex, float]:
-    """Integral of f over the detour contour rotated by c.
+def _contour(f, zeff: complex, omegas: tuple, spec: ContourSpec,
+             names: list[str] | None = None) -> tuple[complex, float]:
+    """Integral of f = +-e^(zeff s) s^k / prod_i (e^(w_i s) - 1) over the
+    detour contour rotated by c.
 
+    f decays along both half-lines and no pole is crossed when every w_i,
+    zeff and sum(w) - zeff lie in the right half-plane of c, and the value
+    does not depend on c there; hull_rotation picks the c of widest margin.
     The semicircle radius is EPS_POLE_FRACTION of the distance to the nearest
     pole 2 pi i / w of the integrand, the outer cutoff the first radius where
     f is negligible.
     """
+    c, _ = hull_rotation([*omegas, zeff, sum(omegas) - zeff], names)
     eps = EPS_POLE_FRACTION * 2 * math.pi / max(abs(w) for w in omegas)
     R = choose_outer_cutoff(f, c, eps, spec.tol)
     return detour_integral(f, eps, R, c, spec.tol, spec.max_panels)
@@ -95,17 +92,15 @@ def log_F_contour(z: complex, w1bar: complex, w2: complex,
     """log F(z | w1bar, w2) by rotated-contour quadrature.
 
     Valid when a rotation c exists with Re(c w1bar) > 0, Re(c w2) > 0 and
-    0 < Re(c z) < Re(c (w1bar + w2)); hull_rotation chooses it.
+    0 < Re(c z) < Re(c (w1bar + w2)).
     """
-    spec = spec or ContourSpec()
-    dirs = [w1bar, w2, z, w1bar + w2 - z]
-    names = ["Re(c*w1bar)>0", "Re(c*w2)>0", "Re(c*z)>0", "Re(c*(w1bar+w2-z))>0"]
-    c, _ = hull_rotation(dirs, names)
 
     def f(s: complex) -> complex:
         return _exp_over_prod(z, (w1bar, w2), s) / s
 
-    return _contour(f, (w1bar, w2), c, spec)
+    return _contour(f, z, (w1bar, w2), spec or ContourSpec(),
+                    ["Re(c*w1bar)>0", "Re(c*w2)>0", "Re(c*z)>0",
+                     "Re(c*(w1bar+w2-z))>0"])
 
 
 def log_G_contour(z: complex, w1: complex, w1t: complex, w2: complex,
@@ -115,17 +110,14 @@ def log_G_contour(z: complex, w1: complex, w1t: complex, w2: complex,
     Valid when a rotation c exists making all of (w1, w1t, w2) and the strip
     directions z + w1bar, w1bar + w2 - z lie in the right half-plane.
     """
-    spec = spec or ContourSpec()
-    obar = (w1 + w1t) / 2
-    dirs = [w1, w1t, w2, z + obar, obar + w2 - z]
-    names = ["Re(c*w1)>0", "Re(c*w1t)>0", "Re(c*w2)>0",
-             "Re(c*(z+w1bar))>0", "Re(c*(w1bar+w2-z))>0"]
-    c, _ = hull_rotation(dirs, names)
+    zeff = z + (w1 + w1t) / 2
 
     def f(s: complex) -> complex:
-        return -_exp_over_prod(z + obar, (w1, w1t, w2), s) / s
+        return -_exp_over_prod(zeff, (w1, w1t, w2), s) / s
 
-    return _contour(f, (w1, w1t, w2), c, spec)
+    return _contour(f, zeff, (w1, w1t, w2), spec or ContourSpec(),
+                    ["Re(c*w1)>0", "Re(c*w1t)>0", "Re(c*w2)>0",
+                     "Re(c*(z+w1bar))>0", "Re(c*(w1bar+w2-z))>0"])
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +180,27 @@ def _qprod(u: complex, q: complex, tol: float, where: str) -> complex:
         f"(|q| = {aq:.9f}, tail bound {2 * abs(u) / (1 - aq):.3e} > tol {tol:g})")
 
 
+def _qprod2(u: complex, a: complex, b: complex, tol: float, where: str) -> complex:
+    """prod_{k,j>=0} (1 - u a^k b^j) for |a|, |b| < 1: one `_qprod` row in b
+    per power of a, until the tail bound 2 |u a^K| / ((1 - |a|)(1 - |b|)) < tol
+    holds.  A product whose rows would need more than MAX_FACTORS factors in
+    all raises before the row that would exceed it."""
+    bound = (1 - abs(a)) * (1 - abs(b))
+    out = 1 + 0j
+    work = 0.0
+    for _ in range(MAX_FACTORS):
+        if abs(u) <= 0.5 and 2 * abs(u) / bound < tol:
+            return out
+        work += _qprod_factors(u, b, tol)
+        if work > MAX_FACTORS:
+            break
+        out *= _qprod(u, b, tol, where)
+        u *= a
+    raise QuadratureError(
+        f"{where}: double q-product not converged within {MAX_FACTORS} factors "
+        f"(|a| = {abs(a):.9f}, |b| = {abs(b):.9f}, tol {tol:g})")
+
+
 def qdilog_numeric(x: complex, q: complex, tol: float = 1e-12) -> complex:
     """E_q(x) = prod_{k>=0} (1 - x q^k) for |q| < 1."""
     require([Predicate("|q| < 1", 1 - abs(q))], "qdilog_numeric")
@@ -248,57 +261,29 @@ def F_value(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12) -> comp
 # moment integrals f^c_(k-2), g^c_(k-2)
 
 
-def _moment_rotation(zeff: complex, omegas: tuple) -> complex:
-    """c = e^(-i(theta + eps_plus)) with theta = arg(zeff) - pi/2.
-
-    The tilt eps_plus is picked from EPS_PLUS_GRID to maximise the weakest
-    decay/clearance rate; the integral does not depend on the choice (no
-    pole is crossed inside the admissible window).
-    """
-    theta = cmath.phase(zeff) - math.pi / 2
-    wsum = sum(omegas)
-
-    def rates(ep: float) -> float:
-        c = cmath.exp(-1j * (theta + ep))
-        m_minus = (zeff * c).real                      # decay at -infinity
-        m_plus = ((wsum - zeff) * c).real              # decay at +infinity
-        clear = min((w * c).real for w in omegas)      # pole clearance
-        return min(m_minus, m_plus, clear)
-
-    best = max(EPS_PLUS_GRID, key=rates)
-    if rates(best) <= 0:
-        raise QuadratureError("decay failure at contour ends for every tilt; "
-                              "moment conditions violated")
-    return cmath.exp(-1j * (theta + best))
-
-
 def f_moment_quad(order: int, z: complex, w1bar: complex,
                   spec: ContourSpec | None = None) -> tuple[complex, float]:
     """f^c_order(z, w1bar) = int_{cC} e^(zs) s^order / (e^(w1bar s) - 1) ds."""
-    spec = spec or ContourSpec()
     require([im_ratio_predicate("z/w1bar", z, w1bar)], "f-moment")
-    c = _moment_rotation(z, (w1bar,))
 
     def f(s: complex) -> complex:
         return _exp_over_prod(z, (w1bar,), s) * s**order
 
-    return _contour(f, (w1bar,), c, spec)
+    return _contour(f, z, (w1bar,), spec or ContourSpec())
 
 
 def g_moment_quad(order: int, z: complex, w1: complex, w1t: complex,
                   spec: ContourSpec | None = None) -> tuple[complex, float]:
     """g^c_order(z, w1, w1t) =
     int_{cC} -e^((z+w1bar)s) s^order / ((e^(w1 s)-1)(e^(w1t s)-1)) ds."""
-    spec = spec or ContourSpec()
     require([im_ratio_predicate("z/w1", z, w1), im_ratio_predicate("z/w1t", z, w1t)],
             "g-moment")
-    obar = (w1 + w1t) / 2
-    c = _moment_rotation(z + obar, (w1, w1t))
+    zeff = z + (w1 + w1t) / 2
 
     def f(s: complex) -> complex:
-        return -_exp_over_prod(z + obar, (w1, w1t), s) * s**order
+        return -_exp_over_prod(zeff, (w1, w1t), s) * s**order
 
-    return _contour(f, (w1, w1t), c, spec)
+    return _contour(f, zeff, (w1, w1t), spec or ContourSpec())
 
 
 def polylog(s: int, x: complex, tol: float = 1e-16) -> complex:
@@ -531,7 +516,7 @@ def G_star(z: complex, w1: complex, w1t: complex, w2: complex,
 # reflection right-hand sides
 
 
-def _reflection_predicates(w1: complex, w1t: complex, w2: complex) -> list[Predicate]:
+def reflection_predicates(w1: complex, w1t: complex, w2: complex) -> list[Predicate]:
     return [im_ratio_predicate("w1/w2", w1, w2), im_ratio_predicate("w1t/w2", w1t, w2)]
 
 
@@ -539,7 +524,7 @@ def reflection_rhs_F(z: complex, w1: complex, w1t: complex, w2: complex,
                      tol: float = 1e-12) -> complex:
     """prod_{k>=0}(1 - x2 p^k) prod_{k>=1}(1 - x2^(-1) p^k)^(-1),
     p = (q2 q2t)^(1/2); requires Im(w1/w2) > 0 and Im(w1t/w2) > 0."""
-    require(_reflection_predicates(w1, w1t, w2), "reflection RHS (F)")
+    require(reflection_predicates(w1, w1t, w2), "reflection RHS (F)")
     obar = (w1 + w1t) / 2
     x2 = cmath.exp(TWO_PI_I * z / w2)
     p = cmath.exp(TWO_PI_I * obar / w2)
@@ -552,23 +537,13 @@ def reflection_rhs_G(z: complex, w1: complex, w1t: complex, w2: complex,
     """prod_{k1,k2>=0} (1 - x2 q2^(k1+1/2) q2t^(k2+1/2))
                        (1 - x2^(-1) q2^(k1+1/2) q2t^(k2+1/2));
     requires Im(w1/w2) > 0 and Im(w1t/w2) > 0."""
-    require(_reflection_predicates(w1, w1t, w2), "reflection RHS (G)")
+    require(reflection_predicates(w1, w1t, w2), "reflection RHS (G)")
     x2 = cmath.exp(TWO_PI_I * z / w2)
     q2h = cmath.exp(1j * math.pi * w1 / w2)
     q2th = cmath.exp(1j * math.pi * w1t / w2)
-    aq, aqt = abs(q2h) ** 2, abs(q2th) ** 2
-    big = max(abs(x2), abs(1 / x2))
-    out = 1 + 0j
-    k1 = 0
-    while True:
-        row_lead = big * abs(q2h) ** (2 * k1 + 1) * abs(q2th)
-        if row_lead <= 0.5 and 2 * row_lead / ((1 - aq) * (1 - aqt)) < tol:
-            break
-        row = q2h ** (2 * k1 + 1) * q2th
-        out *= (_qprod(x2 * row, q2th * q2th, tol, "reflection RHS G")
-                * _qprod(row / x2, q2th * q2th, tol, "reflection RHS G"))
-        k1 += 1
-    return out
+    a, b = q2h * q2h, q2th * q2th
+    return (_qprod2(x2 * q2h * q2th, a, b, tol, "reflection RHS G (x2 family)")
+            * _qprod2(q2h * q2th / x2, a, b, tol, "reflection RHS G (1/x2 family)"))
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +554,11 @@ def residue_lemma_check(w: complex, d: int, tol: float = 1e-10) -> Residual:
     """Quadrature of -int_C e^(ws) s^(1-d) / (e^(ws)-1)^2 ds against
     (d-1) zeta(d) / (2 pi i) * (w / 2 pi i)^(d-2);  d = 1 uses the factor 1."""
     require([Predicate("Re(w) > 0", w.real)], "residue lemma")
-    c = cmath.exp(-0.5j * cmath.phase(w))
 
     def f(s: complex) -> complex:
         return -_exp_over_prod(w, (w, w), s) * s ** (1 - d)
 
-    lhs, err = _contour(f, (w,), c, ContourSpec(tol=tol))
+    lhs, err = _contour(f, w, (w, w), ContourSpec(tol=tol))
     factor = 1.0 if d == 1 else (d - 1) * zeta_int(d)
     rhs = factor / TWO_PI_I * (w / TWO_PI_I) ** (d - 2)
     res = Residual.compare(f"residue_lemma(d={d})", lhs, rhs, 1e-8,
@@ -594,29 +568,6 @@ def residue_lemma_check(w: complex, d: int, tol: float = 1e-10) -> Residual:
 
 # ---------------------------------------------------------------------------
 # asymptotic expansions
-
-
-def logF_partial_sum(z: complex, w1bar: complex, K: int):
-    """Callable w2 -> sum_{k=0..K} B_k w2^(k-1) f_(k-2)(z, w1bar) / k!."""
-    nums = bernoulli_numbers(K)
-    moms = [f_moment(k - 2, z, w1bar) for k in range(K + 1)]
-
-    def S(w2: complex) -> complex:
-        return sum(complex(nums[k]) * w2 ** (k - 1) * moms[k] / math.factorial(k)
-                   for k in range(K + 1))
-
-    return S
-
-
-def logG_partial_sum(z: complex, w1: complex, w1t: complex, K: int):
-    nums = bernoulli_numbers(K)
-    moms = [g_moment(k - 2, z, w1, w1t) for k in range(K + 1)]
-
-    def S(w2: complex) -> complex:
-        return sum(complex(nums[k]) * w2 ** (k - 1) * moms[k] / math.factorial(k)
-                   for k in range(K + 1))
-
-    return S
 
 
 def fit_loglog_slope(xs, ys) -> tuple[float, float]:
@@ -633,6 +584,29 @@ def fit_loglog_slope(xs, ys) -> tuple[float, float]:
     return slope, max(abs(v - my - slope * (u - mx)) for u, v in zip(lx, ly))
 
 
+def small_w2_remainders(mode: str, z: complex, params: tuple, K: int,
+                        w2s: list[complex], tol: float = 3e-11
+                        ) -> tuple[list[complex], list[complex]]:
+    """(log X(w2), log X(w2) - S_K(w2)) for each w2, where X is F (params
+    (w1bar,)) or G (params (w1, w1t)) and S_K(w2) = sum_{k=0..K} B_k
+    w2^(k-1) m_(k-2) / k! its small-w2 partial sum, m the f or g moments."""
+    if mode == "F":
+        moment, log_X = f_moment, log_F_contour
+    elif mode == "G":
+        moment, log_X = g_moment, log_G_contour
+    else:
+        raise ValueError("mode must be 'F' or 'G'")
+    nums = bernoulli_numbers(K)
+    moms = [moment(k - 2, z, *params) for k in range(K + 1)]
+
+    def S(w2: complex) -> complex:
+        return sum(complex(nums[k]) * w2 ** (k - 1) * moms[k] / math.factorial(k)
+                   for k in range(K + 1))
+
+    logs = [log_X(z, *params, w2, ContourSpec(tol=tol))[0] for w2 in w2s]
+    return logs, [lv - S(w2) for w2, lv in zip(w2s, logs)]
+
+
 def asymptotic_order_small_w2(mode: str, z: complex, params: tuple, K: int,
                               w2_dir: complex, tol: float = 3e-11) -> dict:
     """Empirical order of |log X - S_K| as w2 -> 0 along w2_dir, at
@@ -642,23 +616,8 @@ def asymptotic_order_small_w2(mode: str, z: complex, params: tuple, K: int,
     like w2^(K+1) otherwise (odd Bernoulli numbers vanish), so the fitted
     log-log slope must be within 0.2 of an integer >= K.
     """
-    if mode == "F":
-        (w1bar,) = params
-        S = logF_partial_sum(z, w1bar, K)
-
-        def logX(w2):
-            return log_F_contour(z, w1bar, w2, ContourSpec(tol=tol))[0]
-    elif mode == "G":
-        w1, w1t = params
-        S = logG_partial_sum(z, w1, w1t, K)
-
-        def logX(w2):
-            return log_G_contour(z, w1, w1t, w2, ContourSpec(tol=tol))[0]
-    else:
-        raise ValueError("mode must be 'F' or 'G'")
-
     w2s = [w2_dir * 0.4 * 0.5**m for m in range(7)]
-    rem = [logX(w2) - S(w2) for w2 in w2s]
+    _, rem = small_w2_remainders(mode, z, params, K, w2s, tol)
     slope, dev = fit_loglog_slope(w2s, rem)
     nearest = round(slope)
     passed = abs(slope - nearest) <= 0.2 and nearest >= K

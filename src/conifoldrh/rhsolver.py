@@ -24,16 +24,11 @@ from dataclasses import dataclass, replace
 
 from .bernoulli import multiple_bernoulli
 from .checks import Predicate, Residual, im_ratio_predicate, require
-from .contour import QuadratureError
 from .lattice import mplus_predicates
-from .multisine import (_qprod, fit_loglog_slope, log_F_star, log_G_star,
-                        log_G_cached, q_G)
+from .multisine import (_qprod, _qprod2, fit_loglog_slope, log_F_star,
+                        log_G_star, log_G_cached, q_G)
 
 TWO_PI_I = 2j * math.pi
-
-#: orders n of y^n the quantum reflection product may take before it is
-#: reported as not converging
-REFLECTION_MAX_ORDER = 400
 
 
 @dataclass(frozen=True)
@@ -196,25 +191,22 @@ def reflection_D_rhs(p: SolutionPoint, tol: float = 1e-13) -> complex:
     prod_{n>=1} prod_{k=0}^{n-1} (1 - q^((1-n+2k)/2) x y^n)
                                  (1 - q^((1-n+2k)/2) x^(-1) y^n)
     / prod_{n>=1} prod_{k=0}^{n-1} (1 - q^((2-n+2k)/2) y^n)(1 - q^((-n+2k)/2) y^n).
+
+    With n = i + j + 1 and k = j each factor is 1 - u a^j b^i,
+    a = q^(1/2) y, b = q^(-1/2) y, so the quotient is
+    P(x y) P(y/x) / (P(q^(1/2) y) P(q^(-1/2) y)), P(u) = prod_{i,j>=0} (1 - u a^j b^i).
     """
     x, y = _xy_for_reflection(p)
     qh = p.q_half
-    aq = max(abs(qh), 1 / abs(qh))
-    require([Predicate("|y| < |q^(1/2)| and |y| < |q^(-1/2)|", 1 - abs(y) * aq,
-                       margin=1e-12)], "reflection (D) product")
-    out = 1 + 0j
-    n = 1
-    while (max(abs(x), 1 / abs(x), 1.0) * (abs(y) * aq) ** n) * n > tol:
-        if n > REFLECTION_MAX_ORDER:
-            raise QuadratureError(
-                f"reflection (D) product not converged after {REFLECTION_MAX_ORDER} "
-                f"orders in y (|y| |q^(+-1/2)| = {abs(y) * aq:.6f})")
-        for k in range(n):
-            qpow = qh ** (1 - n + 2 * k)
-            out *= (1 - qpow * x * y**n) * (1 - qpow / x * y**n)
-            out /= (1 - qpow * qh * y**n) * (1 - qpow / qh * y**n)
-        n += 1
-    return out
+    a, b = qh * y, y / qh
+    require([Predicate("|y| < |q^(1/2)| and |y| < |q^(-1/2)|",
+                       1 - max(abs(a), abs(b)), margin=1e-12)],
+            "reflection (D) product")
+
+    def P(u: complex, family: str) -> complex:
+        return _qprod2(u, a, b, tol, f"reflection (D), {family} family")
+
+    return P(x * y, "x") * P(y / x, "1/x") / (P(a, "q^(1/2)") * P(b, "q^(-1/2)"))
 
 
 def reflection_B(p: SolutionPoint, tol: float = 1e-8) -> Residual:

@@ -104,6 +104,43 @@ def test_ell0_row_checks_euler_expansion(monkeypatch):
     assert not row.passed
 
 
+@pytest.mark.parametrize("suite", ["algebra", "dilog", "bernoulli", "difference",
+                                   "reflection", "wallcrossing", "cs-match"])
+def test_suite_options_name_what_each_suite_reads(suite):
+    """A suite runs with every option that SUITE_OPTIONS does not list for
+    it set to None, and fails with any listed one set to None.  (asymptotics
+    and qrh-limits list none; the CLI runs them with none in every test.)"""
+    import conifoldrh.cli as cli
+    reads = cli.SUITE_OPTIONS[suite]
+
+    def run(unset=None):
+        order_n, qcut, tol = (None if flag not in reads or flag == unset else value
+                              for flag, value in (("--order-N", 4), ("--order-K", 16),
+                                                  ("--tol", 1e-8)))
+        return cli._SUITE_FUNCS[suite](order_n, qcut, tol)
+
+    assert all(r.passed for r in run())
+    for flag in reads:
+        with pytest.raises(TypeError):
+            run(flag)
+
+
+@pytest.mark.parametrize("suite,flag", [("bernoulli", "--tol"), ("algebra", "--tol"),
+                                        ("asymptotics", "--order-N"),
+                                        ("cs-match", "--order-K")])
+def test_verify_option_not_read_is_usage(suite, flag, capsys):
+    assert main(["verify", "--suite", suite, flag, "3"]) == EXIT_USAGE
+    assert f"{flag} is not honoured by verify --suite {suite}" in \
+        capsys.readouterr().err
+
+
+def test_verify_record_writes_unread_options_as_null(tmp_path):
+    _, data = run_cli(tmp_path, "verify", "--suite", "bernoulli")
+    assert (data["tolerance"], data["order_N"], data["order_K"]) == (None, None, None)
+    _, data = run_cli(tmp_path, "verify", "--suite", "dilog", "--tol", "1e-9")
+    assert (data["tolerance"], data["order_N"], data["order_K"]) == (1e-9, 4, 16)
+
+
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
     import conifoldrh.cli as cli
 
@@ -279,6 +316,19 @@ def test_eval_F_near_unit_p(tmp_path):
     assert abs(complex(*data["value"]) - (0.97519 - 0.06613j)) < 1e-5
 
 
+def test_eval_F_equal_periods(tmp_path):
+    """w1bar = w2 = 1: every contour direction is real.  The shift identity
+    F(z + w2)/F(z) = 1/(1 - x1) holds with x1 = exp(2 pi i z/w1bar) = -1 at
+    z = 0.5, so the right side is exactly 1/2."""
+    values = []
+    for z in ("0.5", "1.5"):
+        code, data = run_cli(tmp_path, "eval", "--target", "F", "--param", f"z={z}",
+                             "--param", "w1bar=1", "--param", "w2=1")
+        assert code == EXIT_OK
+        values.append(complex(*data["value"]))
+    assert abs(values[1] / values[0] - 0.5) < 1e-12
+
+
 def _no_constants(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
@@ -418,6 +468,23 @@ def test_growth_sweep_matches_verify_exponent(tmp_path):
     row = next(c for c in suite["checks"]
                if c["name"] == "qrh3 growth exponent finite (B)")
     assert abs(sweep["rows"][-1]["value"][0] - row["meta"]["exponent"]) < 1e-12
+
+
+@pytest.mark.parametrize("mode,params", [("F", (1 + 0.05j,)),
+                                         ("G", (1 + 0.1j, 0.95 - 0.07j))])
+def test_asym_order_sweep_matches_suite_remainders(mode, params, tmp_path):
+    """sweep --target asym-order-F|G over |w2| = 0.4 * 2^-m, m < 7, at its
+    default point reports the remainders that asymptotic_order_small_w2 fits."""
+    import cmath
+    from conifoldrh import multisine
+
+    code, sweep = run_cli(tmp_path, "sweep", "--target", f"asym-order-{mode}",
+                          "--sweep", "w2:0.4:0.5:7")
+    assert code == EXIT_OK
+    r = multisine.asymptotic_order_small_w2(mode, 0.3 + 0.4j, params, 2,
+                                            cmath.exp(-0.2j))
+    assert [row["metric"] for row in sweep["rows"]] == pytest.approx(
+        r["remainders"], rel=1e-6)
 
 
 def test_region_outside_mplus_names_predicate(capsys):

@@ -109,6 +109,14 @@ def test_hull_rotation():
         hull_rotation([1 + 0j, 1j, -0.5 - 0.5j], ["a", "b", "c"])
 
 
+def test_hull_rotation_repeated_direction():
+    """Directions that all share one phase admit the rotation onto that ray
+    with the full margin pi/2."""
+    c, margin = hull_rotation([1 + 1j, 1 + 1j])
+    assert margin == math.pi / 2
+    assert abs(c * (1 + 1j) - abs(1 + 1j)) < 1e-15
+
+
 def test_nonconvergent_tail_raises():
     from conifoldrh.contour import choose_outer_cutoff
     with pytest.raises(QuadratureError):
@@ -153,18 +161,75 @@ def test_moment_requires_upper_ratio():
 
 
 def test_moment_tilt_invariance():
-    """The rotated-contour value does not depend on the tilt eps_plus inside
-    the admissible window (no pole is crossed)."""
-    theta = cmath.phase(Z) - math.pi / 2
+    """The rotated-contour value does not depend on the rotation c inside the
+    admissible window (no pole is crossed): the hull rotation, which
+    f_moment_quad takes, and three other admissible rotations agree."""
+    from conifoldrh.contour import choose_outer_cutoff
 
     def f(s):
         return multisine._exp_over_prod(Z, (OB,), s) * s**-2
 
-    vals = [multisine._contour(f, (OB,), cmath.exp(-1j * (theta + ep)),
-                               ContourSpec())[0]
-            for ep in (0.05, 0.15, 0.3)]
+    dirs = [OB, Z, OB - Z]
+    c0, margin = hull_rotation(dirs)
+    eps = multisine.EPS_POLE_FRACTION * 2 * math.pi / abs(OB)
+    tol = ContourSpec().tol
+    vals = []
+    for tilt in (0.0, -0.8, 0.4, 0.8):
+        c = c0 * cmath.exp(1j * tilt * margin)
+        assert all((c * d).real > 0 for d in dirs)
+        R = choose_outer_cutoff(f, c, eps, tol)
+        vals.append(detour_integral(f, eps, R, c, tol)[0])
+    assert vals[0] == f_moment_quad(-2, Z, OB)[0]
     for v in vals[1:]:
         assert abs(v - vals[0]) < 1e-10
+
+
+@pytest.mark.parametrize("order,z,w1bar", [
+    (-1, -5 + 0.1j, 1),     # z and w1bar - z 0.0033 rad short of opposite
+    (-2, -5 + 0.1j, 1),
+    (0, 0.01 + 0.001j, 1),  # Im(z/w1bar) = 1e-3
+])
+def test_f_moment_quad_near_window_edge(order, z, w1bar):
+    q = f_moment_quad(order, z, w1bar)[0]
+    s = f_moment_series(order, z, w1bar)
+    assert abs(q - s) <= 1e-10 * abs(s)
+
+
+@pytest.mark.parametrize("order", [-2, -1])
+def test_g_moment_quad_near_window_edge(order):
+    # the directions w1, w1t, z + w1bar, w1bar - z span pi - 0.075 rad
+    args = (order, -3 + 0.05j, 1 + 0j, 1 + 0.2j)
+    q = g_moment_quad(*args)[0]
+    s = g_moment_series(*args)
+    assert abs(q - s) <= 1e-10 * abs(s)
+
+
+def _li(s: int, x: complex) -> complex:
+    """Li_s(x) = sum_n x^n / n^s for |x| < 1."""
+    acc, n, term = 0j, 1, x
+    while abs(term) > 1e-18:
+        acc += term / n**s
+        n += 1
+        term *= x
+    return acc
+
+
+@pytest.mark.parametrize("order", [-2, -1, 0, 1])
+def test_g_moment_at_equal_periods(order):
+    """w1t = w1 = w, where the residue series refuses (w1t/w1 real) and
+    g_moment takes quadrature.  There the g integrand is the w-derivative of
+    the f integrand one order down, so g_k(z, w, w) = d/dw f_(k-1)(z, w)
+    = (2 pi i/w)^k (-k/w Li_(1-k)(x) - (2 pi i z/w^2) Li_(-k)(x)),
+    x = exp(2 pi i z/w)."""
+    z, w = 0.25 + 0.45j, 1 + 0.1j
+    with pytest.raises(RegionError, match="w1t/w1 not real"):
+        g_moment_series(order, z, w, w)
+    x = cmath.exp(2j * math.pi * z / w)
+    exact = (2j * math.pi / w) ** order * (
+        -order / w * _li(1 - order, x) - 2j * math.pi * z / w**2 * _li(-order, x))
+    q = g_moment_quad(order, z, w, w)[0]
+    assert abs(q - exact) <= 1e-10 * abs(exact)
+    assert multisine.g_moment(order, z, w, w) == q
 
 
 # ---------------------------------------------------------------------------

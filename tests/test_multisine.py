@@ -168,6 +168,18 @@ def test_reflection_rhs_regions():
         reflection_rhs_G(Z, W1, W1T, w2bad)
 
 
+def test_reflection_rhs_G_reports_exhausted_budget():
+    """At |q2| = 0.989 and |q2t| = 0.9996 the double product would need about
+    1.5e8 factors: it raises once its rows would pass MAX_FACTORS in all,
+    before taking them, instead of running for minutes."""
+    import time
+    w2 = 100 * cmath.exp(-0.08j)
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureError, match="not converged within 200000 factors"):
+        reflection_rhs_G(Z, W1, W1T, w2)
+    assert time.perf_counter() - t0 < 5
+
+
 # ---------------------------------------------------------------------------
 # asymptotics (smaller copies of the acceptance checks)
 

@@ -102,12 +102,29 @@ def test_reflection_identities():
 
 
 def test_reflection_D_reports_exhausted_budget():
-    # |y| |q^(-1/2)| = 0.942: the product needs more than the 400-order
-    # budget at tol 1e-13 and raises instead of returning a truncation
-    p = SolutionPoint(V, W, 2 + 0.2j, 0.08j, 0)
-    assert 0.9 < abs(p.y) / abs(p.q_half) < 1
-    with pytest.raises(QuadratureError, match="400 orders"):
+    # |y| |q^(-1/2)| = 1 - 1e-5: one row of the double q-product needs ~4e6
+    # factors at tol 1e-13, beyond MAX_FACTORS, so it raises instead of
+    # returning a truncation
+    y = SolutionPoint(V, W, 2 + 0.2j, 0.08j, 0).y
+    p = SolutionPoint(V, W, 2 + 0.2j, 1j * (-math.log(abs(y)) - 1e-5) / math.pi, 0)
+    assert 1 - 2e-5 < abs(p.y) / abs(p.q_half) < 1
+    with pytest.raises(QuadratureError, match="not converged within 200000 factors"):
         reflection_D_rhs(p)
+
+
+def test_reflection_D_rhs_matches_order_by_order_product():
+    """Where |y| |q^(-1/2)| = 0.942 the double q-product agrees with the
+    defining product over n >= 1, k < n taken to n = 700."""
+    p = SolutionPoint(V, W, 2 + 0.2j, 0.08j, 0)
+    x, y, qh = p.x, p.y, p.q_half
+    direct = 1 + 0j
+    for n in range(1, 701):
+        yn = y**n
+        for k in range(n):
+            qpow = qh ** (1 - n + 2 * k)
+            direct *= (1 - qpow * x * yn) * (1 - qpow / x * yn)
+            direct /= (1 - qpow * qh * yn) * (1 - qpow / qh * yn)
+    assert abs(reflection_D_rhs(p) / direct - 1) < 1e-11
 
 
 def test_reflection_needs_lower_y():
