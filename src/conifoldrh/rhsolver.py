@@ -178,14 +178,14 @@ def _xy_for_reflection(p: SolutionPoint) -> tuple[complex, complex]:
     return x, y
 
 
-def reflection_B_rhs(p: SolutionPoint, tol: float = 1e-13) -> complex:
+def reflection_B_rhs(p: SolutionPoint, tol: float = 1e-15) -> complex:
     """prod_{n>=0} (1 - x y^n) * prod_{n>=1} (1 - x^(-1) y^n)^(-1)."""
     x, y = _xy_for_reflection(p)
     return (_qprod(x, y, tol, "reflection (B), x family")
             / _qprod(y / x, y, tol, "reflection (B), 1/x family"))
 
 
-def reflection_D_rhs(p: SolutionPoint, tol: float = 1e-13) -> complex:
+def reflection_D_rhs(p: SolutionPoint, tol: float = 1e-15) -> complex:
     """The three product families of the quantum reflection identity:
 
     prod_{n>=1} prod_{k=0}^{n-1} (1 - q^((1-n+2k)/2) x y^n)

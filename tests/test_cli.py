@@ -409,6 +409,26 @@ def test_inversion_row_fails_on_perturbed_coefficient(monkeypatch):
                                  "ell_inf beta_v": True, "ell_inf delta_v": True}
 
 
+def test_closed_form_mismatch_is_a_failed_check(tmp_path, monkeypatch):
+    """A closed form off by one y_gm fails the 8 magnetic
+    `conjugation == closed form` rows of the algebra suite (exit 1); the
+    electric rows never build it and the other rows do not read it."""
+    from conifoldrh import qtorus
+    from conifoldrh.laurent import LaurentPoly
+
+    good = qtorus.closed_form_element
+
+    def perturbed(ray_charges, gamma_m, order, qcut):
+        return good(ray_charges, gamma_m, order, qcut) + qtorus.QTorusElement(
+            {gamma_m: LaurentPoly.one()})
+
+    monkeypatch.setattr(qtorus, "closed_form_element", perturbed)
+    code, data = run_cli(tmp_path, "verify", "--suite", "algebra")
+    assert code == EXIT_CHECK
+    failed = [c["name"] for c in data["checks"] if not c["passed"]]
+    assert data["n_failed"] == 8 and all("closed form" in n for n in failed)
+
+
 def test_extension_row_fails_on_perturbed_side(monkeypatch):
     """The extension row takes B_0 by the product route and F*(v | w, -t)
     by the contour: the B side makes no contour call, the row passes, and

@@ -151,6 +151,20 @@ def test_conjugate_beta_v_on_ell0_canonical():
         assert elem.terms[g].truncate(qcut - 24) == LaurentPoly.from_scalar((-1) ** j)
 
 
+@pytest.mark.parametrize("power,order", [(1, 4), (2, 5), (3, 3), (4, 3)])
+def test_binomial_series(power, order):
+    """1 + c u^power with c truncated at qcut, the one series past the order,
+    and an inverse that multiplies it back to one exactly."""
+    qcut = 6
+    s = RaySeries.binomial(BETA, LaurentPoly({-1: 2, 3: -1, 9: 5}), power, order, qcut)
+    want = [LaurentPoly.one()] + [LaurentPoly.zero()] * order
+    if power <= order:
+        want[power] = LaurentPoly({-1: 2, 3: -1})
+    assert s == RaySeries(BETA, tuple(want), qcut)
+    one = RaySeries.one(BETA, order, qcut)
+    assert s.pow_int(-1).mul(s) == one and s.mul(s.pow_int(-1)) == one
+
+
 def test_non_unit_constant_term_rejected():
     bad = RaySeries(DELTA, (LaurentPoly.zero(), LaurentPoly.one()), 20)
     with pytest.raises(ValueError):
@@ -302,9 +316,9 @@ def test_sector_delta_is_identity():
 
 @pytest.mark.parametrize("g", [BETA_V, DELTA_V])
 def test_sector_matches_ray_composition(g):
-    direct = sector_closed_form(g, 2, 2, 60)
-    composed = sector_from_rays(S, g, 2, 2, 60)
-    assert direct == composed
+    # bidegree 3 inverts a delta factor through u^3 (jmax = 3); bidegree 2 stops at u^2
+    for d, qcut in ((2, 60), (3, 24)):
+        assert sector_closed_form(g, d, d, qcut) == sector_from_rays(S, g, d, d, qcut)
 
 
 @pytest.mark.parametrize("g", [BETA_V, DELTA_V])

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from conifoldrh.contour import QuadratureError
@@ -11,7 +12,8 @@ from conifoldrh.rhsolver import (SolutionPoint, B_n, D_n, b_predicates,
                                  cs_point, d_predicates, default_tau_grid,
                                  fit_growth_exponent, log_B_n, log_D_n,
                                  qrh2_limit, reflection_B, reflection_D,
-                                 reflection_D_rhs, refined_cs_partition,
+                                 reflection_B_rhs, reflection_D_rhs,
+                                 refined_cs_partition,
                                  region_neighborhood_tau, richardson_limit,
                                  wallcross_B, wallcross_D)
 
@@ -101,10 +103,38 @@ def test_reflection_identities():
     assert rd.rel_err < 1e-8
 
 
+def _mp_reflection_rhs(which: str, p: SolutionPoint):
+    """The B or D reflection product at 40 digits from mpmath's q-Pochhammer
+    qp(u, q) = prod_(k>=0) (1 - u q^k), with P(u) = prod_i qp(u b^i, a)."""
+    x, y, qh = (mpmath.mpc(c) for c in (p.x, p.y, p.q_half))
+    if which == "B":
+        return mpmath.qp(x, y) / mpmath.qp(y / x, y)
+    a, b = qh * y, y / qh
+
+    def P(u):
+        out = mpmath.mpc(1)
+        while abs(u) > mpmath.mpf(10) ** -45:
+            out *= mpmath.qp(u, a)
+            u *= b
+        return out
+
+    return P(x * y) * P(y / x) / (P(a) * P(b))
+
+
+@pytest.mark.parametrize("which", ["B", "D"])
+def test_reflection_rhs_keeps_its_digits(which):
+    """At the reflection suite's point each product's truncated tail stays
+    below double rounding: 1e-15 relative to a 40-digit mpmath product."""
+    rhs = {"B": reflection_B_rhs, "D": reflection_D_rhs}[which]
+    with mpmath.workdps(40):
+        want = _mp_reflection_rhs(which, P_IV)
+        assert abs(rhs(P_IV) - want) / abs(want) < 1e-15
+
+
 def test_reflection_D_reports_exhausted_budget():
-    # |y| |q^(-1/2)| = 1 - 1e-5: one row of the double q-product needs ~4e6
-    # factors at tol 1e-13, beyond MAX_FACTORS, so it raises instead of
-    # returning a truncation
+    # |y| |q^(-1/2)| = 1 - 1e-5: one row of the double q-product needs ~5e6
+    # factors at the default tol 1e-15, beyond MAX_FACTORS, so it raises
+    # instead of returning a truncation
     y = SolutionPoint(V, W, 2 + 0.2j, 0.08j, 0).y
     p = SolutionPoint(V, W, 2 + 0.2j, 1j * (-math.log(abs(y)) - 1e-5) / math.pi, 0)
     assert 1 - 2e-5 < abs(p.y) / abs(p.q_half) < 1
