@@ -566,8 +566,8 @@ def _inversion_identity(order_n: int, qcut: int) -> Residual:
     pairs = {}
     for ray_name, ray in rays:
         for name, gm in (("beta_v", BETA_V), ("delta_v", DELTA_V)):
-            inv = qtorus.bps_automorphism(s, ray, -gm, order_n, qcut).element
-            fwd = qtorus.bps_automorphism(s, ray, gm, order_n, qcut).element
+            inv = qtorus.ray_action(s, ray, -gm, order_n, qcut)
+            fwd = qtorus.ray_action(s, ray, gm, order_n, qcut)
             prod = inv.mul(fwd, qcut).truncate_electric(order_n, order_n)
             pairs[f"{ray_name} {name}"] = prod == one
     return Residual.exact("inversion identity R(-gm) R(gm) == 1",

@@ -430,24 +430,6 @@ def g_moment(order: int, z: complex, w1: complex, w1t: complex) -> complex:
     return _cached(_moment, g_moment_series, g_moment_quad, order, z, w1, w1t)
 
 
-def f_moment_residue_oracle(order: int, z: complex, w1bar: complex,
-                            tol: float = 1e-14) -> complex:
-    """Plain truncated residue sum 2 pi i sum_m e^(z s_m) s_m^order / w1bar,
-    s_m = 2 pi i m / w1bar: the independent oracle for the quadrature route."""
-    if order > -1:
-        raise ValueError("direct residue sum only converges for order <= -1")
-    x1 = cmath.exp(TWO_PI_I * z / w1bar)
-    require([Predicate("|x1| < 1", 1 - abs(x1))], "f-moment residue sum")
-    acc = 0j
-    m = 1
-    term = x1
-    while abs(term) > tol and m < 100000:
-        acc += term * (TWO_PI_I * m / w1bar) ** order
-        m += 1
-        term *= x1
-    return TWO_PI_I * acc / w1bar
-
-
 # ---------------------------------------------------------------------------
 # starred functions
 

@@ -217,20 +217,21 @@ class RaySeries:
 def eq_coefficients(jmax: int, qcut: int) -> list[LaurentPoly]:
     """Coefficients of x^j in E_q(x) = prod_{k>=0} (1 - x q^k), mod q-tail.
 
-    From E_q(x) = (1-x) E_q(qx):  c_j (1 - q^j) = -q^(j-1) c_{j-1}, so each
-    coefficient is -q^(j-1) c_{j-1} times the geometric series for 1/(1-q^j),
-    truncated at the q cutoff.
+    From E_q(x) = (1-x) E_q(qx):  c_j (1 - q^j) = -q^(j-1) c_{j-1}.  Each
+    coefficient is found by dividing by (1 - q^j) as a running sum over the
+    half-exponents n <= qcut:  d[n] = d[n - 2j] - a[n],  a = q^(j-1) c_{j-1}.
+    Every c_j has only non-negative exponents, so no term below the cutoff is
+    lost.
     """
     coeffs = [LaurentPoly.one()]
     for j in range(1, jmax + 1):
-        prev = coeffs[-1]
-        geom = LaurentPoly.zero()
-        m = 0
-        while 2 * j * m <= qcut + 2 * j:
-            geom = geom + LaurentPoly.monomial(2 * j * m)
-            m += 1
-        c = (prev * LaurentPoly.monomial(2 * (j - 1), -1) * geom).truncate(qcut)
-        coeffs.append(c)
+        d = [0] * (qcut + 1)
+        for n, a in coeffs[-1].items():
+            if n + 2 * (j - 1) <= qcut:
+                d[n + 2 * (j - 1)] = -a
+        for n in range(2 * j, qcut + 1):
+            d[n] += d[n - 2 * j]
+        coeffs.append(LaurentPoly(dict(enumerate(d))))
     return coeffs
 
 
@@ -360,6 +361,28 @@ def closed_form_element(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
     return acc.as_element(carrier=gamma_m)
 
 
+def _work_cut(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
+              gamma: ChargeVector, order: int, qcut: int) -> int:
+    """Enlarged q cutoff for intermediate arithmetic: truncation tails can
+    propagate downward by at most the negative shifts q^(-j c/2) appearing in
+    the conjugation, so a margin proportional to order * |c| is added."""
+    gamma0, _ = _primitive_direction([g for g, _ in ray_charges])
+    return qcut + 2 * order * (abs(skew_pair(gamma0, gamma)) + 2)
+
+
+def ray_action(structure: RefinedBPSStructure,
+               ray_charges: list[tuple[ChargeVector, LaurentPoly]],
+               gamma: ChargeVector, order: int, qcut: int) -> QTorusElement:
+    """Action of the ray automorphism on y_gamma by genuine conjugation of
+    y_gamma with the DT product, computed at the enlarged cutoff `_work_cut`
+    and truncated at qcut.  Electric gamma and an empty ray act trivially."""
+    if gamma.is_electric() or not ray_charges:
+        return QTorusElement.generator(gamma)
+    f = dt_ray(structure, ray_charges, order,
+               _work_cut(ray_charges, gamma, order, qcut))
+    return conjugation_element(f, gamma).truncate_q(qcut)
+
+
 @dataclass(frozen=True)
 class AutomorphismResult:
     element: QTorusElement        # conjugation-computed action on y_gamma
@@ -371,25 +394,17 @@ def bps_automorphism(structure: RefinedBPSStructure,
                      gamma: ChargeVector, order: int, qcut: int) -> AutomorphismResult:
     """Action of the ray automorphism on y_gamma, computed two ways.
 
-    (a) genuine conjugation of y_gamma by the DT product, (b) the closed-form
-    product.  Both are exact mod the tracked truncations, so they agree at the
-    reporting cutoff; callers compare them.  Electric gamma and an empty ray
-    act trivially.
-
-    Intermediate arithmetic runs at an enlarged q cutoff: truncation tails can
-    propagate downward by at most the negative shifts q^(-j c/2) appearing in
-    the conjugation, so a margin proportional to order * |c| is added.
+    (a) genuine conjugation of y_gamma by the DT product (`ray_action`),
+    (b) the closed-form product at the same enlarged cutoff.  Both are exact
+    mod the tracked truncations, so they agree at the reporting cutoff;
+    callers compare them.  Electric gamma and an empty ray act trivially.
     """
+    element = ray_action(structure, ray_charges, gamma, order, qcut)
     if gamma.is_electric() or not ray_charges:
-        ident = QTorusElement.generator(gamma)
-        return AutomorphismResult(ident, ident)
-    gamma0, _ = _primitive_direction([g for g, _ in ray_charges])
-    c = skew_pair(gamma0, gamma)
-    work_cut = qcut + 2 * order * (abs(c) + 2)
-    f = dt_ray(structure, ray_charges, order, work_cut)
-    elem = conjugation_element(f, gamma).truncate_q(qcut)
-    closed = closed_form_element(ray_charges, gamma, order, work_cut).truncate_q(qcut)
-    return AutomorphismResult(elem, closed)
+        return AutomorphismResult(element, element)
+    closed = closed_form_element(ray_charges, gamma, order,
+                                 _work_cut(ray_charges, gamma, order, qcut))
+    return AutomorphismResult(element, closed.truncate_q(qcut))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +482,8 @@ def sector_from_rays(structure: RefinedBPSStructure, gamma: ChargeVector,
 
     acc = QTorusElement.generator(ChargeVector())
     for charges in ray_list:
-        res = bps_automorphism(structure, charges, gamma, order, qcut)
-        mult = QTorusElement({g - gamma: c for g, c in res.element.terms.items()})
+        action = ray_action(structure, charges, gamma, order, qcut)
+        mult = QTorusElement({g - gamma: c for g, c in action.terms.items()})
         acc = acc.mul(mult, qcut=qcut).truncate_electric(adeg, bdeg)
     return acc
 

@@ -379,8 +379,6 @@ def test_fresh_import_does_not_load_numpy():
 def test_inversion_row_fails_on_perturbed_coefficient(monkeypatch):
     """The inversion row multiplies R_(l,-gm) by R_(l,gm), each computed by
     its own conjugation, and fails when one coefficient of one is off."""
-    import dataclasses
-
     import conifoldrh.cli as cli
     from conifoldrh import qtorus
     from conifoldrh.laurent import LaurentPoly
@@ -388,21 +386,21 @@ def test_inversion_row_fails_on_perturbed_coefficient(monkeypatch):
     row = cli._inversion_identity(3, 12)
     assert row.passed and list(row.meta["pairs"]) == [
         "ell_1 beta_v", "ell_1 delta_v", "ell_inf beta_v", "ell_inf delta_v"]
-    good = qtorus.bps_automorphism
+    good = qtorus.ray_action
     calls = []
 
     def perturbed(s, ray, gamma, order, qcut):
-        res = good(s, ray, gamma, order, qcut)
+        action = good(s, ray, gamma, order, qcut)
         calls.append(gamma)
         if len(calls) > 1:
-            return res
+            return action
         # first call: ell_1 acting on -beta_v; shift its u^1 coefficient by 1
-        terms = dict(res.element.terms)
+        terms = dict(action.terms)
         g = next(g for g in terms if g != gamma)
         terms[g] = terms[g] + LaurentPoly.one()
-        return dataclasses.replace(res, element=qtorus.QTorusElement(terms))
+        return qtorus.QTorusElement(terms)
 
-    monkeypatch.setattr(qtorus, "bps_automorphism", perturbed)
+    monkeypatch.setattr(qtorus, "ray_action", perturbed)
     row = cli._inversion_identity(3, 12)
     assert not row.passed
     assert row.meta["pairs"] == {"ell_1 beta_v": False, "ell_1 delta_v": True,

@@ -7,10 +7,33 @@ from conifoldrh.contour import (SAFETY, ContourSpec, QuadratureError,
                                 RotationError, detour_integral, hull_rotation,
                                 integrate_segment)
 from conifoldrh import multisine
+from conifoldrh.checks import Predicate, require
 from conifoldrh.lattice import RegionError
-from conifoldrh.multisine import (f_moment_quad, f_moment_residue_oracle,
-                                  f_moment_series, g_moment_quad,
-                                  g_moment_series, residue_lemma_check)
+from conifoldrh.multisine import (TWO_PI_I, f_moment_quad, f_moment_series,
+                                  g_moment_quad, g_moment_series,
+                                  residue_lemma_check)
+
+#: terms the residue-sum oracle adds before it gives up
+ORACLE_MAX_TERMS = 100_000
+
+
+def f_moment_residue_oracle(order, z, w1bar, tol=1e-14):
+    """Plain truncated residue sum 2 pi i sum_m e^(z s_m) s_m^order / w1bar,
+    s_m = 2 pi i m / w1bar: the independent oracle for the quadrature route.
+    Raises QuadratureError if a term is still above tol after
+    ORACLE_MAX_TERMS terms."""
+    if order > -1:
+        raise ValueError("direct residue sum only converges for order <= -1")
+    x1 = cmath.exp(TWO_PI_I * z / w1bar)
+    require([Predicate("|x1| < 1", 1 - abs(x1))], "f-moment residue sum")
+    acc, term = 0j, x1
+    for m in range(1, ORACLE_MAX_TERMS + 1):
+        acc += term * (TWO_PI_I * m / w1bar) ** order
+        term *= x1
+        if abs(term) <= tol:
+            return TWO_PI_I * acc / w1bar
+    raise QuadratureError(
+        f"f-moment residue sum not converged within {ORACLE_MAX_TERMS} terms")
 
 
 def test_segment_polynomial_exact():
@@ -151,6 +174,12 @@ def test_f_moment_residue_sum_oracle():
     q = f_moment_quad(-2, Z, OB)[0]
     o = f_moment_residue_oracle(-2, Z, OB)
     assert abs(q - o) < 1e-8
+
+
+def test_residue_oracle_raises_on_its_term_budget():
+    """|x1| = exp(-2 pi 1e-5): after 100,000 terms a term is still ~2e-3."""
+    with pytest.raises(QuadratureError, match="within 100000 terms"):
+        f_moment_residue_oracle(-2, 1e-5j, 1.0)
 
 
 def test_moment_requires_upper_ratio():

@@ -12,6 +12,7 @@ from conifoldrh import lattice, multisine, rhsolver
 from conifoldrh.checks import Predicate, RegionError, require
 from conifoldrh.contour import RotationError, hull_rotation
 from conifoldrh.rhsolver import SolutionPoint
+from test_contour import f_moment_residue_oracle
 
 V, W = 0.3 + 0.4j, 1.0 + 0j
 Z_BAD = 0.3 - 0.4j                        # Im(z/w1bar) < 0 for w1bar = 1
@@ -37,8 +38,7 @@ CASES = {
     "residue_lemma_check": lambda: multisine.residue_lemma_check(-1 + 0j, 2),
     "reflection_rhs_F": lambda: multisine.reflection_rhs_F(V, W1, W1T, 1.0),
     "reflection_rhs_G": lambda: multisine.reflection_rhs_G(V, W1, W1T, 1.0),
-    "f_moment_residue_oracle": lambda: multisine.f_moment_residue_oracle(
-        -1, Z_BAD, 1.0),
+    "f_moment_residue_oracle": lambda: f_moment_residue_oracle(-1, Z_BAD, 1.0),
     "B_n": lambda: rhsolver.B_n(P_DEFAULT),
     "D_n": lambda: rhsolver.D_n(SolutionPoint(V, W, 0.2 + 0.7j, 0.15j)),
     "reflection_B_rhs": lambda: rhsolver.reflection_B_rhs(P_DEFAULT),

@@ -102,6 +102,23 @@ def test_eq_coefficients_against_bruteforce():
         assert got[j].truncate(qcut) == want[j], f"x^{j} coefficient differs"
 
 
+def euler_eq_coefficient(j, qcut):
+    """Euler: [x^j] E_q = (-1)^j q^(j(j-1)/2) / prod_{i<=j} (1 - q^i); the
+    q^m coefficient of 1/prod counts the partitions of m into parts <= j."""
+    parts = [1] + [0] * max(qcut, 0)
+    for i in range(1, j + 1):
+        for m in range(i, len(parts)):
+            parts[m] += parts[m - i]
+    return LaurentPoly({j * (j - 1) + 2 * m: (-1) ** j * c
+                        for m, c in enumerate(parts)}).truncate(qcut)
+
+
+@pytest.mark.parametrize("qcut", [0, 1, 2, 7, 12, 31, 64])
+def test_eq_coefficients_match_euler(qcut):
+    got = eq_coefficients(4, qcut)
+    assert got == [euler_eq_coefficient(j, qcut) for j in range(5)]
+
+
 def test_eq_first_coefficient_geometric():
     # [x] E_q = -(1 + q + ... + q^(qcut/2)) at the chosen truncation
     qcut = 8
@@ -307,6 +324,22 @@ def test_sector_beta_v_ignores_delta_ray():
                               BETA_V, 2, 60)
     assert res.element == QTorusElement.generator(BETA_V)
     assert with_inf == sector_closed_form(BETA_V, 2, 2, 60)
+
+
+def test_ray_action_builds_no_closed_form(monkeypatch):
+    """ray_action is bps_automorphism's conjugation route alone; it and
+    sector_from_rays never build the closed form."""
+    import conifoldrh.qtorus as qt
+    ray = conifold_ray_charges("ell_n", 1)
+    want = bps_automorphism(S, ray, DELTA_V, 4, 16).element
+
+    def refuse(*args):
+        raise AssertionError("closed form built")
+
+    monkeypatch.setattr(qt, "closed_form_element", refuse)
+    assert qt.ray_action(S, ray, DELTA_V, 4, 16) == want
+    assert qt.ray_action(S, ray, BETA, 4, 16) == QTorusElement.generator(BETA)
+    assert sector_from_rays(S, BETA_V, 2, 2, 24) == sector_closed_form(BETA_V, 2, 2, 24)
 
 
 def test_sector_delta_is_identity():
