@@ -235,7 +235,7 @@ def cmd_eval(args) -> tuple[dict, int]:
         value = multisine.F_value(params["z"], params["w1bar"], params["w2"],
                                   tol=max(tol * 1e-2, 1e-14))
     elif target == "G":
-        value, err_est = multisine.log_G_contour(
+        value, err_est = multisine.log_G_value(
             params["z"], params["w1"], params["w1t"], params["w2"],
             multisine.ContourSpec(tol=max(tol * 1e-2, 1e-13)))
         value = cmath.exp(value)

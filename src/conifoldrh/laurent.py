@@ -13,9 +13,11 @@ term products nnz(a) * nnz(b), neither a monomial, is formed as one
 big-integer product (Kronecker substitution): the common exponent stride is
 divided out, each operand is packed into one ``int`` with a fixed number of
 bytes per coefficient, wide enough for every coefficient of the result, the
-two are multiplied, and the result is unpacked.  Any other product (a
-``Fraction`` coefficient, a monomial or the zero polynomial, or fewer term
-products) is summed term by term in a dict.  Both give the same exact result.
+two are multiplied, and the result is unpacked.  A product with a monomial
+operand, on either side, shifts and scales the other operand's terms in one
+dict comprehension.  Any other product (a ``Fraction`` coefficient, the zero
+polynomial, or fewer term products) is summed term by term in a dict.  All
+give the same exact result.
 
 The same type serves as the coefficient ring over q^(1/2) for the quantum
 torus and as the value ring for the motivic invariants over L^(1/2); the two
@@ -179,7 +181,13 @@ class LaurentPoly:
             return NotImplemented
         out = LaurentPoly.__new__(LaurentPoly)
         a, b = self._c, other._c
-        if (len(a) * len(b) >= KRONECKER_MIN_TERMS and len(a) > 1 and len(b) > 1
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            ((n1, a1),) = a.items()
+            out._c = {n1 + n: a1 * x for n, x in b.items()}
+            return out
+        if (len(a) * len(b) >= KRONECKER_MIN_TERMS
                 and all(type(x) is int for x in a.values())
                 and all(type(x) is int for x in b.values())):
             out._c = _kronecker(a, b)

@@ -10,22 +10,26 @@ integral representations
     log G = int_C -e^((z+w1bar) s) / ((e^(w1 s)-1)(e^(w1t s)-1)(e^(w2 s)-1)) ds/s,
 
 over the real line with an upper semicircle at the origin, rotated into the
-admissible wedge.  The starred functions F*, G* multiply in Laurent-in-w2
-prefactors Q_F, Q_G built from the k = 0, 1 moment integrals so that both
-tend to 1 as w2 -> 0 and grow at most polynomially as w2 -> infinity.
+admissible wedge.  Closing the same contour on the poles 2 pi i k / w_j
+gives log G as a residue series; `log_G_value` takes it where it converges
+within the tolerance, and the contour elsewhere.  The starred functions F*,
+G* multiply in Laurent-in-w2 prefactors Q_F, Q_G built from the k = 0, 1
+moment integrals so that both tend to 1 as w2 -> 0 and grow at most
+polynomially as w2 -> infinity.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from functools import lru_cache
 
 from .bernoulli import bernoulli_numbers, multiple_bernoulli, zeta_int
 from .checks import (Predicate, RegionError, Residual, im_ratio,
                      im_ratio_predicate, require)
-from .contour import (ContourSpec, QuadratureError, choose_outer_cutoff,
-                      detour_integral, hull_rotation)
+from .contour import (SAFETY, ContourSpec, QuadratureError,
+                      choose_outer_cutoff, detour_integral, hull_rotation)
 
 TWO_PI_I = 2j * math.pi
 
@@ -103,6 +107,11 @@ def log_F_contour(z: complex, w1bar: complex, w2: complex,
                      "Re(c*(w1bar+w2-z))>0"])
 
 
+#: names of the directions log G needs in one half-plane
+_G_DIRECTIONS = ["Re(c*w1)>0", "Re(c*w1t)>0", "Re(c*w2)>0",
+                 "Re(c*(z+w1bar))>0", "Re(c*(w1bar+w2-z))>0"]
+
+
 def log_G_contour(z: complex, w1: complex, w1t: complex, w2: complex,
                   spec: ContourSpec | None = None) -> tuple[complex, float]:
     """log G(z | w1, w1t, w2) by rotated-contour quadrature.
@@ -115,9 +124,8 @@ def log_G_contour(z: complex, w1: complex, w1t: complex, w2: complex,
     def f(s: complex) -> complex:
         return -_exp_over_prod(zeff, (w1, w1t, w2), s) / s
 
-    return _contour(f, zeff, (w1, w1t, w2), spec or ContourSpec(),
-                    ["Re(c*w1)>0", "Re(c*w1t)>0", "Re(c*w2)>0",
-                     "Re(c*(z+w1bar))>0", "Re(c*(w1bar+w2-z))>0"])
+    return _contour(f, zeff, (w1, w1t, w2), spec or ContourSpec(), _G_DIRECTIONS)
+
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +150,7 @@ def _cached(fn, *args):
 
 def log_G_cached(z: complex, w1: complex, w1t: complex, w2: complex,
                  tol: float = 3e-11) -> tuple[complex, float]:
-    return _cached(log_G_contour, z, w1, w1t, w2, ContourSpec(tol=tol))
+    return _cached(log_G_value, z, w1, w1t, w2, ContourSpec(tol=tol))
 
 
 def clear_caches() -> None:
@@ -258,6 +266,197 @@ def F_value(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12) -> comp
 
 
 # ---------------------------------------------------------------------------
+# residue series
+
+
+#: terms one family of `_residue_sums` may take before the series is
+#: declared impractically slow and the contour or quadrature is taken
+MAX_LAMBERT_TERMS = 20_000
+
+#: tail each g-moment family may leave, before its prefactor
+MOMENT_TAIL = 1e-16
+
+#: unit roundoff of the compensated sums' error bound
+EPS = sys.float_info.epsilon
+
+
+def _lambert_terms(order: int, aw: float, tol: float) -> float:
+    """Terms past the peak order/(-ln|w|) of n^order |w|^n after which
+    n^max(order,0) |w|^n <= tol: the first n with that property."""
+    if aw <= 0:
+        return 0.0
+    lw, ltol = -math.log(aw), math.log(tol)
+    p = max(order, 0)
+    n = max(p / lw, 1.0, -ltol / lw)
+    # n -> (p ln n - ln tol)/lw rises monotonically to the crossing past the peak
+    for _ in range(8 if p else 0):
+        n = max(n, (p * math.log(n) - ltol) / lw)
+    return n
+
+
+def _expm1(x: complex) -> complex:
+    """e^x - 1 without the cancellation of cmath.exp(x) - 1 at small |x|."""
+    h = math.sin(x.imag / 2)
+    return complex(math.expm1(x.real) * math.cos(x.imag) - 2 * h * h,
+                   math.exp(x.real) * math.sin(x.imag))
+
+
+def _tail_den(p: int, rho: float, amods: list[float], K: int) -> float:
+    """(1 - r) prod_i (1 - |a_i|^(K+1)), r = rho max(1, ((K+2)/(K+1))^p): the
+    denominator of `_lambert`'s tail bound past K terms.  It grows with K."""
+    den = 1 - rho * max(1.0, ((K + 2) / (K + 1)) ** p)
+    for am in amods:
+        den *= 1 - am ** (K + 1)
+    return den
+
+
+def _lambert_count(p: int, rho: float, amods: list[float], tol: float) -> int:
+    """Terms K after which `_lambert`'s tail bound is at most tol: the count
+    of the numerators k^p rho^k alone, taken again at tol times the tail's
+    denominator there.  The denominator only grows with K, so the second
+    count is enough."""
+    K = math.ceil(_lambert_terms(p, rho, tol))
+    return math.ceil(_lambert_terms(p, rho, tol * _tail_den(p, rho, amods, K)))
+
+
+def _lambert(p: int, lu: complex, las: list[complex], K: int) -> tuple[complex, float]:
+    """The family kernel sum_{k=1..K} k^p e^(k lu) / prod_i (1 - e^(k la_i))
+    over one or two nomes a_i = e^(la_i), |a_i| < 1, with |e^lu| < 1; the
+    value and its error bound, the tail past K plus eps sum_k (4 + k) |t_k|.
+
+    1 - a^k is accumulated from 1 - a = -expm1(la) as
+    (1 - a^(k-1)) + a^(k-1) (1 - a), so a nome near 1 keeps its digits, and
+    the terms are summed with Neumaier's compensation (Knuth's two-sum, which
+    complex addition applies to each part), keeping no list of terms.  The
+    compensated sum and each term's last operations cost a few eps |t_k|;
+    x^k, a^k and 1 - a^k, formed over k - 1 recurrence steps from rounded
+    x and a, carry a relative error that grows like k eps, and where the two
+    families of a g moment cancel (z = dw, |q| -> 1) that part dominates."""
+    x = cmath.exp(lu)
+    a1, a2 = [cmath.exp(la) for la in las] + [0j] * (2 - len(las))
+    d1, d2 = [-_expm1(la) for la in las] + [1 + 0j] * (2 - len(las))
+    xk, a1k, a2k, d1k, d2k = x, a1, a2, d1, d2
+    s = comp = 0j
+    mag = 0.0
+    for k in range(1, K + 1):
+        t = k ** p * xk / (d1k * d2k)
+        mag += (k + 4) * abs(t)
+        u = s + t
+        v = u - s
+        comp += (s - (u - v)) + (t - v)
+        s = u
+        xk *= x
+        d1k += a1k * d1
+        a1k *= a1
+        d2k += a2k * d2
+        a2k *= a2
+    # past K (beyond the peak of k^p rho^k) each 1/(1 - |a_i|^k) is at most
+    # its value at K + 1 and the terms k^p rho^k fall at least by the ratio r
+    rho = abs(x)
+    tail = (K + 1) ** p * rho ** (K + 1) / _tail_den(p, rho, [abs(a1), abs(a2)], K)
+    return s + comp, tail + EPS * mag
+
+
+def _residue_sums(p: int, z: complex, periods: dict, tol: float,
+                  what: str) -> list[tuple[complex, complex, float]]:
+    """(a, F_a, error bound) for each period a of `periods` (name -> value,
+    w1 and w1t among them).  2 pi i times the residues of
+    e^(Z s) s^p / prod_b (e^(b s) - 1), b over `periods` and Z = z + w1bar,
+    at the poles s = 2 pi i k / a, k >= 1, sum to (2 pi i/a)^(p+1) F_a with
+
+        F_a = sum_{k>=1} k^p x^k / prod_{b != a} (q_b^k - 1),
+        x = e^(2 pi i Z/a),  q_b = e^(2 pi i b/a).
+
+    Each b/a is taken as m + e, m the integer nearest Re(b/a) and
+    e = (b - m a)/a, so that a family near coincidence (b/a near an integer,
+    the D_n geometry as t tau -> 0) keeps the digits of its small Im(b/a):
+    q_b = e^(2 pi i e), and x = e^(2 pi i z/a + pi i (m1 + e1 + m2 + e2))
+    from the parts of w1/a and w1t/a, without rounding Z.  A nome with
+    |q| > 1 is folded into x as 1/(q^k - 1) = q^-k/(1 - q^-k); one with
+    |q| < 1 gives 1/(q^k - 1) = -1/(1 - q^k) and flips the family's sign.
+    Every family then runs `_lambert` with its tail at most tol.
+
+    Refused (RegionError) where a nome lies on the unit circle (coincident
+    poles), where a family's rate rho = |x| / prod_{|q|>1} |q| is not below
+    1, or where a family would need more than MAX_LAMBERT_TERMS terms.
+    """
+    families, preds = [], []
+    for name, a in periods.items():
+        parts = {}
+        for other, b in periods.items():
+            m = round((b / a).real)
+            parts[other] = (m, (b - m * a) / a)
+        (m1, e1), (m2, e2) = parts["w1"], parts["w1t"]
+        lu = TWO_PI_I * z / a + 1j * math.pi * (e1 + e2 + (m1 + m2) % 2)
+        las, sign = [], 1
+        for other, (_, e) in parts.items():
+            if other == name:
+                continue
+            la = TWO_PI_I * e
+            preds.append(Predicate(f"{other}/{name} not real", abs(la.real), margin=1e-9))
+            if la.real > 0:
+                la = -la
+                lu += la
+            else:
+                sign = -sign
+            las.append(la)
+        rho = math.exp(min(lu.real, 0.0))
+        preds.append(Predicate(f"rho_{name} < 1", -lu.real, margin=1e-12))
+        families.append((a, sign, lu, las, rho))
+    require(preds, what)
+    counts = [_lambert_count(p, rho, [math.exp(la.real) for la in las], tol)
+              for _, _, _, las, rho in families]
+    require([Predicate(f"terms < {MAX_LAMBERT_TERMS}", MAX_LAMBERT_TERMS - max(counts))],
+            f"{what} (impractically slow: {max(counts)} terms)")
+    out = []
+    for (a, sign, lu, las, _), K in zip(families, counts):
+        value, bound = _lambert(p, lu, las, K)
+        out.append((a, sign * value, bound))
+    return out
+
+
+def _require_bound(err: float, tol: float, what: str) -> None:
+    require([Predicate("error bound <= SAFETY*tol", SAFETY * tol - err)],
+            f"{what} (error bound {err:.3e})")
+
+
+def log_G_series(z: complex, w1: complex, w1t: complex, w2: complex,
+                 tol: float = ContourSpec.tol) -> tuple[complex, float]:
+    """log G by its residue series: closing the contour on the poles
+    2 pi i k / w_j gives
+
+        log G = -sum_j sum_{k>=1} x_j^k / (k prod_{i != j} (q_ji^k - 1)),
+        x_j = e^(2 pi i (z + w1bar)/w_j),  q_ji = e^(2 pi i w_i/w_j),
+
+    the log of Narukawa's double-product factorisation of the triple sine.
+    Returns (value, error bound).  Each family's tail is at most SAFETY tol/8,
+    which leaves more than half the budget to rounding.  Refused where
+    `_residue_sums` refuses, where the contour representation has no
+    rotation (the series then continues G past its definition), and where
+    the error bound exceeds SAFETY * tol."""
+    zeff = z + (w1 + w1t) / 2
+    hull_rotation([w1, w1t, w2, zeff, w1 + w1t + w2 - zeff], _G_DIRECTIONS)
+    total, err = 0j, 0.0
+    for _, value, bound in _residue_sums(-1, z, {"w1": w1, "w1t": w1t, "w2": w2},
+                                         SAFETY * tol / 8, "log G residue series"):
+        total -= value
+        err += bound
+    _require_bound(err, tol, "log G residue series")
+    return total, err
+
+
+def log_G_value(z: complex, w1: complex, w1t: complex, w2: complex,
+                spec: ContourSpec | None = None) -> tuple[complex, float]:
+    """log G and its error bound: the residue series where it converges
+    within spec.tol, else the contour."""
+    spec = spec or ContourSpec()
+    try:
+        return log_G_series(z, w1, w1t, w2, spec.tol)
+    except RegionError:
+        return log_G_contour(z, w1, w1t, w2, spec)
+
+
+# ---------------------------------------------------------------------------
 # moment integrals f^c_(k-2), g^c_(k-2)
 
 
@@ -328,87 +527,22 @@ def f_moment_series(order: int, z: complex, w1bar: complex) -> complex:
     return (TWO_PI_I / w1bar) ** (order + 1) * polylog(-order, x1)
 
 
-#: terms one Lambert series of `_g_family` may take before the residue
-#: route is declared impractically slow and the moment goes to quadrature
-MAX_LAMBERT_TERMS = 20_000
-
-
-def _lambert_terms(order: int, aw: float, tol: float) -> float:
-    """Terms `_g_family` sums before its stop rule holds: the first n past
-    the peak order/(-ln|w|) of n^order |w|^n with n^max(order,0) |w|^n <= tol."""
-    if aw <= 0:
-        return 0.0
-    lw = -math.log(aw)
-    p = max(order, 0)
-    n = max(p / lw, 1.0)
-    # n -> (p ln n - ln tol)/lw rises monotonically to the crossing past the peak
-    for _ in range(8):
-        n = max(n, (p * math.log(n) - math.log(tol)) / lw)
-    return n
-
-
-def _expm1(x: complex) -> complex:
-    """e^x - 1 without the cancellation of cmath.exp(x) - 1 at small |x|."""
-    h = math.sin(x.imag / 2)
-    return complex(math.expm1(x.real) * math.cos(x.imag) - 2 * h * h,
-                   math.exp(x.real) * math.sin(x.imag))
-
-
-def _g_family(order: int, z: complex, a: complex, b: complex,
-              tol: float = 1e-16) -> complex:
-    """Sum of residues at the poles 2 pi i m / a, m >= 1, of the g integrand.
-
-    The residues make the double sum sum_{m>=0} Li_(-order)(w q^m); swapped
-    term by term it is the Lambert series sum_{n>=1} n^order w^n / (1 - q^n),
-    which needs about log(tol)/log|w| terms however close |q| is to 1.
-    The families near coincidence as b/a nears an integer k: the small
-    Im(b/a) that sets |q| would be rounded against the O(1) real part, and
-    1 - q^n would cancel.  So rho = exp(pi i b/a) and q = rho^(+-2) are
-    taken from e = (b - k a)/a, and 1 - q^n is accumulated from
-    1 - q = -expm1(log q) as (1 - q^(n-1)) + q^(n-1) (1 - q).
-    """
-    k = round((b / a).real)
-    e = (b - k * a) / a
-    rho_h = (-1) ** k * cmath.exp(1j * math.pi * e)
-    u = cmath.exp(TWO_PI_I * z / a)
-    pref = (TWO_PI_I / a) ** order / a
-    ar = abs(rho_h)
-    if ar < 1:
-        warg = -u * rho_h
-        log_q = TWO_PI_I * e
-        sign = 1
-    else:
-        warg = -u / rho_h
-        log_q = -TWO_PI_I * e
-        sign = -1
-    aw = abs(warg)
-    require([Predicate("w1t/w1 not real", abs(ar - 1), margin=1e-9),
-             Predicate("|u rho^(+-1/2)| < 1", 1 - aw, margin=1e-12)],
-            "g-moment residue series")
-    # bail out to quadrature when |w| is so close to 1 that the series would
-    # need an absurd number of terms
-    nterms = _lambert_terms(order, aw, tol)
-    require([Predicate("w1t/w1 not nearly real", MAX_LAMBERT_TERMS - nterms)],
-            f"g-moment residue series (impractically slow: {nterms:.0f} terms)")
-    p = max(order, 0)
-    peak = p / -math.log(aw) if aw else 0.0
-    step = cmath.exp(log_q)
-    d = -_expm1(log_q)
-    acc = 0j
-    n = 1
-    wn, qn, dn = warg, step, d      # w^n, q^n, 1 - q^n
-    while n <= peak or n**p * abs(wn) > tol:
-        acc += n**order * wn / dn
-        n += 1
-        wn *= warg
-        dn += qn * d
-        qn *= step
-    return sign * pref * acc
-
-
 def g_moment_series(order: int, z: complex, w1: complex, w1t: complex) -> complex:
-    """Residue-sum closed form of the g moment (both pole families)."""
-    return TWO_PI_I * (_g_family(order, z, w1, w1t) + _g_family(order, z, w1t, w1))
+    """Residue-sum closed form of the g moment: the pole families
+    2 pi i k / w1 and 2 pi i k / w1t of `_residue_sums`.
+
+    Refused (RegionError) where `_residue_sums` refuses, and where the error
+    bound summed over both families exceeds SAFETY times the quadrature
+    tolerance: at z = dw with |q| -> 1 the families cancel from terms of size
+    sigma^-(order+1), and the bound then sends the moment to quadrature."""
+    total, err = 0j, 0.0
+    for a, value, bound in _residue_sums(order, z, {"w1": w1, "w1t": w1t},
+                                         MOMENT_TAIL, "g-moment residue series"):
+        pref = (TWO_PI_I / a) ** (order + 1)
+        total -= pref * value
+        err += abs(pref) * bound
+    _require_bound(err, ContourSpec.tol, "g-moment residue series")
+    return total
 
 
 def _moment(series, quad, order: int, *args: complex) -> complex:
@@ -575,7 +709,7 @@ def small_w2_remainders(mode: str, z: complex, params: tuple, K: int,
     if mode == "F":
         moment, log_X = f_moment, log_F_contour
     elif mode == "G":
-        moment, log_X = g_moment, log_G_contour
+        moment, log_X = g_moment, log_G_value
     else:
         raise ValueError("mode must be 'F' or 'G'")
     nums = bernoulli_numbers(K)
@@ -676,7 +810,7 @@ def asymptotic_infinity_fit(mode: str, z: complex, params: tuple,
     elif mode == "G":
         w1, w1t = params
         obar = (w1 + w1t) / 2
-        vals = [log_G_contour(z, w1, w1t, w2, ContourSpec(tol=tol))[0] for w2 in w2s]
+        vals = [log_G_value(z, w1, w1t, w2, ContourSpec(tol=tol))[0] for w2 in w2s]
         diffs = [vals[j + 1] - vals[j] for j in range(7)]
         coef = _complex_lstsq(_infinity_fit_rows(mode, w2s), diffs)
         b02 = complex(multiple_bernoulli(0, 2, z + obar, [w1, w1t]))

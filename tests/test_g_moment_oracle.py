@@ -9,7 +9,10 @@ The points follow the D_n geometry w1t/w1 = 1 - i sigma, where the two pole
 families near coincidence as sigma -> 0 and |q| = exp(-2 pi sigma) -> 1.  At
 z = dw the families cancel down to an O(1) sum from terms of size about
 sigma^-(order+1), so the orders >= 0 there are checked only where that
-cancellation leaves 1e-12 attainable in double precision.
+cancellation leaves 1e-12 attainable in double precision.  Orders 1 and 3
+there go through the route `g_moment`: the series where its error bound,
+summed over both families, is within the quadrature tolerance, quadrature
+elsewhere.
 """
 
 import cmath
@@ -18,7 +21,8 @@ import math
 import mpmath
 import pytest
 
-from conifoldrh.multisine import g_moment_series
+from conifoldrh.checks import RegionError
+from conifoldrh.multisine import clear_caches, g_moment, g_moment_series
 
 mp = mpmath.mp
 
@@ -67,3 +71,21 @@ def test_g_moment_series_matches_mpmath(abs_q, where, order):
     z = 0.3 + 0.4j if where == "v" else (w1 - w1t) / 2
     ref = oracle(order, z, w1, w1t)
     assert abs(g_moment_series(order, z, w1, w1t) - ref) < 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("abs_q,order,series", [
+    (0.5, 1, True), (0.5, 3, False), (0.9, 1, False), (0.9, 3, False)])
+def test_g_moment_route_at_dw_matches_mpmath(abs_q, order, series):
+    """At (0.9, 3) the series is about 2e-7 off with a bound of 1.5e-6: the
+    bound sends it to quadrature."""
+    w1, w1t = point(abs_q)
+    z = (w1 - w1t) / 2
+    clear_caches()
+    value = g_moment(order, z, w1, w1t)
+    if series:
+        assert value == g_moment_series(order, z, w1, w1t)
+    else:
+        with pytest.raises(RegionError, match="error bound"):
+            g_moment_series(order, z, w1, w1t)
+    ref = oracle(order, z, w1, w1t)
+    assert abs(value - ref) < 1e-8 * abs(ref)

@@ -135,6 +135,18 @@ def test_int_product_matches_schoolbook(a, b):
     got = A * B
     assert dict(got.items()) == want
     assert all(type(x) is int for _, x in got.items())
+    _check_monomial_products(A, B)
+
+
+def _check_monomial_products(A, B):
+    """A monomial taken from B, on either side of A (the shift-and-scale
+    path), against the schoolbook product."""
+    for n, x in list(B.items())[:1]:
+        M = LaurentPoly.monomial(n, x)
+        want = schoolbook(dict(A.items()), {n: x})
+        assert dict((A * M).items()) == want
+        assert dict((M * A).items()) == want
+        assert [type(c) for _, c in (A * M).items()] == [type(c) for c in want.values()]
 
 
 @given(fraction_polys, fraction_polys)
@@ -142,6 +154,7 @@ def test_int_product_matches_schoolbook(a, b):
 def test_fraction_product_matches_schoolbook(a, b):
     A, B = lp(a), lp(b)
     assert dict((A * B).items()) == schoolbook(dict(A.items()), dict(B.items()))
+    _check_monomial_products(A, B)
 
 
 def test_product_path_by_operands(monkeypatch):

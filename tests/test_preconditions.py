@@ -29,9 +29,9 @@ CASES = {
     "f_moment_quad": lambda: multisine.f_moment_quad(-1, Z_BAD, 1.0),
     "g_moment_quad": lambda: multisine.g_moment_quad(-1, Z_BAD, W1, W1T),
     "f_moment_series": lambda: multisine.f_moment_series(-1, Z_BAD, 1.0),
-    "g family coincident": lambda: multisine._g_family(-1, V, 1.0, 2.0),
-    "g family divergent": lambda: multisine._g_family(-1, -0.5j, 1.0, 1 + 0.5j),
-    "g family term budget": lambda: multisine._g_family(-2, DWQ, W1Q, W1TQ),
+    "g family coincident": lambda: multisine.g_moment_series(-1, V, 1.0, 2.0),
+    "g family divergent": lambda: multisine.g_moment_series(-1, -0.5j, 1.0, 1 + 0.5j),
+    "g family term budget": lambda: multisine.g_moment_series(-2, DWQ, W1Q, W1TQ),
     "qdilog_numeric": lambda: multisine.qdilog_numeric(0.5, 1.0),
     "log_F_star": lambda: multisine.log_F_star(Z_BAD, 1.0, W2),
     "log_G_star": lambda: multisine.log_G_star(0.25 + 0.45j, W1T, W1, W2),
