@@ -427,6 +427,12 @@ def _suite_difference(order_n: int, qcut: int, tol: float) -> list[Residual]:
         out.append(Residual.compare(
             f"difF shift w2 [{i}]", Fv(z + w2, ob, w2) / Fv(z, ob, w2),
             1 / (1 - x1), tol))
+        # the difference equations below hold for the residue series term by
+        # term, so the series is also checked against the integral itself
+        ls, es = multisine.log_G_series(z, w1, w1t, w2)
+        lc, ec = multisine.log_G_contour(z, w1, w1t, w2)
+        out.append(Residual.compare(f"log G series = contour [{i}]", ls, lc, tol,
+                                    meta={"error_bounds": [es, ec]}))
         lg = multisine.log_G_cached(z, w1, w1t, w2)[0]
         out.append(Residual.compare(
             f"difG1 [{i}]",

@@ -276,8 +276,24 @@ MAX_LAMBERT_TERMS = 20_000
 #: tail each g-moment family may leave, before its prefactor
 MOMENT_TAIL = 1e-16
 
-#: unit roundoff of the compensated sums' error bound
-EPS = sys.float_info.epsilon
+#: unit roundoff of binary64 round-to-nearest
+U = sys.float_info.epsilon / 2
+
+
+def _gamma(n: float) -> float:
+    """gamma_n = n u / (1 - n u): the relative error of a chain of n
+    roundings (Higham, Accuracy and Stability of Numerical Algorithms, 3.1)."""
+    return n * U / (1 - n * U)
+
+
+# Rounding bounds below count the operations of each step in these units:
+# a complex sum or a real-by-complex product is one rounding per part, so
+# relative u; a complex product (x.re y.re - x.im y.im, ...) is within
+# sqrt(5) u < gamma_3 (Brent, Percival and Zimmermann 2007); CPython divides
+# complex numbers by Smith's method, whose ratio r has |r| <= 1 and whose
+# denominator is at least |b|, which gives 2 gamma_3 + gamma_4 < gamma_11;
+# exp, expm1, sin, cos and pow are taken within 1 ulp (2u), as glibc
+# documents, so cmath.exp is within gamma_5.
 
 
 def _lambert_terms(order: int, aw: float, tol: float) -> float:
@@ -301,6 +317,15 @@ def _expm1(x: complex) -> complex:
                    math.exp(x.real) * math.sin(x.imag))
 
 
+def _expm1_error(x: complex) -> float:
+    """Bound on the rounding error of `_expm1(x)`: each part of its real part
+    is within gamma_5, their difference adds u, the imaginary part is within
+    gamma_5."""
+    h = math.sin(x.imag / 2)
+    return _gamma(6) * (abs(math.expm1(x.real)) + 2 * h * h
+                        + math.exp(x.real) * abs(math.sin(x.imag)))
+
+
 def _tail_den(p: int, rho: float, amods: list[float], K: int) -> float:
     """(1 - r) prod_i (1 - |a_i|^(K+1)), r = rho max(1, ((K+2)/(K+1))^p): the
     denominator of `_lambert`'s tail bound past K terms.  It grows with K."""
@@ -319,42 +344,151 @@ def _lambert_count(p: int, rho: float, amods: list[float], tol: float) -> int:
     return math.ceil(_lambert_terms(p, rho, tol * _tail_den(p, rho, amods, K)))
 
 
-def _lambert(p: int, lu: complex, las: list[complex], K: int) -> tuple[complex, float]:
+def _pow_error(k: float, dl: float) -> float:
+    """Relative error of e^(k l) formed as k - 1 products of cmath.exp(l'),
+    |l' - l| <= dl: e^(k dl) (1 + gamma_(5k + 3(k-1))) - 1."""
+    return math.exp(k * dl) * (1 + _gamma(8 * k)) - 1
+
+
+def _term_error(k: float, dlu: float, nomes: list[tuple], ops: int, cap: float) -> float:
+    """Relative error bound eta(k) of `_lambert`'s computed k-th term
+    k^p x^k / prod_i d_i,k, d_i,k = 1 - a_i^k, against the exact term.
+
+    x^k carries `_pow_error`, the term's own ops roundings gamma_ops.  Each
+    nome is (alpha, kappa, rho1, dla): alpha >= |a|, d_1 within rho1
+    relatively, kappa >= |1 - a|/(1 - |a|).  d_k = d_(k-1) + a^(k-1) d_1
+    gathers, over its k - 1 steps, the errors |a^j d_1| w_j of the products
+    (w_j from a^j, d_1 and one complex product) and u |d_j| of the sums.
+    With |d_j| <= |d_1| s_k, s_k = sum_(j<k) |a|^j, this is at most
+    |d_1| s_k (rho1/s_k + alpha w_k + 2 k u), and d_k = d_1 sum_(j<k) a^j
+    is at least |d_1| s_k / c with c = kappa (from |d_k| >= 1 - |a|^k) or,
+    where the caller knows the arguments of the a^j to spread by at most
+    2 phi, c = sec(phi) = cap.  So d_k is within r_k = min(kappa, cap)
+    (rho1 + alpha w_k + 2 k u), and d_1 within r_1 = rho1; 1/d_k is within
+    r_k/(1 - r_k).  For k >= 2 every piece is convex and increasing in k,
+    so eta is."""
+    eta = (1 + _pow_error(k, dlu)) * (1 + _gamma(ops))
+    for alpha, kappa, rho1, dla in nomes:
+        w = (1 + _pow_error(k, dla)) * (1 + rho1) * (1 + _gamma(3)) - 1
+        r = rho1 if k == 1 else min(kappa, cap) * (rho1 + alpha * w + 2 * k * U)
+        if r >= 0.5:
+            return math.inf
+        eta /= 1 - r
+    return eta - 1
+
+
+def _nome(la: complex, dla: float) -> tuple[complex, complex, tuple]:
+    """a = e^la, d = 1 - a and the (alpha, kappa, rho1, dla) of
+    `_term_error`, for la within dla of the exact log."""
+    a, d = cmath.exp(la), -_expm1(la)
+    alpha = abs(a) * math.exp(dla) / (1 - _gamma(5))
+    err = _expm1_error(la) + alpha * math.expm1(dla)
+    if alpha >= 1 or abs(d) <= err:
+        return a, d, (alpha, math.inf, math.inf, dla)
+    return a, d, (alpha, (abs(d) + err) / (1 - alpha), err / (abs(d) - err), dla)
+
+
+#: half-spread of the arguments of a^j, j < k, up to which `_lambert` bounds
+#: |1 - a^k| from below by cos(SPREAD) sum_(j<k) |a^j (1 - a)|
+SPREAD = math.pi / 5
+
+
+def _lambert(p: int, lu: complex, las: list[complex], K: int, dlu: float,
+             dlas: list[float]) -> tuple[complex, float]:
     """The family kernel sum_{k=1..K} k^p e^(k lu) / prod_i (1 - e^(k la_i))
-    over one or two nomes a_i = e^(la_i), |a_i| < 1, with |e^lu| < 1; the
-    value and its error bound, the tail past K plus eps sum_k (4 + k) |t_k|.
+    over one or two nomes a_i = e^(la_i), |a_i| < 1, with |e^lu| < 1, where
+    lu and la_i are within dlu and dla_i of the exact logs; the value and its
+    error bound: the tail past K plus the rounding.
 
     1 - a^k is accumulated from 1 - a = -expm1(la) as
     (1 - a^(k-1)) + a^(k-1) (1 - a), so a nome near 1 keeps its digits, and
     the terms are summed with Neumaier's compensation (Knuth's two-sum, which
     complex addition applies to each part), keeping no list of terms.  The
-    compensated sum and each term's last operations cost a few eps |t_k|;
-    x^k, a^k and 1 - a^k, formed over k - 1 recurrence steps from rounded
-    x and a, carry a relative error that grows like k eps, and where the two
-    families of a g moment cancel (z = dw, |q| -> 1) that part dominates."""
+    rounding part is sum_k eta_k |t_k| over the computed terms, eta_k from
+    `_term_error` taken on its chord over each run of k with one cap (the
+    chord lies above it since eta is convex): up to k1, where the arguments
+    (k - 1) arg(a_i) spread by 2 SPREAD, and past it.  The compensated sum
+    adds its own u|s| + gamma_K^2 sum|t_k| per part (Ogita, Rump and Oishi
+    2005, Prop. 4.5)."""
     x = cmath.exp(lu)
-    a1, a2 = [cmath.exp(la) for la in las] + [0j] * (2 - len(las))
-    d1, d2 = [-_expm1(la) for la in las] + [1 + 0j] * (2 - len(las))
-    xk, a1k, a2k, d1k, d2k = x, a1, a2, d1, d2
+    a1, d1, n1 = _nome(las[0], dlas[0])
+    nomes = [n1]
+    if len(las) == 2:
+        a2, d2, n2 = _nome(las[1], dlas[1])
+        nomes.append(n2)
+    ops = 14 + 3 * (len(las) - 1)       # k^p x^k, the division, d_1 d_2
+    arg = max(abs(la.imag) + dla for la, dla in zip(las, dlas))
+    k1 = max(1, min(K, 1 + math.floor(2 * SPREAD / arg) if arg else K))
+    runs = [(lo, hi, cap) for lo, hi, cap in
+            ((1, 1, 1.0), (2, k1, 1 / math.cos(SPREAD)), (k1 + 1, K, math.inf))
+            if lo <= min(hi, K)]
+    chords = []
+    for lo, hi, cap in runs:
+        e_lo, e_hi = (_term_error(k, dlu, nomes, ops, cap) for k in (lo, hi))
+        slope = (e_hi - e_lo) / max(hi - lo, 1)
+        chords.append((lo, hi, e_lo - slope * lo, slope))
+    eta1 = _term_error(1, dlu, nomes, ops, 1.0)
+    etaK = _term_error(K, dlu, nomes, ops, runs[-1][2]) if runs else 0.0
+    xk, a1k, d1k = x, a1, d1
+    if len(las) == 2:
+        a2k, d2k = a2, d2
     s = comp = 0j
     mag = 0.0
-    for k in range(1, K + 1):
-        t = k ** p * xk / (d1k * d2k)
-        mag += (k + 4) * abs(t)
-        u = s + t
-        v = u - s
-        comp += (s - (u - v)) + (t - v)
-        s = u
-        xk *= x
-        d1k += a1k * d1
-        a1k *= a1
-        d2k += a2k * d2
-        a2k *= a2
+    for lo, hi, base, slope in chords:
+        if len(las) == 1:
+            for k in range(lo, hi + 1):
+                t = k ** p * xk / d1k
+                mag += (base + slope * k) * abs(t)
+                u = s + t
+                v = u - s
+                comp += (s - (u - v)) + (t - v)
+                s = u
+                xk *= x
+                d1k += a1k * d1
+                a1k *= a1
+        else:
+            for k in range(lo, hi + 1):
+                t = k ** p * xk / (d1k * d2k)
+                mag += (base + slope * k) * abs(t)
+                u = s + t
+                v = u - s
+                comp += (s - (u - v)) + (t - v)
+                s = u
+                xk *= x
+                d1k += a1k * d1
+                a1k *= a1
+                d2k += a2k * d2
+                a2k *= a2
+    s += comp
+    if etaK >= 1:
+        return s, math.inf
     # past K (beyond the peak of k^p rho^k) each 1/(1 - |a_i|^k) is at most
     # its value at K + 1 and the terms k^p rho^k fall at least by the ratio r
-    rho = abs(x)
-    tail = (K + 1) ** p * rho ** (K + 1) / _tail_den(p, rho, [abs(a1), abs(a2)], K)
-    return s + comp, tail + EPS * mag
+    rho = abs(x) * math.exp(dlu) / (1 - _gamma(5))
+    den = _tail_den(p, rho, [alpha for alpha, *_ in nomes], K)
+    tail = (K + 1) ** p * rho ** (K + 1) / den if den > 0 else math.inf
+    rounding = (mag / (1 - etaK) + _gamma(2) * abs(s)
+                + 3 * _gamma(K) ** 2 * mag / eta1)
+    # the bound's own evaluation rounds: K + 8 operations deep at most
+    return s, (tail + rounding) * (1 + _gamma(K + 8))
+
+
+def _reduce(b: complex, a: complex) -> tuple[int, complex, float]:
+    """(m, e, de): m the integer nearest Re(b/a), e = (b - m a)/a and a
+    bound de on its error.  b - m a is formed exactly and rounded once (m
+    times the two 26-bit halves of each part of a is exact for |m| < 2^26),
+    so e keeps its relative digits however near b/a is to m: de =
+    gamma_13 |e| from that rounding and the division."""
+    m = round((b / a).real)
+    require([Predicate("|m| < 2^26 in w_i/w_j = m + e", 2.0**26 - abs(m))],
+            "period reduction")
+    parts = []
+    for bp, ap in ((b.real, a.real), (b.imag, a.imag)):
+        c = 134217729.0 * ap        # Veltkamp split at 2^27 + 1
+        hi = c - (c - ap)
+        parts.append(math.fsum((bp, -m * hi, -m * (ap - hi))))
+    e = complex(*parts) / a
+    return m, e, _gamma(13) * abs(e)
 
 
 def _residue_sums(p: int, z: complex, periods: dict, tol: float,
@@ -367,14 +501,16 @@ def _residue_sums(p: int, z: complex, periods: dict, tol: float,
         F_a = sum_{k>=1} k^p x^k / prod_{b != a} (q_b^k - 1),
         x = e^(2 pi i Z/a),  q_b = e^(2 pi i b/a).
 
-    Each b/a is taken as m + e, m the integer nearest Re(b/a) and
-    e = (b - m a)/a, so that a family near coincidence (b/a near an integer,
-    the D_n geometry as t tau -> 0) keeps the digits of its small Im(b/a):
-    q_b = e^(2 pi i e), and x = e^(2 pi i z/a + pi i (m1 + e1 + m2 + e2))
-    from the parts of w1/a and w1t/a, without rounding Z.  A nome with
-    |q| > 1 is folded into x as 1/(q^k - 1) = q^-k/(1 - q^-k); one with
-    |q| < 1 gives 1/(q^k - 1) = -1/(1 - q^k) and flips the family's sign.
-    Every family then runs `_lambert` with its tail at most tol.
+    Each b/a is taken as m + e by `_reduce`, so that a family near
+    coincidence (b/a near an integer, the D_n geometry as t tau -> 0) keeps
+    the digits of its small Im(b/a): q_b = e^(2 pi i e), and
+    x = e^(2 pi i z/a + pi i (m1 + e1 + m2 + e2)) from the parts of w1/a and
+    w1t/a, without rounding Z.  A nome with |q| > 1 is folded into x as
+    1/(q^k - 1) = q^-k/(1 - q^-k); one with |q| < 1 gives
+    1/(q^k - 1) = -1/(1 - q^k) and flips the family's sign.  Every family
+    then runs `_lambert` with its tail at most tol, given the error of each
+    log: gamma_14 on 2 pi i z/a, gamma_2 on 2 pi i e past the error of e,
+    and u on each sum.
 
     Refused (RegionError) where a nome lies on the unit circle (coincident
     poles), where a family's rate rho = |x| / prod_{|q|>1} |q| is not below
@@ -382,35 +518,42 @@ def _residue_sums(p: int, z: complex, periods: dict, tol: float,
     """
     families, preds = [], []
     for name, a in periods.items():
-        parts = {}
-        for other, b in periods.items():
-            m = round((b / a).real)
-            parts[other] = (m, (b - m * a) / a)
-        (m1, e1), (m2, e2) = parts["w1"], parts["w1t"]
-        lu = TWO_PI_I * z / a + 1j * math.pi * (e1 + e2 + (m1 + m2) % 2)
-        las, sign = [], 1
-        for other, (_, e) in parts.items():
+        parts = {other: _reduce(b, a) for other, b in periods.items()}
+        (m1, e1, de1), (m2, e2, de2) = parts["w1"], parts["w1t"]
+        lz = TWO_PI_I * z / a
+        n = (m1 + m2) % 2
+        lu = lz + 1j * math.pi * (e1 + e2 + n)
+        size = abs(lz) + math.pi * (abs(e1) + abs(e2) + n)
+        dlu = (_gamma(14) * abs(lz)
+               + math.pi * (de1 + de2 + _gamma(4) * (abs(e1) + abs(e2) + n)))
+        las, dlas, sign = [], [], 1
+        for other, (_, e, de) in parts.items():
             if other == name:
                 continue
             la = TWO_PI_I * e
+            dla = 2 * math.pi * (de + _gamma(2) * abs(e))
             preds.append(Predicate(f"{other}/{name} not real", abs(la.real), margin=1e-9))
             if la.real > 0:
                 la = -la
                 lu += la
+                dlu += dla
+                size += abs(la)
             else:
                 sign = -sign
             las.append(la)
+            dlas.append(dla)
+        dlu += _gamma(3) * size
         rho = math.exp(min(lu.real, 0.0))
         preds.append(Predicate(f"rho_{name} < 1", -lu.real, margin=1e-12))
-        families.append((a, sign, lu, las, rho))
+        families.append((a, sign, lu, las, rho, dlu, dlas))
     require(preds, what)
     counts = [_lambert_count(p, rho, [math.exp(la.real) for la in las], tol)
-              for _, _, _, las, rho in families]
+              for _, _, _, las, rho, _, _ in families]
     require([Predicate(f"terms < {MAX_LAMBERT_TERMS}", MAX_LAMBERT_TERMS - max(counts))],
             f"{what} (impractically slow: {max(counts)} terms)")
     out = []
-    for (a, sign, lu, las, _), K in zip(families, counts):
-        value, bound = _lambert(p, lu, las, K)
+    for (a, sign, lu, las, _, dlu, dlas), K in zip(families, counts):
+        value, bound = _lambert(p, lu, las, K, dlu, dlas)
         out.append((a, sign * value, bound))
     return out
 
@@ -436,11 +579,13 @@ def log_G_series(z: complex, w1: complex, w1t: complex, w2: complex,
     the error bound exceeds SAFETY * tol."""
     zeff = z + (w1 + w1t) / 2
     hull_rotation([w1, w1t, w2, zeff, w1 + w1t + w2 - zeff], _G_DIRECTIONS)
-    total, err = 0j, 0.0
+    total, err, size = 0j, 0.0, 0.0
     for _, value, bound in _residue_sums(-1, z, {"w1": w1, "w1t": w1t, "w2": w2},
                                          SAFETY * tol / 8, "log G residue series"):
         total -= value
         err += bound
+        size += abs(value)
+    err += _gamma(3) * size
     _require_bound(err, tol, "log G residue series")
     return total, err
 
@@ -539,8 +684,12 @@ def g_moment_series(order: int, z: complex, w1: complex, w1t: complex) -> comple
     for a, value, bound in _residue_sums(order, z, {"w1": w1, "w1t": w1t},
                                          MOMENT_TAIL, "g-moment residue series"):
         pref = (TWO_PI_I / a) ** (order + 1)
-        total -= pref * value
-        err += abs(pref) * bound
+        term = pref * value
+        total -= term
+        # pref: 2 pi i/a within gamma_12, then at most 2|order+1| products
+        # and a division by CPython's integer power; times value gamma_3,
+        # and u for the term's share of the sum over the two families
+        err += abs(pref) * bound + _gamma(18 * abs(order + 1) + 16) * abs(term)
     _require_bound(err, ContourSpec.tol, "g-moment residue series")
     return total
 

@@ -10,9 +10,10 @@ families near coincidence as sigma -> 0 and |q| = exp(-2 pi sigma) -> 1.  At
 z = dw the families cancel down to an O(1) sum from terms of size about
 sigma^-(order+1), so the orders >= 0 there are checked only where that
 cancellation leaves 1e-12 attainable in double precision.  Orders 1 and 3
-there go through the route `g_moment`: the series where its error bound,
-summed over both families, is within the quadrature tolerance, quadrature
-elsewhere.
+there, and the z = v point whose families cancel too far for the series'
+proved bound, go through the route `g_moment`: the series where its error
+bound, summed over both families, is within the quadrature tolerance,
+quadrature elsewhere.
 """
 
 import cmath
@@ -65,19 +66,36 @@ CASES = ([(0.5, "v", k) for k in (-2, -1, 0, 1, 3)]
          + [(0.99, "v", 0)])
 
 
+#: where the series' proved rounding bound is above SAFETY times the
+#: quadrature tolerance (the two families cancel from about 1200 each to 21,
+#: bound 9e-11): the series is refused there and `g_moment` takes quadrature
+REFUSED = {(0.9, "v", 3)}
+
+
 @pytest.mark.parametrize("abs_q,where,order", CASES)
 def test_g_moment_series_matches_mpmath(abs_q, where, order):
     w1, w1t = point(abs_q)
     z = 0.3 + 0.4j if where == "v" else (w1 - w1t) / 2
     ref = oracle(order, z, w1, w1t)
-    assert abs(g_moment_series(order, z, w1, w1t) - ref) < 1e-12 * abs(ref)
+    if (abs_q, where, order) in REFUSED:
+        with pytest.raises(RegionError, match="error bound"):
+            g_moment_series(order, z, w1, w1t)
+        clear_caches()
+        value = g_moment(order, z, w1, w1t)
+    else:
+        value = g_moment_series(order, z, w1, w1t)
+    assert abs(value - ref) < 1e-12 * abs(ref)
 
 
-@pytest.mark.parametrize("abs_q,order,series", [
-    (0.5, 1, True), (0.5, 3, False), (0.9, 1, False), (0.9, 3, False)])
-def test_g_moment_route_at_dw_matches_mpmath(abs_q, order, series):
-    """At (0.9, 3) the series is about 2e-7 off with a bound of 1.5e-6: the
-    bound sends it to quadrature."""
+@pytest.mark.parametrize("abs_q,order,series,rel", [
+    (0.5, 1, True, 1e-12), (0.5, 3, False, 1e-11), (0.9, 1, False, 1e-12),
+    (0.9, 3, False, 1e-8)])
+def test_g_moment_route_at_dw_matches_mpmath(abs_q, order, series, rel):
+    """Each case is held to what its route was measured to reach.  Where the
+    bound refuses the series, quadrature is the closer route: at (0.9, 1) it
+    is 2.9e-13 off where the series is 6e-12 off (1.1e-11 for the plain
+    sum), at (0.9, 3) 3.2e-9 where the series is 2.5e-7, and at (0.5, 3)
+    6.8e-12 where the series is 2e-11."""
     w1, w1t = point(abs_q)
     z = (w1 - w1t) / 2
     clear_caches()
@@ -88,4 +106,4 @@ def test_g_moment_route_at_dw_matches_mpmath(abs_q, order, series):
         with pytest.raises(RegionError, match="error bound"):
             g_moment_series(order, z, w1, w1t)
     ref = oracle(order, z, w1, w1t)
-    assert abs(value - ref) < 1e-8 * abs(ref)
+    assert abs(value - ref) < rel * abs(ref)
