@@ -333,7 +333,7 @@ def _suite_algebra(order_n: int, qcut: int, tol: float) -> list[Residual]:
         out.append(Residual.exact(
             f"Sq(ell_inf)({name}): conjugation == closed form",
             res.element == res.closed_form))
-    dt = qtorus.dt_ray(s, qtorus.conifold_ray_charges("ell_n", 0), order_n, qcut)
+    dt = qtorus.dt_ray(qtorus.conifold_ray_charges("ell_n", 0), order_n, qcut)
     out.append(Residual.exact("DT(ell_0) ray series == Euler expansion",
                               list(dt.coeffs) == _euler_ell0(order_n, qcut),
                               meta={"series": dt.to_json()}))
@@ -565,15 +565,14 @@ def _inversion_identity(order_n: int, qcut: int) -> Residual:
     """R_(l,-gm) R_(l,gm) == 1 through u-order N: each side computed by its
     own conjugation, on rays ell_1 and ell_inf, for both magnetic generators."""
     from .lattice import BETA_V, DELTA_V, ChargeVector
-    s = lattice.conifold_bps(DEFAULT_POINT["v"], DEFAULT_POINT["w"])
     one = qtorus.QTorusElement.generator(ChargeVector())
     rays = (("ell_1", qtorus.conifold_ray_charges("ell_n", 1)),
             ("ell_inf", qtorus.conifold_ray_charges("ell_inf", kmax=order_n)))
     pairs = {}
     for ray_name, ray in rays:
         for name, gm in (("beta_v", BETA_V), ("delta_v", DELTA_V)):
-            inv = qtorus.ray_action(s, ray, -gm, order_n, qcut)
-            fwd = qtorus.ray_action(s, ray, gm, order_n, qcut)
+            inv = qtorus.ray_action(ray, -gm, order_n, qcut)
+            fwd = qtorus.ray_action(ray, gm, order_n, qcut)
             prod = inv.mul(fwd, qcut).truncate_electric(order_n, order_n)
             pairs[f"{ray_name} {name}"] = prod == one
     return Residual.exact("inversion identity R(-gm) R(gm) == 1",

@@ -50,6 +50,9 @@ _KRONROD_CENTRE = 0.149445554002916905664936468389821
 #: of the requested tolerance
 SAFETY = 0.45
 
+#: panels one segment of a contour may be bisected into
+MAX_PANELS = 4000
+
 
 class QuadratureError(RuntimeError):
     """Numerical failure: non-convergent tail or panel budget exhausted."""
@@ -61,11 +64,11 @@ class RotationError(RegionError):
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Quadrature budget; the rotation, semicircle radius and outer cutoff
-    follow from each integrand."""
+    """Quadrature tolerance; the panel budget is MAX_PANELS, and the
+    rotation, semicircle radius and outer cutoff follow from each
+    integrand."""
 
     tol: float = 3e-11
-    max_panels: int = 4000
 
 
 def _panel(f: Callable[[complex], complex], a: complex, b: complex) -> tuple[complex, float]:
@@ -85,20 +88,19 @@ def _panel(f: Callable[[complex], complex], a: complex, b: complex) -> tuple[com
     return half * kron, abs(half * (kron - gauss))
 
 
-def integrate_segment(f, a: complex, b: complex, tol: float,
-                      max_panels: int = 4000) -> tuple[complex, float]:
+def integrate_segment(f, a: complex, b: complex, tol: float) -> tuple[complex, float]:
     """Adaptive integral of f over [a, b] (complex straight segment).
 
     Bisects the worst panel until the summed estimate is below SAFETY*tol or
-    the panel budget runs out; the achieved estimate is returned either way
-    (callers enforce their overall budget).  The panel values are summed
-    exactly rounded, so the result does not depend on the heap order.
+    the segment holds MAX_PANELS panels; the achieved estimate is returned
+    either way (callers enforce their overall budget).  The panel values are
+    summed exactly rounded, so the result does not depend on the heap order.
     """
     val, err = _panel(f, a, b)
     order = itertools.count()
     heap = [(-err, next(order), a, b, val)]
     total_err = err
-    while total_err > SAFETY * tol and len(heap) < max_panels:
+    while total_err > SAFETY * tol and len(heap) < MAX_PANELS:
         neg_err, _, a0, b0, _ = heapq.heappop(heap)
         m = (a0 + b0) / 2
         vl, el = _panel(f, a0, m)
@@ -110,8 +112,7 @@ def integrate_segment(f, a: complex, b: complex, tol: float,
                     math.fsum(p[4].imag for p in heap)), float(total_err))
 
 
-def integrate_arc(f, radius: float, c: complex, tol: float,
-                  max_panels: int = 4000) -> tuple[complex, float]:
+def integrate_arc(f, radius: float, c: complex, tol: float) -> tuple[complex, float]:
     """Integral of f over the rotated upper semicircle  s = c * radius * e^(i phi),
     phi from pi down to 0."""
 
@@ -120,7 +121,7 @@ def integrate_arc(f, radius: float, c: complex, tol: float,
         s = c * radius * cmath.exp(1j * phi)
         return f(s) * 1j * s
 
-    return integrate_segment(g, math.pi, 0.0, tol, max_panels)
+    return integrate_segment(g, math.pi, 0.0, tol)
 
 
 def geometric_knots(eps: float, R: float) -> list[float]:
@@ -134,22 +135,21 @@ def geometric_knots(eps: float, R: float) -> list[float]:
     return knots
 
 
-def detour_integral(f, eps: float, R: float, c: complex, tol: float,
-                    max_panels: int = 4000) -> tuple[complex, float]:
+def detour_integral(f, eps: float, R: float, c: complex, tol: float) -> tuple[complex, float]:
     """Integral over c*([-R,-eps]) + upper semicircle + c*([eps,R])."""
     knots = geometric_knots(eps, R)
     budget_tol = tol / (2 * len(knots))
     val = 0j
     err = 0.0
     for x0, x1 in zip(knots, knots[1:]):
-        v, e = integrate_segment(f, -c * x1, -c * x0, budget_tol, max_panels)
+        v, e = integrate_segment(f, -c * x1, -c * x0, budget_tol)
         val += v
         err += e
-    v, e = integrate_arc(f, eps, c, tol / 4, max_panels=max_panels)
+    v, e = integrate_arc(f, eps, c, tol / 4)
     val += v
     err += e
     for x0, x1 in zip(knots, knots[1:]):
-        v, e = integrate_segment(f, c * x0, c * x1, budget_tol, max_panels)
+        v, e = integrate_segment(f, c * x0, c * x1, budget_tol)
         val += v
         err += e
     if err > tol:

@@ -21,15 +21,14 @@ give the same exact result.
 
 The same type serves as the coefficient ring over q^(1/2) for the quantum
 torus and as the value ring for the motivic invariants over L^(1/2); the two
-variables are related by q^(1/2) = -L^(1/2), realised here by
-:meth:`LaurentPoly.negate_var`.
+variables are related by q^(1/2) = -L^(1/2).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -142,9 +141,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self._c) == 1
 
-    def support(self) -> Iterable[int]:
-        return sorted(self._c)
-
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -216,23 +212,13 @@ class LaurentPoly:
         out._c = {n: a for n, a in self._c.items() if n <= max_half_exp}
         return out
 
-    def negate_var(self) -> "LaurentPoly":
-        """Substitute X^(1/2) -> -X^(1/2)  (the L^(1/2) <-> q^(1/2) flip)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {n: (-a if n % 2 else a) for n, a in self._c.items()}
-        return out
-
     def inverse_monomial(self) -> "LaurentPoly":
         if len(self._c) != 1:
             raise ValueError("only monomials are units in the Laurent ring")
         ((n, a),) = self._c.items()
         return LaurentPoly({-n: Fraction(1, a)})
 
-    # -- evaluation / export ---------------------------------------------
-
-    def evaluate(self, half_var: complex) -> complex:
-        """Evaluate with X^(1/2) = half_var."""
-        return sum(float(a) * half_var**n for n, a in self._c.items()) if self._c else 0j
+    # -- export ------------------------------------------------------------
 
     def to_json(self) -> list[list]:
         return [[n, str(a)] for n, a in sorted(self._c.items())]

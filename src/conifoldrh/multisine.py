@@ -88,7 +88,7 @@ def _contour(f, zeff: complex, omegas: tuple, spec: ContourSpec,
     c, _ = hull_rotation([*omegas, zeff, sum(omegas) - zeff], names)
     eps = EPS_POLE_FRACTION * 2 * math.pi / max(abs(w) for w in omegas)
     R = choose_outer_cutoff(f, c, eps, spec.tol)
-    return detour_integral(f, eps, R, c, spec.tol, spec.max_panels)
+    return detour_integral(f, eps, R, c, spec.tol)
 
 
 def log_F_contour(z: complex, w1bar: complex, w2: complex,
@@ -630,15 +630,14 @@ def g_moment_quad(order: int, z: complex, w1: complex, w1t: complex,
     return _contour(f, zeff, (w1, w1t), spec or ContourSpec())
 
 
-def polylog(s: int, x: complex, tol: float = 1e-16) -> complex:
-    """Li_s(x) for integer s <= 2; series for s in {1, 2}, closed forms below."""
-    if abs(x) >= 1 and s >= 1:
-        raise ValueError(f"polylog series requires |x| < 1, got {abs(x):.6f}")
+def polylog(s: int, x: complex) -> complex:
+    """Li_s(x) for integer -4 <= s <= 2 and |x| < 1: the series for s = 2,
+    closed forms below."""
     if s == 2:
         acc = 0j
         term = x
         m = 1
-        while abs(term) / m**2 > tol * max(1.0, abs(acc)) or m < 4:
+        while abs(term) / m**2 > 1e-16 * max(1.0, abs(acc)) or m < 4:
             acc += term / m**2
             m += 1
             term *= x
@@ -658,16 +657,17 @@ def polylog(s: int, x: complex, tol: float = 1e-16) -> complex:
         return x * (1 + x) / y**3
     if s == -3:
         return x * (1 + 4 * x + x * x) / y**4
-    if s == -4:
-        return x * (1 + x) * (1 + 10 * x + x * x) / y**5
-    raise ValueError(f"polylog order {s} not implemented")
+    return x * (1 + x) * (1 + 10 * x + x * x) / y**5
 
 
 def f_moment_series(order: int, z: complex, w1bar: complex) -> complex:
     """Residue-sum closed form: f^c_order = (2 pi i / w1bar)^(order+1) Li_(-order)(x1),
-    x1 = exp(2 pi i z / w1bar); converges for Im(z/w1bar) > 0."""
+    x1 = exp(2 pi i z / w1bar); converges for Im(z/w1bar) > 0.  Refused
+    (RegionError) for an order outside -2..4, where `polylog` has no closed
+    form of Li_(-order), so that the moment takes quadrature there."""
     x1 = cmath.exp(TWO_PI_I * z / w1bar)
-    require([Predicate("|x1| < 1", 1 - abs(x1), margin=1e-12)],
+    require([Predicate("-2 <= order <= 4", min(order + 2, 4 - order), margin=-1),
+             Predicate("|x1| < 1", 1 - abs(x1), margin=1e-12)],
             "f-moment residue series")
     return (TWO_PI_I / w1bar) ** (order + 1) * polylog(-order, x1)
 
@@ -728,15 +728,16 @@ def F_star_predicates(z: complex, w1bar: complex) -> list[Predicate]:
     return [im_ratio_predicate("z/w1bar", z, w1bar)]
 
 
-def log_F_star(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12,
+def log_F_star(z: complex, w1bar: complex, w2: complex,
                enforce: bool = True) -> complex:
+    """log F + Q_F, with F to F_value's tolerance 1e-12."""
     if enforce:
         require(F_star_predicates(z, w1bar), "F*")
-    return cmath.log(F_value(z, w1bar, w2, tol)) + q_F(z, w1bar, w2)
+    return cmath.log(F_value(z, w1bar, w2)) + q_F(z, w1bar, w2)
 
 
-def F_star(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12) -> complex:
-    return cmath.exp(log_F_star(z, w1bar, w2, tol))
+def F_star(z: complex, w1bar: complex, w2: complex) -> complex:
+    return cmath.exp(log_F_star(z, w1bar, w2))
 
 
 def q_G(z: complex, w1: complex, w1t: complex, w2: complex) -> complex:
@@ -763,18 +764,18 @@ def G_star_predicates(z: complex, w1: complex, w1t: complex) -> list[Predicate]:
 
 
 def log_G_star(z: complex, w1: complex, w1t: complex, w2: complex,
-               tol: float = 3e-11, enforce: bool = True) -> complex:
+               enforce: bool = True) -> complex:
+    """log G(z) - log G(dw) + Q_G, with each log G to tolerance 3e-11."""
     if enforce:
         require(G_star_predicates(z, w1, w1t), "G*")
     dw = (w1 - w1t) / 2
-    lg_z, _ = log_G_cached(z, w1, w1t, w2, tol)
-    lg_dw, _ = log_G_cached(dw, w1, w1t, w2, tol)
+    lg_z, _ = log_G_cached(z, w1, w1t, w2)
+    lg_dw, _ = log_G_cached(dw, w1, w1t, w2)
     return lg_z - lg_dw + q_G(z, w1, w1t, w2)
 
 
-def G_star(z: complex, w1: complex, w1t: complex, w2: complex,
-           tol: float = 3e-11) -> complex:
-    return cmath.exp(log_G_star(z, w1, w1t, w2, tol))
+def G_star(z: complex, w1: complex, w1t: complex, w2: complex) -> complex:
+    return cmath.exp(log_G_star(z, w1, w1t, w2))
 
 
 # ---------------------------------------------------------------------------
@@ -785,45 +786,46 @@ def reflection_predicates(w1: complex, w1t: complex, w2: complex) -> list[Predic
     return [im_ratio_predicate("w1/w2", w1, w2), im_ratio_predicate("w1t/w2", w1t, w2)]
 
 
-def reflection_rhs_F(z: complex, w1: complex, w1t: complex, w2: complex,
-                     tol: float = 1e-12) -> complex:
+def reflection_rhs_F(z: complex, w1: complex, w1t: complex, w2: complex) -> complex:
     """prod_{k>=0}(1 - x2 p^k) prod_{k>=1}(1 - x2^(-1) p^k)^(-1),
-    p = (q2 q2t)^(1/2); requires Im(w1/w2) > 0 and Im(w1t/w2) > 0."""
+    p = (q2 q2t)^(1/2), each product to tolerance 1e-12; requires
+    Im(w1/w2) > 0 and Im(w1t/w2) > 0."""
     require(reflection_predicates(w1, w1t, w2), "reflection RHS (F)")
     obar = (w1 + w1t) / 2
     x2 = cmath.exp(TWO_PI_I * z / w2)
     p = cmath.exp(TWO_PI_I * obar / w2)
-    return (_qprod(x2, p, tol, "reflection RHS F (x2 family)")
-            / _qprod(p / x2, p, tol, "reflection RHS F (1/x2 family)"))
+    return (_qprod(x2, p, 1e-12, "reflection RHS F (x2 family)")
+            / _qprod(p / x2, p, 1e-12, "reflection RHS F (1/x2 family)"))
 
 
-def reflection_rhs_G(z: complex, w1: complex, w1t: complex, w2: complex,
-                     tol: float = 1e-12) -> complex:
+def reflection_rhs_G(z: complex, w1: complex, w1t: complex, w2: complex) -> complex:
     """prod_{k1,k2>=0} (1 - x2 q2^(k1+1/2) q2t^(k2+1/2))
-                       (1 - x2^(-1) q2^(k1+1/2) q2t^(k2+1/2));
-    requires Im(w1/w2) > 0 and Im(w1t/w2) > 0."""
+                       (1 - x2^(-1) q2^(k1+1/2) q2t^(k2+1/2)),
+    each double product to tolerance 1e-12; requires Im(w1/w2) > 0 and
+    Im(w1t/w2) > 0."""
     require(reflection_predicates(w1, w1t, w2), "reflection RHS (G)")
     x2 = cmath.exp(TWO_PI_I * z / w2)
     q2h = cmath.exp(1j * math.pi * w1 / w2)
     q2th = cmath.exp(1j * math.pi * w1t / w2)
     a, b = q2h * q2h, q2th * q2th
-    return (_qprod2(x2 * q2h * q2th, a, b, tol, "reflection RHS G (x2 family)")
-            * _qprod2(q2h * q2th / x2, a, b, tol, "reflection RHS G (1/x2 family)"))
+    return (_qprod2(x2 * q2h * q2th, a, b, 1e-12, "reflection RHS G (x2 family)")
+            * _qprod2(q2h * q2th / x2, a, b, 1e-12, "reflection RHS G (1/x2 family)"))
 
 
 # ---------------------------------------------------------------------------
 # residue lemma
 
 
-def residue_lemma_check(w: complex, d: int, tol: float = 1e-10) -> Residual:
-    """Quadrature of -int_C e^(ws) s^(1-d) / (e^(ws)-1)^2 ds against
-    (d-1) zeta(d) / (2 pi i) * (w / 2 pi i)^(d-2);  d = 1 uses the factor 1."""
+def residue_lemma_check(w: complex, d: int) -> Residual:
+    """Quadrature (to tolerance 1e-10) of -int_C e^(ws) s^(1-d) / (e^(ws)-1)^2 ds
+    against (d-1) zeta(d) / (2 pi i) * (w / 2 pi i)^(d-2);  d = 1 uses the
+    factor 1."""
     require([Predicate("Re(w) > 0", w.real)], "residue lemma")
 
     def f(s: complex) -> complex:
         return -_exp_over_prod(w, (w, w), s) * s ** (1 - d)
 
-    lhs, err = _contour(f, w, (w, w), ContourSpec(tol=tol))
+    lhs, err = _contour(f, w, (w, w), ContourSpec(tol=1e-10))
     factor = 1.0 if d == 1 else (d - 1) * zeta_int(d)
     rhs = factor / TWO_PI_I * (w / TWO_PI_I) ** (d - 2)
     res = Residual.compare(f"residue_lemma(d={d})", lhs, rhs, 1e-8,
@@ -850,11 +852,11 @@ def fit_loglog_slope(xs, ys) -> tuple[float, float]:
 
 
 def small_w2_remainders(mode: str, z: complex, params: tuple, K: int,
-                        w2s: list[complex], tol: float = 3e-11
-                        ) -> tuple[list[complex], list[complex]]:
+                        w2s: list[complex]) -> tuple[list[complex], list[complex]]:
     """(log X(w2), log X(w2) - S_K(w2)) for each w2, where X is F (params
     (w1bar,)) or G (params (w1, w1t)) and S_K(w2) = sum_{k=0..K} B_k
-    w2^(k-1) m_(k-2) / k! its small-w2 partial sum, m the f or g moments."""
+    w2^(k-1) m_(k-2) / k! its small-w2 partial sum, m the f or g moments.
+    log X is taken at the default ContourSpec tolerance."""
     if mode == "F":
         moment, log_X = f_moment, log_F_contour
     elif mode == "G":
@@ -868,12 +870,12 @@ def small_w2_remainders(mode: str, z: complex, params: tuple, K: int,
         return sum(complex(nums[k]) * w2 ** (k - 1) * moms[k] / math.factorial(k)
                    for k in range(K + 1))
 
-    logs = [log_X(z, *params, w2, ContourSpec(tol=tol))[0] for w2 in w2s]
+    logs = [log_X(z, *params, w2)[0] for w2 in w2s]
     return logs, [lv - S(w2) for w2, lv in zip(w2s, logs)]
 
 
 def asymptotic_order_small_w2(mode: str, z: complex, params: tuple, K: int,
-                              w2_dir: complex, tol: float = 3e-11) -> dict:
+                              w2_dir: complex) -> dict:
     """Empirical order of |log X - S_K| as w2 -> 0 along w2_dir, at
     |w2| = 0.4 * 2^-m, m = 0..6.
 
@@ -882,7 +884,7 @@ def asymptotic_order_small_w2(mode: str, z: complex, params: tuple, K: int,
     log-log slope must be within 0.2 of an integer >= K.
     """
     w2s = [w2_dir * 0.4 * 0.5**m for m in range(7)]
-    _, rem = small_w2_remainders(mode, z, params, K, w2s, tol)
+    _, rem = small_w2_remainders(mode, z, params, K, w2s)
     slope, dev = fit_loglog_slope(w2s, rem)
     nearest = round(slope)
     passed = abs(slope - nearest) <= 0.2 and nearest >= K
@@ -935,9 +937,10 @@ def _infinity_fit_rows(mode: str, w2s: list[complex]) -> list[list[complex]]:
 
 
 def asymptotic_infinity_fit(mode: str, z: complex, params: tuple,
-                            w2_dir: complex, tol: float = 1e-8) -> dict:
+                            w2_dir: complex) -> dict:
     """Fit the large-w2 growth of log F / log G at |w2| = 16 * 2^m, m = 0..7,
-    and compare the leading coefficients with their closed forms.
+    each value to tolerance 1e-8, and compare the leading coefficients with
+    their closed forms.
 
     F:  log F ~ -(pi i/12)(w2/w1bar) + B_1(z/w1bar) log w2 + O(1)
     G:  log G ~ B_{0,2} zeta(3)/(4 pi^2) w2^2 - B_{1,2} zeta(2)/(2 pi i) w2
@@ -947,9 +950,10 @@ def asymptotic_infinity_fit(mode: str, z: complex, params: tuple,
     from .bernoulli import bernoulli_poly
 
     w2s = [w2_dir * 16.0 * 2.0**m for m in range(8)]
+    spec = ContourSpec(tol=1e-8)
     if mode == "F":
         (w1bar,) = params
-        vals = [log_F_contour(z, w1bar, w2, ContourSpec(tol=tol))[0] for w2 in w2s]
+        vals = [log_F_contour(z, w1bar, w2, spec)[0] for w2 in w2s]
         diffs = [vals[j + 1] - vals[j] for j in range(7)]
         coef = _complex_lstsq(_infinity_fit_rows(mode, w2s), diffs)
         targets = {
@@ -959,7 +963,7 @@ def asymptotic_infinity_fit(mode: str, z: complex, params: tuple,
     elif mode == "G":
         w1, w1t = params
         obar = (w1 + w1t) / 2
-        vals = [log_G_value(z, w1, w1t, w2, ContourSpec(tol=tol))[0] for w2 in w2s]
+        vals = [log_G_value(z, w1, w1t, w2, spec)[0] for w2 in w2s]
         diffs = [vals[j + 1] - vals[j] for j in range(7)]
         coef = _complex_lstsq(_infinity_fit_rows(mode, w2s), diffs)
         b02 = complex(multiple_bernoulli(0, 2, z + obar, [w1, w1t]))

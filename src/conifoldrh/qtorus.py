@@ -17,46 +17,28 @@ and in powers of q^(1/2) (cutoff qcut, in half-units).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly
-from .lattice import (BETA, BETA_V, DELTA, DELTA_V, ChargeVector,
-                      RefinedBPSStructure, conifold_omega, skew_pair)
+from .lattice import (DELTA, ChargeVector, RefinedBPSStructure,
+                      conifold_omega, skew_pair)
 
 
 # ---------------------------------------------------------------------------
 # Quadratic refinement
 
 
-@dataclass(frozen=True)
-class QuadraticRefinement:
-    """Sign character with sigma(g1+g2) = (-1)^<g1,g2> sigma(g1) sigma(g2).
+def sigma(g: ChargeVector) -> int:
+    """Quadratic refinement (-1)^(a + a ma + b mb) of g = (a, b, ma, mb).
 
-    Determined by its values on the basis; extended via the cocycle rule.
-    The conifold choice is sigma(beta) = -1, sigma(delta) = +1.  The signs on
-    the magnetic basis are not pinned down by the wall-crossing formulas
-    (magnetic generators never appear inside the jump factors); we take +1.
+    It satisfies sigma(g1+g2) = (-1)^<g1,g2> sigma(g1) sigma(g2), and its
+    values on the basis are the conifold choice sigma(beta) = -1,
+    sigma(delta) = +1.  The signs on the magnetic basis are not pinned down
+    by the wall-crossing formulas (magnetic generators never appear inside
+    the jump factors); they are +1.
     """
-
-    s_beta: int = -1
-    s_delta: int = 1
-    s_beta_v: int = 1
-    s_delta_v: int = 1
-
-    def __call__(self, g: ChargeVector) -> int:
-        base = (self.s_beta ** (g.a % 2) * self.s_delta ** (g.b % 2)
-                * self.s_beta_v ** (g.ma % 2) * self.s_delta_v ** (g.mb % 2))
-        # cross terms: sum over ordered basis pairs i<j of n_i n_j <e_i, e_j>
-        cross = (g.a * g.ma * skew_pair(BETA, BETA_V)
-                 + g.a * g.mb * skew_pair(BETA, DELTA_V)
-                 + g.b * g.ma * skew_pair(DELTA, BETA_V)
-                 + g.b * g.mb * skew_pair(DELTA, DELTA_V))
-        return base * (-1 if cross % 2 else 1)
-
-
-SIGMA = QuadraticRefinement()
+    return -1 if (g.a + g.a * g.ma + g.b * g.mb) % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +277,7 @@ def omega_components(omega: LaurentPoly) -> list[tuple[int, int]]:
     return comps
 
 
-def dt_ray(structure: RefinedBPSStructure,
-           ray_charges: list[tuple[ChargeVector, LaurentPoly]],
+def dt_ray(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
            order: int, qcut: int) -> RaySeries:
     """DT product of one active ray:
     prod_{Z(g) in ray} prod_n E_q((-q^(1/2))^(n+1) y_g)^(-(-1)^n Omega_n(g)).
@@ -365,21 +346,22 @@ def _work_cut(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
               gamma: ChargeVector, order: int, qcut: int) -> int:
     """Enlarged q cutoff for intermediate arithmetic: truncation tails can
     propagate downward by at most the negative shifts q^(-j c/2) appearing in
-    the conjugation, so a margin proportional to order * |c| is added."""
+    the conjugation, so a margin proportional to order * |c| is added.  An
+    empty ray multiplies nothing and needs none."""
+    if not ray_charges:
+        return qcut
     gamma0, _ = _primitive_direction([g for g, _ in ray_charges])
     return qcut + 2 * order * (abs(skew_pair(gamma0, gamma)) + 2)
 
 
-def ray_action(structure: RefinedBPSStructure,
-               ray_charges: list[tuple[ChargeVector, LaurentPoly]],
+def ray_action(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
                gamma: ChargeVector, order: int, qcut: int) -> QTorusElement:
     """Action of the ray automorphism on y_gamma by genuine conjugation of
     y_gamma with the DT product, computed at the enlarged cutoff `_work_cut`
     and truncated at qcut.  Electric gamma and an empty ray act trivially."""
     if gamma.is_electric() or not ray_charges:
         return QTorusElement.generator(gamma)
-    f = dt_ray(structure, ray_charges, order,
-               _work_cut(ray_charges, gamma, order, qcut))
+    f = dt_ray(ray_charges, order, _work_cut(ray_charges, gamma, order, qcut))
     return conjugation_element(f, gamma).truncate_q(qcut)
 
 
@@ -397,11 +379,11 @@ def bps_automorphism(structure: RefinedBPSStructure,
     (a) genuine conjugation of y_gamma by the DT product (`ray_action`),
     (b) the closed-form product at the same enlarged cutoff.  Both are exact
     mod the tracked truncations, so they agree at the reporting cutoff;
-    callers compare them.  Electric gamma and an empty ray act trivially.
+    callers compare them.  Electric gamma and an empty ray act trivially:
+    (a) returns y_gamma without conjugating, and (b) multiplies no factor.
+    `structure` is not read.
     """
-    element = ray_action(structure, ray_charges, gamma, order, qcut)
-    if gamma.is_electric() or not ray_charges:
-        return AutomorphismResult(element, element)
+    element = ray_action(ray_charges, gamma, order, qcut)
     closed = closed_form_element(ray_charges, gamma, order,
                                  _work_cut(ray_charges, gamma, order, qcut))
     return AutomorphismResult(element, closed.truncate_q(qcut))
@@ -445,7 +427,7 @@ def sector_closed_form(gamma: ChargeVector, adeg: int, bdeg: int,
         nonlocal acc
         # the largest j with j g inside bidegree (adeg, bdeg)
         jmax = min(d // abs(n) for d, n in ((adeg, g.a), (bdeg, g.b)) if n)
-        f = RaySeries.binomial(g, -coeff * SIGMA(g), 1, jmax, qcut).pow_int(e)
+        f = RaySeries.binomial(g, -coeff * sigma(g), 1, jmax, qcut).pow_int(e)
         acc = acc.mul(f.as_element(), qcut=qcut).truncate_electric(adeg, bdeg)
 
     for g in ([ChargeVector(1, n) for n in range(0, bdeg + 1)]
@@ -473,7 +455,7 @@ def sector_from_rays(structure: RefinedBPSStructure, gamma: ChargeVector,
     Rays are composed in clockwise order, ell(0), ell(1), ..., ell_inf,
     -ell(-bdeg), ..., -ell(-1); since every multiplier is electric and the
     ray operators fix electric generators, the composition reduces to the
-    product of the per-ray multipliers.
+    product of the per-ray multipliers.  `structure` is not read.
     """
     order = max(adeg, bdeg)
     ray_list: list[list] = [conifold_ray_charges("ell_n", n) for n in range(0, bdeg + 1)]
@@ -482,48 +464,8 @@ def sector_from_rays(structure: RefinedBPSStructure, gamma: ChargeVector,
 
     acc = QTorusElement.generator(ChargeVector())
     for charges in ray_list:
-        action = ray_action(structure, charges, gamma, order, qcut)
+        action = ray_action(charges, gamma, order, qcut)
         mult = QTorusElement({g - gamma: c for g, c in action.terms.items()})
         acc = acc.mul(mult, qcut=qcut).truncate_electric(adeg, bdeg)
     return acc
 
-
-# ---------------------------------------------------------------------------
-# The extended algebra homomorphism (numerical layer)
-
-
-@dataclass(frozen=True)
-class ExtendedMonomial:
-    """q^(k/2) y_(gamma_e + gamma_m), destined for the extended torus algebra."""
-
-    k: int
-    gamma_e: ChargeVector
-    gamma_m: ChargeVector
-
-
-def _theta_of(theta: tuple[complex, complex], g: ChargeVector) -> complex:
-    return g.a * theta[0] + g.b * theta[1]
-
-
-def i_map_eval(m: ExtendedMonomial, tau: complex,
-               theta: tuple[complex, complex]) -> tuple[complex, ChargeVector]:
-    """I(q^(k/2) y_(ge+gm)) = exp(pi i tau k + 2 pi i theta(ge)) y_gm."""
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane (Im tau > 0)")
-    scalar = cmath.exp(1j * math.pi * tau * m.k + 2j * math.pi * _theta_of(theta, m.gamma_e))
-    return scalar, m.gamma_m
-
-
-def star_product_eval(m1: ExtendedMonomial, m2: ExtendedMonomial, tau: complex,
-                      theta: tuple[complex, complex]) -> tuple[complex, ChargeVector]:
-    """Evaluate I(m1) *hat I(m2): the first factor sees theta shifted by
-    -<gm2, -> tau/2 and the second by +<gm1, -> tau/2."""
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane (Im tau > 0)")
-    s1 = cmath.exp(1j * math.pi * tau * m1.k
-                   + 2j * math.pi * (_theta_of(theta, m1.gamma_e)
-                                     - skew_pair(m2.gamma_m, m1.gamma_e) * tau / 2))
-    s2 = cmath.exp(1j * math.pi * tau * m2.k
-                   + 2j * math.pi * (_theta_of(theta, m2.gamma_e)
-                                     + skew_pair(m1.gamma_m, m2.gamma_e) * tau / 2))
-    return s1 * s2, m1.gamma_m + m2.gamma_m

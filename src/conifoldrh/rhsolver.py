@@ -98,20 +98,20 @@ def d_predicates(p: SolutionPoint) -> list[Predicate]:
 # B_n and D_n
 
 
-def log_B_n(p: SolutionPoint, enforce: bool = True, tol: float = 1e-12) -> complex:
+def log_B_n(p: SolutionPoint, enforce: bool = True) -> complex:
     """log B_n = log F*(v + n w | w, -t); b_predicates contains the F*
     checklist, so it is checked here once."""
     if enforce:
         require(b_predicates(p), f"B_{p.n}")
     z = p.v + p.n * p.w
-    return log_F_star(z, p.w, -p.t, tol=tol, enforce=False)
+    return log_F_star(z, p.w, -p.t, enforce=False)
 
 
-def B_n(p: SolutionPoint, enforce: bool = True, tol: float = 1e-12) -> complex:
-    return cmath.exp(log_B_n(p, enforce, tol))
+def B_n(p: SolutionPoint, enforce: bool = True) -> complex:
+    return cmath.exp(log_B_n(p, enforce))
 
 
-def log_D_n(p: SolutionPoint, enforce: bool = True, tol: float = 3e-11) -> complex:
+def log_D_n(p: SolutionPoint, enforce: bool = True) -> complex:
     """log D_n per the shifted-argument product formula.
 
     The tau-neighborhood predicates (Im(dw/omega) > 0 for the G* factor) are
@@ -126,16 +126,16 @@ def log_D_n(p: SolutionPoint, enforce: bool = True, tol: float = 3e-11) -> compl
     tt2 = t * tau / 2
     w1, w1t = p.w - tt2, p.w + tt2
     z0 = p.v + n * p.w - n * tt2
-    total = log_G_star(z0, w1, w1t, -t, tol=tol, enforce=False)
+    total = log_G_star(z0, w1, w1t, -t, enforce=False)
     for k in range(n):
         zk = p.v + n * p.w + (1 - n + 2 * k) * tt2
         # B_0(zk, w + t tau/2, t) = F*(zk | w + t tau/2, -t)
-        total += log_F_star(zk, w1t, -t, tol=min(tol, 1e-12), enforce=False)
+        total += log_F_star(zk, w1t, -t, enforce=False)
     return total
 
 
-def D_n(p: SolutionPoint, enforce: bool = True, tol: float = 3e-11) -> complex:
-    return cmath.exp(log_D_n(p, enforce, tol))
+def D_n(p: SolutionPoint) -> complex:
+    return cmath.exp(log_D_n(p))
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +178,15 @@ def _xy_for_reflection(p: SolutionPoint) -> tuple[complex, complex]:
     return x, y
 
 
-def reflection_B_rhs(p: SolutionPoint, tol: float = 1e-15) -> complex:
-    """prod_{n>=0} (1 - x y^n) * prod_{n>=1} (1 - x^(-1) y^n)^(-1)."""
+def reflection_B_rhs(p: SolutionPoint) -> complex:
+    """prod_{n>=0} (1 - x y^n) * prod_{n>=1} (1 - x^(-1) y^n)^(-1), each
+    product to tolerance 1e-15."""
     x, y = _xy_for_reflection(p)
-    return (_qprod(x, y, tol, "reflection (B), x family")
-            / _qprod(y / x, y, tol, "reflection (B), 1/x family"))
+    return (_qprod(x, y, 1e-15, "reflection (B), x family")
+            / _qprod(y / x, y, 1e-15, "reflection (B), 1/x family"))
 
 
-def reflection_D_rhs(p: SolutionPoint, tol: float = 1e-15) -> complex:
+def reflection_D_rhs(p: SolutionPoint) -> complex:
     """The three product families of the quantum reflection identity:
 
     prod_{n>=1} prod_{k=0}^{n-1} (1 - q^((1-n+2k)/2) x y^n)
@@ -194,7 +195,8 @@ def reflection_D_rhs(p: SolutionPoint, tol: float = 1e-15) -> complex:
 
     With n = i + j + 1 and k = j each factor is 1 - u a^j b^i,
     a = q^(1/2) y, b = q^(-1/2) y, so the quotient is
-    P(x y) P(y/x) / (P(q^(1/2) y) P(q^(-1/2) y)), P(u) = prod_{i,j>=0} (1 - u a^j b^i).
+    P(x y) P(y/x) / (P(q^(1/2) y) P(q^(-1/2) y)), P(u) = prod_{i,j>=0} (1 - u a^j b^i),
+    each P to tolerance 1e-15.
     """
     x, y = _xy_for_reflection(p)
     qh = p.q_half
@@ -204,7 +206,7 @@ def reflection_D_rhs(p: SolutionPoint, tol: float = 1e-15) -> complex:
             "reflection (D) product")
 
     def P(u: complex, family: str) -> complex:
-        return _qprod2(u, a, b, tol, f"reflection (D), {family} family")
+        return _qprod2(u, a, b, 1e-15, f"reflection (D), {family} family")
 
     return P(x * y, "x") * P(y / x, "1/x") / (P(a, "q^(1/2)") * P(b, "q^(-1/2)"))
 

@@ -70,6 +70,17 @@ def test_eval_bernoulli(tmp_path):
     assert abs(complex(*data["value"]) - 1 / 6) < 1e-15
 
 
+def test_eval_f_moment_past_the_closed_forms(tmp_path):
+    """An f moment of order 5 has no closed form in `polylog` and takes
+    quadrature: exit 0 with the 30-digit value to 1e-12."""
+    code, data = run_cli(tmp_path, "eval", "--target", "moments",
+                         "--param", "order=5", "--param", "z=0.3+0.4i",
+                         "--param", "w1bar=1+0.05i")
+    assert code == EXIT_OK
+    want = 5283.513655975045 + 5231.7508576876935j
+    assert abs(complex(*data["value"]) - want) <= 1e-12 * abs(want)
+
+
 def test_verify_algebra_passes(tmp_path):
     code, data = run_cli(tmp_path, "verify", "--suite", "algebra",
                          "--order-N", "3", "--order-K", "12")
@@ -389,8 +400,8 @@ def test_inversion_row_fails_on_perturbed_coefficient(monkeypatch):
     good = qtorus.ray_action
     calls = []
 
-    def perturbed(s, ray, gamma, order, qcut):
-        action = good(s, ray, gamma, order, qcut)
+    def perturbed(ray, gamma, order, qcut):
+        action = good(ray, gamma, order, qcut)
         calls.append(gamma)
         if len(calls) > 1:
             return action
@@ -408,9 +419,10 @@ def test_inversion_row_fails_on_perturbed_coefficient(monkeypatch):
 
 
 def test_closed_form_mismatch_is_a_failed_check(tmp_path, monkeypatch):
-    """A closed form off by one y_gm fails the 8 magnetic
-    `conjugation == closed form` rows of the algebra suite (exit 1); the
-    electric rows never build it and the other rows do not read it."""
+    """A closed form off by one y_gm fails all 16 `conjugation == closed
+    form` rows of the algebra suite (exit 1): the 8 magnetic rows and the 8
+    electric ones, whose closed form multiplies no factor; the other rows do
+    not read it."""
     from conifoldrh import qtorus
     from conifoldrh.laurent import LaurentPoly
 
@@ -424,7 +436,7 @@ def test_closed_form_mismatch_is_a_failed_check(tmp_path, monkeypatch):
     code, data = run_cli(tmp_path, "verify", "--suite", "algebra")
     assert code == EXIT_CHECK
     failed = [c["name"] for c in data["checks"] if not c["passed"]]
-    assert data["n_failed"] == 8 and all("closed form" in n for n in failed)
+    assert data["n_failed"] == 16 and all("closed form" in n for n in failed)
 
 
 def test_extension_row_fails_on_perturbed_side(monkeypatch):

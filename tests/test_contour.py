@@ -1,12 +1,13 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from conifoldrh.contour import (SAFETY, ContourSpec, QuadratureError,
                                 RotationError, detour_integral, hull_rotation,
                                 integrate_segment)
-from conifoldrh import multisine
+from conifoldrh import contour, multisine
 from conifoldrh.checks import Predicate, require
 from conifoldrh.lattice import RegionError
 from conifoldrh.multisine import (TWO_PI_I, f_moment_quad, f_moment_series,
@@ -75,40 +76,45 @@ def test_one_panel_is_21_evaluations():
 
 
 @pytest.mark.parametrize("k", range(32))
-def test_kronrod_rule_exact_to_degree_31(k):
-    val, _ = integrate_segment(lambda s: s**k, SEG_A, SEG_B, 1.0, max_panels=1)
+def test_kronrod_rule_exact_to_degree_31(k, monkeypatch):
+    monkeypatch.setattr(contour, "MAX_PANELS", 1)
+    val, _ = integrate_segment(lambda s: s**k, SEG_A, SEG_B, 1.0)
     exact = _power_integral(k)
     assert abs(val - exact) <= 1e-14 * max(1.0, abs(exact))
 
 
 @pytest.mark.parametrize("k", range(20))
-def test_embedded_gauss_rule_exact_to_degree_19(k):
+def test_embedded_gauss_rule_exact_to_degree_19(k, monkeypatch):
     # on one panel the estimate is |K21 - G10|; K21 is exact here, so the
     # estimate is the G10 error
-    _, err = integrate_segment(lambda s: s**k, SEG_A, SEG_B, 1.0, max_panels=1)
+    monkeypatch.setattr(contour, "MAX_PANELS", 1)
+    _, err = integrate_segment(lambda s: s**k, SEG_A, SEG_B, 1.0)
     assert err <= 1e-14 * max(1.0, abs(_power_integral(k)))
 
 
-def test_embedded_gauss_rule_not_exact_at_degree_20():
-    _, err = integrate_segment(lambda s: s**20, SEG_A, SEG_B, 1.0, max_panels=1)
+def test_embedded_gauss_rule_not_exact_at_degree_20(monkeypatch):
+    monkeypatch.setattr(contour, "MAX_PANELS", 1)
+    _, err = integrate_segment(lambda s: s**20, SEG_A, SEG_B, 1.0)
     assert err > 1e-12
 
 
-def test_exhausted_budget_returns_estimate():
+def test_exhausted_budget_returns_estimate(monkeypatch):
     """Past the panel budget the call returns its estimate, above SAFETY*tol,
-    instead of raising: exactly max_panels panels, 21 (2 n - 1) calls."""
+    instead of raising: exactly MAX_PANELS panels, 21 (2 n - 1) calls."""
+    monkeypatch.setattr(contour, "MAX_PANELS", 50)
     f = Counted(cmath.sqrt)
-    val, err = integrate_segment(f, 0.0, 1 + 1j, 1e-30, max_panels=50)
+    val, err = integrate_segment(f, 0.0, 1 + 1j, 1e-30)
     assert f.calls == 21 * (2 * 50 - 1)
     assert err > SAFETY * 1e-30
     assert abs(val - 2 / 3 * (1 + 1j) ** 1.5) < 1e-6
 
 
-def test_detour_arc_honours_panel_budget():
-    """max_panels caps the origin semicircle as well as the half-lines."""
+def test_detour_arc_honours_panel_budget(monkeypatch):
+    """MAX_PANELS caps the origin semicircle as well as the half-lines."""
+    monkeypatch.setattr(contour, "MAX_PANELS", 20)
     f = Counted(lambda s: s**-4)
     with pytest.raises(QuadratureError):
-        detour_integral(f, 1e-3, 8.0, 1 + 0j, 1e-14, max_panels=20)
+        detour_integral(f, 1e-3, 8.0, 1 + 0j, 1e-14)
     # 13 half-line segments on each side plus the arc, each at most
     # 21 (2 * 20 - 1) calls
     assert f.calls <= 27 * 21 * (2 * 20 - 1)
@@ -160,6 +166,20 @@ def test_f_moment_routes_agree(order):
     q = f_moment_quad(order, Z, OB)[0]
     s = f_moment_series(order, Z, OB)
     assert abs(q - s) <= 1e-9 * max(1.0, abs(s))
+
+
+@pytest.mark.parametrize("order", [-3, 5])
+def test_f_moment_past_the_closed_forms_takes_quadrature(order):
+    """`polylog` has no closed form of Li_(-order) for order -3 or 5: the
+    series refuses by its order predicate, and `f_moment` takes quadrature,
+    which matches (2 pi i/w1bar)^(order+1) Li_(-order)(x1) from mpmath."""
+    with pytest.raises(RegionError, match="-2 <= order <= 4"):
+        f_moment_series(order, Z, OB)
+    with mpmath.workdps(30):
+        z, ob = mpmath.mpc(Z), mpmath.mpc(OB)
+        x1 = mpmath.exp(2j * mpmath.pi * z / ob)
+        ref = complex((2j * mpmath.pi / ob) ** (order + 1) * mpmath.polylog(-order, x1))
+    assert abs(multisine.f_moment(order, Z, OB) - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("order", [-2, -1, 0, 1])

@@ -10,8 +10,8 @@ from conifoldrh.multisine import (PoleZeroError, f_moment, g_moment,
                                   log_F_contour, log_G_cached, log_G_contour,
                                   qdilog_numeric)
 from conifoldrh.qtorus import QTorusElement, conifold_ray_charges, dt_ray
-from conifoldrh.lattice import BETA_V, conifold_bps
-from conifoldrh.rhsolver import SolutionPoint, B_n, D_n, sin3
+from conifoldrh.lattice import BETA_V
+from conifoldrh.rhsolver import SolutionPoint, B_n, log_D_n, sin3
 
 Z, OB, W2 = 0.3 + 0.4j, 1 + 0.5j, 0.8 - 0.1j
 W1, W1T = 1 + 0.1j, 0.95 - 0.07j
@@ -73,13 +73,12 @@ def test_symmetry_extension_mirrored_points():
         pm = SolutionPoint(-v, -w, -t, tau, n)
         b, bm = B_n(p, enforce=False), B_n(pm, enforce=False)
         assert abs(b - bm) / abs(b) < 1e-8
-        d, dm = D_n(p, enforce=False), D_n(pm, enforce=False)
+        d, dm = (cmath.exp(log_D_n(q, enforce=False)) for q in (p, pm))
         assert abs(d - dm) / abs(d) < 1e-8
 
 
 def test_serialization_shapes():
-    s = conifold_bps(0.3 + 0.4j, 1.0)
-    ser = dt_ray(s, conifold_ray_charges("ell_n", 0), 2, 8).to_json()
+    ser = dt_ray(conifold_ray_charges("ell_n", 0), 2, 8).to_json()
     assert ser[0] == {"power": 0, "coeff": [[0, "1"]]}
     assert all(set(row) == {"power", "coeff"} for row in ser)
     el = QTorusElement.generator(BETA_V).to_json()

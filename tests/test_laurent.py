@@ -29,15 +29,9 @@ def test_mul_associative_and_distributive(a, b, c):
     assert A * (B + C) == A * B + A * C
 
 
-@given(coeffs)
-def test_negate_var_is_involution(a):
-    A = lp(a)
-    assert A.negate_var().negate_var() == A
-
-
 def test_no_zero_coefficients_stored():
     p = lp({0: 1, 2: Fraction(0)})
-    assert p.support() == [0]
+    assert dict(p.items()) == {0: 1}
     assert (p - p).is_zero()
 
 
@@ -53,12 +47,6 @@ def test_inverse_monomial():
     assert p * p.inverse_monomial() == LaurentPoly.one()
     with pytest.raises(ValueError):
         lp({0: 1, 1: 1}).inverse_monomial()
-
-
-def test_evaluate():
-    p = lp({-1: 1, 2: 3})   # q^(-1/2) + 3 q
-    v = p.evaluate(0.5j)
-    assert abs(v - (1 / 0.5j + 3 * (0.5j) ** 2)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +170,7 @@ def test_product_path_by_operands(monkeypatch):
                  (dense, LaurentPoly.zero()), (small, small)):
         assert dict((a * b).items()) == schoolbook(dict(a.items()), dict(b.items()))
     assert len(calls) == 1
-    assert laurent.KRONECKER_MIN_TERMS > len(small.support()) ** 2
+    assert laurent.KRONECKER_MIN_TERMS > len(small.items()) ** 2
 
 
 def test_product_slots_hold_the_extreme_coefficients():

@@ -1,0 +1,71 @@
+"""Every name the package and the benchmark define is read somewhere.
+
+The package's reachable surface is what `src/conifoldrh` and `bench/` load.
+A module-level function, class or constant, or a non-dunder method, that no
+`Name`, `Attribute` or import alias in those trees loads outside its own
+definition is dead API, and this test names it.  Names are matched as
+spelled, so an attribute `.x` anywhere keeps every method `x` alive: the
+check finds names nothing reads at all, not every unused binding.  Test
+modules under `bench/` are read for loads only (pytest calls their
+functions by collection).
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _sources() -> list[Path]:
+    return sorted([*(ROOT / "src" / "conifoldrh").glob("*.py"),
+                   *(ROOT / "bench").glob("*.py")])
+
+
+def _definitions(tree: ast.Module):
+    """(name, first line, last line) of each module-level function, class
+    and assigned constant, and each non-dunder method of a module-level
+    class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield item.name, item.lineno, item.end_lineno
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                yield target.id, node.lineno, node.end_lineno
+
+
+def _loads(tree: ast.Module):
+    """(name, line) of every name the module loads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                for part in alias.name.split("."):
+                    yield part, node.lineno
+
+
+def unread_names() -> list[str]:
+    defs, loads = [], {}
+    for path in _sources():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        rel = path.relative_to(ROOT).as_posix()
+        if not path.name.startswith("test_"):
+            defs += [(rel, *d) for d in _definitions(tree)]
+        for name, line in _loads(tree):
+            loads.setdefault(name, []).append((rel, line))
+    return [f"{rel}:{first} {name}" for rel, name, first, last in defs
+            if not any(where != rel or not first <= line <= last
+                       for where, line in loads.get(name, ()))]
+
+
+def test_every_defined_name_is_read():
+    unread = unread_names()
+    assert not unread, "defined but never read: " + ", ".join(unread)

@@ -49,7 +49,6 @@ CASES = {
     "region_neighborhood_tau": lambda: rhsolver.region_neighborhood_tau(
         1.0, 1.0, 0.2 + 0.7j, 0),
     "conifold_bps": lambda: lattice.conifold_bps(1.0, 1.0),
-    "RayGeometry": lambda: lattice.RayGeometry(1.0, 1.0),
     "hull_rotation": lambda: hull_rotation([1.0, -1.0], ["a", "b"]),
 }
 
