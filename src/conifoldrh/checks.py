@@ -81,8 +81,12 @@ class Residual:
                    meta=meta or {})
 
     @classmethod
-    def exact(cls, name: str, equal: bool, meta: dict | None = None) -> "Residual":
-        """Record for an exact (rational-arithmetic) comparison."""
+    def exact(cls, name: str, lhs, rhs, meta: dict | None = None) -> "Residual":
+        """Record for an exact comparison of two exact values (LaurentPoly,
+        QTorusElement, Fraction, int, bool, or lists of them), made here.
+        Only their equality is recorded: `lhs` and `rhs` read 0, and both
+        errors 0 when equal, inf otherwise."""
+        equal = bool(lhs == rhs)
         return cls(name=name, lhs=0, rhs=0, abs_err=0.0 if equal else float("inf"),
                    rel_err=0.0 if equal else float("inf"), tol=0.0, passed=equal,
                    meta=meta or {})

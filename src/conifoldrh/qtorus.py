@@ -128,12 +128,24 @@ class RaySeries:
 
     @classmethod
     def binomial(cls, gamma0: ChargeVector, coeff: LaurentPoly, power: int,
-                 order: int, qcut: int) -> "RaySeries":
-        """1 + coeff u^power, coeff truncated at qcut; the one series when
-        power > order."""
+                 e: int, order: int, qcut: int) -> "RaySeries":
+        """(1 + c u^power)^e = sum_j C(e, j) c^j u^(j power) for any integer
+        e, with c = coeff truncated at qcut and each c^j truncated at qcut;
+        the one series when power > order.  C(e, j) = e (e-1) ... (e-j+1)/j!
+        is an integer also for e < 0, so no factor is inverted.  For e >= 0
+        this equals e truncated products of the factor; for e < 0, products
+        of its inverse, when c is a monomial, as in every factor of this
+        module (with exponents of both signs in c, truncation does not
+        commute with products, and the two can differ near the cutoff)."""
+        c = coeff.truncate(qcut)
         coeffs = [LaurentPoly.one()] + [LaurentPoly.zero()] * order
-        if power <= order:
-            coeffs[power] = coeff.truncate(qcut)
+        binom = 1
+        for j in range(1, order // power + 1):
+            binom = binom * (e - j + 1) // j
+            if binom == 0:
+                break
+            pw = c if j == 1 else (pw * c).truncate(qcut)
+            coeffs[j * power] = pw if binom == 1 else pw * binom
         return cls(gamma0, tuple(coeffs), qcut)
 
     def _like(self, coeffs) -> "RaySeries":
@@ -168,10 +180,12 @@ class RaySeries:
         return self._like(out)
 
     def pow_int(self, e: int) -> "RaySeries":
-        base = self if e >= 0 else self.inverse()
-        acc = RaySeries.one(self.gamma0, self.order, self.qcut)
-        for _ in range(abs(e)):
-            acc = acc.mul(base)
+        """self^e for e >= 1 by e - 1 products."""
+        if e < 1:
+            raise ValueError("pow_int takes an exponent e >= 1")
+        acc = self
+        for _ in range(e - 1):
+            acc = acc.mul(self)
         return acc
 
     def scale_arg(self, half_exp: int) -> "RaySeries":
@@ -196,21 +210,25 @@ class RaySeries:
 # Quantum dilogarithm series
 
 
-def eq_coefficients(jmax: int, qcut: int) -> list[LaurentPoly]:
-    """Coefficients of x^j in E_q(x) = prod_{k>=0} (1 - x q^k), mod q-tail.
+def eq_coefficients(jmax: int, qcut: int, inverse: bool = False) -> list[LaurentPoly]:
+    """Coefficients of x^j, j <= jmax, in E_q(x) = prod_{k>=0} (1 - x q^k),
+    or with `inverse` in 1/E_q(x) = sum_j x^j / (q;q)_j (Euler; Andrews,
+    The Theory of Partitions, Cor. 2.2), mod q-tail.
 
-    From E_q(x) = (1-x) E_q(qx):  c_j (1 - q^j) = -q^(j-1) c_{j-1}.  Each
-    coefficient is found by dividing by (1 - q^j) as a running sum over the
-    half-exponents n <= qcut:  d[n] = d[n - 2j] - a[n],  a = q^(j-1) c_{j-1}.
-    Every c_j has only non-negative exponents, so no term below the cutoff is
-    lost.
+    From E_q(x) = (1-x) E_q(qx):  c_j (1 - q^j) = -q^(j-1) c_{j-1}, and for
+    the inverse  d_j (1 - q^j) = d_{j-1}.  Each coefficient is found by
+    dividing by (1 - q^j) as a running sum over the half-exponents
+    n <= qcut:  d[n] = d[n - 2j] + a[n],  a = -q^(j-1) c_{j-1}, or d_{j-1}.
+    Every coefficient has only non-negative exponents, so no term below the
+    cutoff is lost.
     """
     coeffs = [LaurentPoly.one()]
     for j in range(1, jmax + 1):
+        shift, sign = (0, 1) if inverse else (2 * (j - 1), -1)
         d = [0] * (qcut + 1)
         for n, a in coeffs[-1].items():
-            if n + 2 * (j - 1) <= qcut:
-                d[n + 2 * (j - 1)] = -a
+            if n + shift <= qcut:
+                d[n + shift] = sign * a
         for n in range(2 * j, qcut + 1):
             d[n] += d[n - 2 * j]
         coeffs.append(LaurentPoly(dict(enumerate(d))))
@@ -218,10 +236,15 @@ def eq_coefficients(jmax: int, qcut: int) -> list[LaurentPoly]:
 
 
 def qdilog_series(u_prefactor: LaurentPoly, order: int, qcut: int,
-                  gamma0: ChargeVector = DELTA, power: int = 1) -> RaySeries:
-    """E_q(u_prefactor * y_(power*gamma0)) as a RaySeries in u = y_gamma0.
+                  gamma0: ChargeVector = DELTA, power: int = 1,
+                  inverse: bool = False,
+                  table: list[LaurentPoly] | None = None) -> RaySeries:
+    """E_q(u_prefactor * y_(power*gamma0)), or its inverse, as a RaySeries
+    in u = y_gamma0.
 
-    The x^j coefficient of E_q lands at u-power j*power with an extra
+    The x^j coefficient of E_q or 1/E_q (`eq_coefficients(order // power,
+    qcut, inverse)`, or the first entries of `table`, a longer table built
+    with the same qcut and `inverse`) lands at u-power j*power with an extra
     u_prefactor^j.
     """
     if order < 0:
@@ -229,7 +252,7 @@ def qdilog_series(u_prefactor: LaurentPoly, order: int, qcut: int,
     if power < 1:
         raise ValueError("power must be a positive integer")
     jmax = order // power
-    base = eq_coefficients(jmax, qcut)
+    base = table if table is not None else eq_coefficients(jmax, qcut, inverse)
     out = [LaurentPoly.zero()] * (order + 1)
     out[0] = LaurentPoly.one()
     pref = LaurentPoly.one()
@@ -281,17 +304,25 @@ def dt_ray(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
            order: int, qcut: int) -> RaySeries:
     """DT product of one active ray:
     prod_{Z(g) in ray} prod_n E_q((-q^(1/2))^(n+1) y_g)^(-(-1)^n Omega_n(g)).
+
+    A factor with a negative exponent is a power of 1/E_q, taken from its
+    own series; the tables of E_q and 1/E_q are built once per call, to
+    x^order, and every factor reads its first entries.
     """
     if not ray_charges:
         return RaySeries.one(DELTA, order, qcut)
     gamma0, mults = _primitive_direction([g for g, _ in ray_charges])
+    tables: dict[bool, list[LaurentPoly]] = {}
     acc = RaySeries.one(gamma0, order, qcut)
     for (gamma, omega), w in zip(ray_charges, mults):
         for n, omega_n in omega_components(omega):
-            factor = qdilog_series(minus_q_half_power(n + 1), order, qcut,
-                                   gamma0=gamma0, power=w)
             e = -omega_n if n % 2 == 0 else omega_n
-            acc = acc.mul(factor.pow_int(e))
+            inverse = e < 0
+            if inverse not in tables:
+                tables[inverse] = eq_coefficients(order, qcut, inverse)
+            factor = qdilog_series(minus_q_half_power(n + 1), order, qcut,
+                                   gamma0, w, inverse, tables[inverse])
+            acc = acc.mul(factor.pow_int(abs(e)))
     return acc
 
 
@@ -337,8 +368,7 @@ def closed_form_element(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
             for k in range(m_abs):
                 coeff = LaurentPoly.monomial(n + 2 * k + 1 - m_abs,
                                              -1 if n % 2 else 1)
-                factor = RaySeries.binomial(gamma0, coeff, w, order, qcut)
-                acc = acc.mul(factor.pow_int(e))
+                acc = acc.mul(RaySeries.binomial(gamma0, coeff, w, e, order, qcut))
     return acc.as_element(carrier=gamma_m)
 
 
@@ -427,7 +457,7 @@ def sector_closed_form(gamma: ChargeVector, adeg: int, bdeg: int,
         nonlocal acc
         # the largest j with j g inside bidegree (adeg, bdeg)
         jmax = min(d // abs(n) for d, n in ((adeg, g.a), (bdeg, g.b)) if n)
-        f = RaySeries.binomial(g, -coeff * sigma(g), 1, jmax, qcut).pow_int(e)
+        f = RaySeries.binomial(g, -coeff * sigma(g), 1, e, jmax, qcut)
         acc = acc.mul(f.as_element(), qcut=qcut).truncate_electric(adeg, bdeg)
 
     for g in ([ChargeVector(1, n) for n in range(0, bdeg + 1)]

@@ -81,6 +81,21 @@ def test_eval_f_moment_past_the_closed_forms(tmp_path):
     assert abs(complex(*data["value"]) - want) <= 1e-12 * abs(want)
 
 
+def test_eval_f_moment_near_unit_x1(tmp_path):
+    """|x1| = 1 - 6.3e-7: Li_2 by its series in log x1; exit 0 with the
+    30-digit value to 1e-12."""
+    import mpmath
+
+    code, data = run_cli(tmp_path, "eval", "--target", "moments",
+                         "--param", "order=-2", "--param", "z=1e-7i",
+                         "--param", "w1bar=1")
+    assert code == EXIT_OK
+    with mpmath.workdps(30):
+        x1 = mpmath.exp(-2 * mpmath.pi * mpmath.mpf("1e-7"))
+        want = complex(mpmath.polylog(2, x1) / (2j * mpmath.pi))
+    assert abs(complex(*data["value"]) - want) <= 1e-12 * abs(want)
+
+
 def test_verify_algebra_passes(tmp_path):
     code, data = run_cli(tmp_path, "verify", "--suite", "algebra",
                          "--order-N", "3", "--order-K", "12")
@@ -361,11 +376,54 @@ def test_failed_exact_check_is_strict_json(tmp_path, monkeypatch):
     from conifoldrh.checks import Residual
 
     monkeypatch.setitem(cli._SUITE_FUNCS, "bernoulli",
-                        lambda *a: [Residual.exact("forced", False)])
+                        lambda *a: [Residual.exact("forced", 0, 1)])
     out = tmp_path / "x.json"
     assert main(["verify", "--suite", "bernoulli", "--out", str(out)]) == EXIT_CHECK
     row = json.loads(out.read_text(), parse_constant=_no_constants)["checks"][0]
     assert row["passed"] is False and row["rel_err"] is None
+
+
+def _moved(x):
+    """x off its value: an exact value by one unit of its own type, a list
+    element by element."""
+    from conifoldrh.laurent import LaurentPoly
+    from conifoldrh.lattice import ChargeVector
+    from conifoldrh.qtorus import QTorusElement
+
+    if isinstance(x, list):
+        return [_moved(v) for v in x]
+    if isinstance(x, LaurentPoly):
+        return x + LaurentPoly.one()
+    if isinstance(x, QTorusElement):
+        return x + QTorusElement.generator(ChargeVector())
+    return x + 1    # int, bool, Fraction
+
+
+def test_every_verify_row_can_fail(tmp_path, monkeypatch):
+    """With the right side of every row moved, every row of `verify --suite
+    all` fails: an exact row by one unit of its type, a numerical row by
+    4 tol relative (absolute below 1).  So every verdict is formed from the
+    row's two sides by `Residual.exact` or `Residual.compare`: no row records
+    a finished verdict, and no tolerance hides a 4 tol error.  (A row whose
+    two sides are one computation still passes this; the per-row tests
+    perturb a side's computation.)"""
+    from conifoldrh.checks import Residual
+
+    compare, exact = Residual.compare, Residual.exact
+
+    def moved_compare(cls, name, lhs, rhs, tol, meta=None):
+        rhs = complex(rhs)
+        return compare(name, lhs, rhs + 4 * tol * max(abs(rhs), 1.0), tol, meta)
+
+    def moved_exact(cls, name, lhs, rhs, meta=None):
+        return exact(name, lhs, _moved(rhs), meta)
+
+    monkeypatch.setattr(Residual, "compare", classmethod(moved_compare))
+    monkeypatch.setattr(Residual, "exact", classmethod(moved_exact))
+    code, data = run_cli(tmp_path, "verify", "--suite", "all")
+    assert code == EXIT_CHECK
+    assert data["n_checks"] == 103
+    assert [c["name"] for c in data["checks"] if c["passed"]] == []
 
 
 @pytest.mark.parametrize("schedule", ["t:4:1:3", "t:4:2:1"])
@@ -416,6 +474,28 @@ def test_inversion_row_fails_on_perturbed_coefficient(monkeypatch):
     assert not row.passed
     assert row.meta["pairs"] == {"ell_1 beta_v": False, "ell_1 delta_v": True,
                                  "ell_inf beta_v": True, "ell_inf delta_v": True}
+
+
+def test_inverse_dilog_row_fails_on_wrong_table(tmp_path, monkeypatch):
+    """The dilog suite's `1/E_q` row compares Euler's series with the generic
+    inverse of the E_q series; one coefficient off in the inverse table fails
+    it and no other row."""
+    from conifoldrh import qtorus
+    from conifoldrh.laurent import LaurentPoly
+
+    good = qtorus.eq_coefficients
+
+    def off(jmax, qcut, inverse=False):
+        table = good(jmax, qcut, inverse)
+        if inverse:
+            table[2] = table[2] + LaurentPoly.one()
+        return table
+
+    monkeypatch.setattr(qtorus, "eq_coefficients", off)
+    code, data = run_cli(tmp_path, "verify", "--suite", "dilog")
+    assert code == EXIT_CHECK
+    assert [c["name"] for c in data["checks"] if not c["passed"]] == [
+        "E_q(x)^(-1) by Euler's series == generic inverse"]
 
 
 def test_closed_form_mismatch_is_a_failed_check(tmp_path, monkeypatch):

@@ -182,6 +182,35 @@ def test_f_moment_past_the_closed_forms_takes_quadrature(order):
     assert abs(multisine.f_moment(order, Z, OB) - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("r", [0.9, 0.999, 1 - 1e-7])
+@pytest.mark.parametrize("arg", [0.0, 0.4, -1.7, 3.1])
+def test_li2_near_the_unit_circle(r, arg):
+    """Li_2 past |x| = 1/2 takes the series in log x, which converges up to
+    |x| -> 1, where the power series would need about 37/(1 - |x|) terms."""
+    x = r * cmath.exp(1j * arg)
+    ref = complex(mpmath.polylog(2, mpmath.mpc(x)))
+    assert abs(multisine.polylog(2, x) - ref) <= 1e-12 * abs(ref)
+
+
+def test_li2_on_both_sides_of_the_switch():
+    for r in (multisine.LI2_SWITCH, multisine.LI2_SWITCH * (1 + 1e-15), 0.3, 0.7):
+        for arg in (0.0, 1.0, math.pi):
+            x = r * cmath.exp(1j * arg)
+            ref = complex(mpmath.polylog(2, mpmath.mpc(x)))
+            assert abs(multisine.polylog(2, x) - ref) <= 1e-14 * abs(ref)
+
+
+def test_f_moment_near_unit_x1_takes_the_series():
+    """At z = 1e-7 i, w1bar = 1, |x1| = 1 - 6.3e-7: the series route returns
+    (2 pi i)^(-1) Li_2(x1), where quadrature has no contour."""
+    z, ob = 1e-7j, 1 + 0j
+    with mpmath.workdps(30):
+        x1 = mpmath.exp(2j * mpmath.pi * mpmath.mpc(z) / ob)
+        ref = complex(mpmath.polylog(2, x1) / (2j * mpmath.pi / ob))
+    assert abs(f_moment_series(-2, z, ob) - ref) <= 1e-12 * abs(ref)
+    assert abs(multisine.f_moment(-2, z, ob) - ref) <= 1e-12 * abs(ref)
+
+
 @pytest.mark.parametrize("order", [-2, -1, 0, 1])
 def test_g_moment_routes_agree(order):
     q = g_moment_quad(order, Z, W1, W1T)[0]

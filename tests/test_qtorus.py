@@ -10,7 +10,8 @@ from conifoldrh.lattice import (BETA, BETA_V, DELTA, DELTA_V, ChargeVector,
 from conifoldrh.qtorus import (QTorusElement, RaySeries, bps_automorphism,
                                closed_form_element, conifold_ray_charges,
                                conjugation_element, dt_ray, eq_coefficients,
-                               minus_q_half_power, qdilog_series,
+                               minus_q_half_power, omega_components,
+                               qdilog_series,
                                sector_closed_form, sector_from_rays,
                                series_conjugate, sigma)
 
@@ -107,6 +108,32 @@ def test_eq_coefficients_match_euler(qcut):
     assert got == [euler_eq_coefficient(j, qcut) for j in range(5)]
 
 
+@pytest.mark.parametrize("qcut", [10, 11, 40, 80])
+@pytest.mark.parametrize("order", range(1, 7))
+def test_inverse_eq_coefficients_match_generic_inverse(order, qcut):
+    """Euler's 1/E_q(x) = sum_j x^j/(q;q)_j by its own recurrence equals the
+    generic series inverse of the E_q series, and so does `qdilog_series`
+    asked for the inverse."""
+    e = RaySeries(DELTA, tuple(eq_coefficients(order, qcut)), qcut)
+    assert tuple(eq_coefficients(order, qcut, inverse=True)) == e.inverse().coeffs
+    pref = minus_q_half_power(1)
+    assert (qdilog_series(pref, order, qcut, DELTA, inverse=True)
+            == qdilog_series(pref, order, qcut, DELTA).inverse())
+
+
+@pytest.mark.parametrize("qcut", [0, 1, 7, 31])
+def test_inverse_eq_coefficients_count_partitions(qcut):
+    """[x^j] 1/E_q = 1/prod_{i<=j} (1 - q^i): the q^m coefficient counts the
+    partitions of m into parts <= j."""
+    parts = [1] + [0] * qcut
+    want = [LaurentPoly.one()]
+    for j in range(1, 5):
+        for m in range(j, len(parts)):
+            parts[m] += parts[m - j]
+        want.append(LaurentPoly({2 * m: c for m, c in enumerate(parts)}).truncate(qcut))
+    assert eq_coefficients(4, qcut, inverse=True) == want
+
+
 def test_eq_first_coefficient_geometric():
     # [x] E_q = -(1 + q + ... + q^(qcut/2)) at the chosen truncation
     qcut = 8
@@ -156,18 +183,65 @@ def test_conjugate_beta_v_on_ell0_canonical():
         assert elem.terms[g].truncate(qcut - 24) == LaurentPoly.from_scalar((-1) ** j)
 
 
+BINOMIAL_COEFF = LaurentPoly({-1: 2, 3: -1, 9: 5})
+
+
 @pytest.mark.parametrize("power,order", [(1, 4), (2, 5), (3, 3), (4, 3)])
 def test_binomial_series(power, order):
     """1 + c u^power with c truncated at qcut, the one series past the order,
-    and an inverse that multiplies it back to one exactly."""
+    and its e = -1 power, which multiplies it back to one exactly."""
     qcut = 6
-    s = RaySeries.binomial(BETA, LaurentPoly({-1: 2, 3: -1, 9: 5}), power, order, qcut)
+    s = RaySeries.binomial(BETA, BINOMIAL_COEFF, power, 1, order, qcut)
     want = [LaurentPoly.one()] + [LaurentPoly.zero()] * order
     if power <= order:
         want[power] = LaurentPoly({-1: 2, 3: -1})
     assert s == RaySeries(BETA, tuple(want), qcut)
     one = RaySeries.one(BETA, order, qcut)
-    assert s.pow_int(-1).mul(s) == one and s.mul(s.pow_int(-1)) == one
+    inv = RaySeries.binomial(BETA, BINOMIAL_COEFF, power, -1, order, qcut)
+    assert inv.mul(s) == one and s.mul(inv) == one
+
+
+def repeated_power(s, e):
+    """s^e by |e| products of s, or of its generic inverse for e < 0."""
+    base = s if e >= 0 else s.inverse()
+    acc = RaySeries.one(s.gamma0, s.order, s.qcut)
+    for _ in range(abs(e)):
+        acc = acc.mul(base)
+    return acc
+
+
+@pytest.mark.parametrize("e", range(-3, 4))
+@pytest.mark.parametrize("power,order", [(1, 4), (2, 5), (3, 3), (4, 3)])
+def test_binomial_power_matches_products(power, order, e):
+    """(1 + c u^power)^e by the binomial theorem equals |e| products of the
+    factor or of its generic inverse."""
+    qcut = 6
+    s = RaySeries.binomial(BETA, BINOMIAL_COEFF, power, 1, order, qcut)
+    got = RaySeries.binomial(BETA, BINOMIAL_COEFF, power, e, order, qcut)
+    assert got == repeated_power(s, e)
+
+
+def test_binomial_power_of_monomials_matches_products():
+    """The exact layer's factors have monomial coefficients; for those the
+    binomial theorem equals the truncated products at every cutoff, also
+    for exponents of both signs in the coefficient."""
+    for half_exp in (-3, -1, 0, 2, 5):
+        for a in (1, -1, 3):
+            for qcut in (0, 1, 5, 12):
+                for power, order in ((1, 5), (2, 5)):
+                    c = LaurentPoly.monomial(half_exp, a)
+                    s = RaySeries.binomial(DELTA, c, power, 1, order, qcut)
+                    for e in range(-3, 4):
+                        got = RaySeries.binomial(DELTA, c, power, e, order, qcut)
+                        assert got == repeated_power(s, e), (half_exp, a, qcut, e)
+
+
+def test_pow_int_takes_positive_exponents():
+    s = RaySeries.binomial(BETA, BINOMIAL_COEFF, 1, 1, 4, 6)
+    assert s.pow_int(1) is s
+    assert s.pow_int(3) == repeated_power(s, 3)
+    with pytest.raises(ValueError):
+        s.pow_int(0)
 
 
 def test_non_unit_constant_term_rejected():
@@ -197,6 +271,35 @@ def test_dt_ray_ell_inf_two_factors_per_k():
         acc = acc.mul(qdilog_series(LaurentPoly.one(), 3, 40, DELTA, power=k))
         acc = acc.mul(qdilog_series(LaurentPoly.monomial(2), 3, 40, DELTA, power=k))
     assert got.coeffs == acc.coeffs
+
+
+def reference_dt_ray(gamma0, factors, order, qcut):
+    """DT product by generic inversion: each factor E_q(pref u^w)^e built as
+    the E_q series, inverted by `RaySeries.inverse` for e < 0, and
+    multiplied |e| times."""
+    acc = RaySeries.one(gamma0, order, qcut)
+    for pref, w, e in factors:
+        acc = acc.mul(repeated_power(qdilog_series(pref, order, qcut, gamma0, w), e))
+    return acc
+
+
+@pytest.mark.parametrize("order,qcut", [(4, 40), (3, 101), (6, 24)])
+@pytest.mark.parametrize("kind,n", [("ell_n", 0), ("ell_n", 2), ("-ell_n", -1),
+                                    ("-ell_n", -3), ("ell_inf", 4)])
+def test_dt_ray_matches_generic_inverse(kind, n, order, qcut):
+    ray = conifold_ray_charges(kind, n) if kind != "ell_inf" else \
+        conifold_ray_charges(kind, kmax=n)
+    gamma0 = DELTA if kind == "ell_inf" else ray[0][0]
+    factors = []
+    for gamma, omega in ray:
+        w = gamma.b if kind == "ell_inf" else 1
+        for m, omega_m in omega_components(omega):
+            e = -omega_m if m % 2 == 0 else omega_m
+            factors.append((minus_q_half_power(m + 1), w, e))
+    got = dt_ray(ray, order, qcut)
+    assert got == reference_dt_ray(gamma0, factors, order, qcut)
+    # both signs of the exponent occur: E_q^(-1) on ell_n, E_q on ell_inf
+    assert {e for _, _, e in factors} == ({1} if kind == "ell_inf" else {-1})
 
 
 def test_dt_ray_coefficients_are_integers():
