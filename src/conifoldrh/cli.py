@@ -591,8 +591,8 @@ def _suite_qrh_limits(order_n: int, qcut: int, tol: float) -> list[Residual]:
     out = []
     for n in (0, 1):
         p = SolutionPoint(v, w, t_sw, tau_sw, n)
-        out.append(rhsolver.qrh2_limit(p, "B", tol=1e-6))
-        out.append(rhsolver.qrh2_limit(p, "D", tol=1e-6))
+        out.append(rhsolver.qrh2_limit(p, "B"))
+        out.append(rhsolver.qrh2_limit(p, "D"))
     for which in ("B", "D"):
         g = rhsolver.check_qrh3_growth(
             SolutionPoint(v, w, t_sw, tau_sw, 1), which)

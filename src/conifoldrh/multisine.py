@@ -25,7 +25,7 @@ import math
 import sys
 from functools import lru_cache
 
-from .bernoulli import bernoulli_numbers, multiple_bernoulli, zeta_int
+from .bernoulli import bernoulli_numbers, bernoulli_poly, multiple_bernoulli, zeta_int
 from .checks import (Predicate, RegionError, Residual, im_ratio,
                      im_ratio_predicate, require)
 from .contour import (SAFETY, ContourSpec, QuadratureError,
@@ -812,33 +812,36 @@ def G_star(z: complex, w1: complex, w1t: complex, w2: complex) -> complex:
 
 
 def reflection_predicates(w1: complex, w1t: complex, w2: complex) -> list[Predicate]:
-    return [im_ratio_predicate("w1/w2", w1, w2), im_ratio_predicate("w1t/w2", w1t, w2)]
+    """The one precondition list of the four reflection products: the nomes
+    q2 = e^(2 pi i w1/w2) and q2t = e^(2 pi i w1t/w2) lie inside the unit
+    circle, each stated as -ln|q| = 2 pi Im(w/w2) > 1e-12."""
+    return [Predicate(f"|{name}| < 1", 2 * math.pi * im_ratio(w, w2), margin=1e-12)
+            for name, w in (("q2", w1), ("q2t", w1t))]
 
 
 def reflection_rhs_F(z: complex, w1: complex, w1t: complex, w2: complex) -> complex:
     """prod_{k>=0}(1 - x2 p^k) prod_{k>=1}(1 - x2^(-1) p^k)^(-1),
-    p = (q2 q2t)^(1/2), each product to tolerance 1e-12; requires
-    Im(w1/w2) > 0 and Im(w1t/w2) > 0."""
+    p = (q2 q2t)^(1/2), each product to tolerance 1e-15; requires
+    reflection_predicates."""
     require(reflection_predicates(w1, w1t, w2), "reflection RHS (F)")
     obar = (w1 + w1t) / 2
     x2 = cmath.exp(TWO_PI_I * z / w2)
     p = cmath.exp(TWO_PI_I * obar / w2)
-    return (_qprod(x2, p, 1e-12, "reflection RHS F (x2 family)")
-            / _qprod(p / x2, p, 1e-12, "reflection RHS F (1/x2 family)"))
+    return (_qprod(x2, p, 1e-15, "reflection RHS F (x2 family)")
+            / _qprod(p / x2, p, 1e-15, "reflection RHS F (1/x2 family)"))
 
 
 def reflection_rhs_G(z: complex, w1: complex, w1t: complex, w2: complex) -> complex:
     """prod_{k1,k2>=0} (1 - x2 q2^(k1+1/2) q2t^(k2+1/2))
                        (1 - x2^(-1) q2^(k1+1/2) q2t^(k2+1/2)),
-    each double product to tolerance 1e-12; requires Im(w1/w2) > 0 and
-    Im(w1t/w2) > 0."""
+    each double product to tolerance 1e-15; requires reflection_predicates."""
     require(reflection_predicates(w1, w1t, w2), "reflection RHS (G)")
     x2 = cmath.exp(TWO_PI_I * z / w2)
     q2h = cmath.exp(1j * math.pi * w1 / w2)
     q2th = cmath.exp(1j * math.pi * w1t / w2)
     a, b = q2h * q2h, q2th * q2th
-    return (_qprod2(x2 * q2h * q2th, a, b, 1e-12, "reflection RHS G (x2 family)")
-            * _qprod2(q2h * q2th / x2, a, b, 1e-12, "reflection RHS G (1/x2 family)"))
+    return (_qprod2(x2 * q2h * q2th, a, b, 1e-15, "reflection RHS G (x2 family)")
+            * _qprod2(q2h * q2th / x2, a, b, 1e-15, "reflection RHS G (1/x2 family)"))
 
 
 # ---------------------------------------------------------------------------
@@ -976,8 +979,6 @@ def asymptotic_infinity_fit(mode: str, z: complex, params: tuple,
                 - B_{2,2}/2 log w2 + O(1),
     the multiple Bernoulli polynomials taken at (z + w1bar | w1, w1t).
     """
-    from .bernoulli import bernoulli_poly
-
     w2s = [w2_dir * 16.0 * 2.0**m for m in range(8)]
     spec = ContourSpec(tol=1e-8)
     if mode == "F":

@@ -25,10 +25,11 @@ from dataclasses import dataclass, replace
 from .bernoulli import multiple_bernoulli
 from .checks import Predicate, Residual, im_ratio_predicate, require
 from .lattice import mplus_predicates
-from .multisine import (_qprod, _qprod2, fit_loglog_slope, log_F_star,
-                        log_G_star, log_G_cached, q_G)
+from .multisine import (TWO_PI_I, fit_loglog_slope, log_F_star, log_G_star,
+                        log_G_cached, q_G, reflection_rhs_F, reflection_rhs_G)
 
-TWO_PI_I = 2j * math.pi
+#: tolerance of the t -> 0 limits of B_n and D_n
+QRH2_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -171,19 +172,11 @@ def wallcross_D(p: SolutionPoint, tol: float = 1e-8) -> Residual:
 # reflection identities pairing t with -t
 
 
-def _xy_for_reflection(p: SolutionPoint) -> tuple[complex, complex]:
-    x, y = p.x, p.y
-    require([Predicate("|y| < 1", 1 - abs(y), margin=1e-12)],
-            "reflection products (t on the -i Sigma(0) side)")
-    return x, y
-
-
 def reflection_B_rhs(p: SolutionPoint) -> complex:
-    """prod_{n>=0} (1 - x y^n) * prod_{n>=1} (1 - x^(-1) y^n)^(-1), each
-    product to tolerance 1e-15."""
-    x, y = _xy_for_reflection(p)
-    return (_qprod(x, y, 1e-15, "reflection (B), x family")
-            / _qprod(y / x, y, 1e-15, "reflection (B), 1/x family"))
+    """prod_{n>=0} (1 - x y^n) * prod_{n>=1} (1 - x^(-1) y^n)^(-1): the F
+    reflection product at (z, w1, w1t, w2) = (v, w, w, -t), where x2 = x and
+    p = y."""
+    return reflection_rhs_F(p.v, p.w, p.w, -p.t)
 
 
 def reflection_D_rhs(p: SolutionPoint) -> complex:
@@ -195,20 +188,16 @@ def reflection_D_rhs(p: SolutionPoint) -> complex:
 
     With n = i + j + 1 and k = j each factor is 1 - u a^j b^i,
     a = q^(1/2) y, b = q^(-1/2) y, so the quotient is
-    P(x y) P(y/x) / (P(q^(1/2) y) P(q^(-1/2) y)), P(u) = prod_{i,j>=0} (1 - u a^j b^i),
-    each P to tolerance 1e-15.
+    P(x y) P(y/x) / (P(q^(1/2) y) P(q^(-1/2) y)), P(u) = prod_{i,j>=0} (1 - u a^j b^i).
+    At (w1, w1t, w2) = (w - t tau/2, w + t tau/2, -t) the G reflection
+    product's nomes are q2 = a and q2t = b with (q2 q2t)^(1/2) = y, so its
+    value at z = v is P(x y) P(y/x) and at z = -t tau/2 (x2 = q^(1/2)) it is
+    P(a) P(b): the quotient is the GG2 row's.
     """
-    x, y = _xy_for_reflection(p)
-    qh = p.q_half
-    a, b = qh * y, y / qh
-    require([Predicate("|y| < |q^(1/2)| and |y| < |q^(-1/2)|",
-                       1 - max(abs(a), abs(b)), margin=1e-12)],
-            "reflection (D) product")
-
-    def P(u: complex, family: str) -> complex:
-        return _qprod2(u, a, b, 1e-15, f"reflection (D), {family} family")
-
-    return P(x * y, "x") * P(y / x, "1/x") / (P(a, "q^(1/2)") * P(b, "q^(-1/2)"))
+    tt2 = p.t * p.tau / 2
+    w1, w1t = p.w - tt2, p.w + tt2
+    return (reflection_rhs_G(p.v, w1, w1t, -p.t)
+            / reflection_rhs_G(-tt2, w1, w1t, -p.t))
 
 
 def reflection_B(p: SolutionPoint, tol: float = 1e-8) -> Residual:
@@ -251,13 +240,13 @@ def richardson_limit(values: list[complex]) -> complex:
     return table[-1]
 
 
-def qrh2_limit(p: SolutionPoint, which: str = "B", tol: float = 1e-6) -> Residual:
+def qrh2_limit(p: SolutionPoint, which: str = "B") -> Residual:
     """t -> 0 limit along the ray through p.t: the Richardson-extrapolated
     value of B_n or D_n at t = p.t 2^-j, j = 0..7, compared with 1."""
     solution = B_n if which == "B" else D_n
     vals = [solution(replace(p, t=p.t * 0.5**j)) for j in range(8)]
     lim = richardson_limit(vals)
-    return Residual.compare(f"qrh2_limit_{which}(n={p.n})", lim, 1.0, tol,
+    return Residual.compare(f"qrh2_limit_{which}(n={p.n})", lim, 1.0, QRH2_TOL,
                             meta={"raw_last": [vals[-1].real, vals[-1].imag]})
 
 

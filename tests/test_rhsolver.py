@@ -4,9 +4,11 @@ import math
 import mpmath
 import pytest
 
+from conifoldrh import cli
 from conifoldrh.contour import QuadratureError
 from conifoldrh.lattice import RegionError
-from conifoldrh.multisine import log_F_star, log_G_star
+from conifoldrh.multisine import (log_F_star, log_G_star, reflection_rhs_F,
+                                  reflection_rhs_G)
 from conifoldrh.rhsolver import (SolutionPoint, B_n, D_n, b_predicates,
                                  check_qrh3_growth, cs_match_residual,
                                  cs_point, d_predicates, default_tau_grid,
@@ -103,22 +105,24 @@ def test_reflection_identities():
     assert rd.rel_err < 1e-8
 
 
+def _mp_qp2(u, a, b):
+    """prod_(i,j>=0) (1 - u a^j b^i) = prod_i qp(u b^i, a) from mpmath's
+    q-Pochhammer qp(u, q) = prod_(k>=0) (1 - u q^k), to 45 digits."""
+    out = mpmath.mpc(1)
+    while abs(u) > mpmath.mpf(10) ** -45:
+        out *= mpmath.qp(u, a)
+        u *= b
+    return out
+
+
 def _mp_reflection_rhs(which: str, p: SolutionPoint):
-    """The B or D reflection product at 40 digits from mpmath's q-Pochhammer
-    qp(u, q) = prod_(k>=0) (1 - u q^k), with P(u) = prod_i qp(u b^i, a)."""
+    """The B or D reflection product at 40 digits, in x, y and q^(1/2)."""
     x, y, qh = (mpmath.mpc(c) for c in (p.x, p.y, p.q_half))
     if which == "B":
         return mpmath.qp(x, y) / mpmath.qp(y / x, y)
     a, b = qh * y, y / qh
-
-    def P(u):
-        out = mpmath.mpc(1)
-        while abs(u) > mpmath.mpf(10) ** -45:
-            out *= mpmath.qp(u, a)
-            u *= b
-        return out
-
-    return P(x * y) * P(y / x) / (P(a) * P(b))
+    return (_mp_qp2(x * y, a, b) * _mp_qp2(y / x, a, b)
+            / (_mp_qp2(a, a, b) * _mp_qp2(b, a, b)))
 
 
 @pytest.mark.parametrize("which", ["B", "D"])
@@ -129,6 +133,40 @@ def test_reflection_rhs_keeps_its_digits(which):
     with mpmath.workdps(40):
         want = _mp_reflection_rhs(which, P_IV)
         assert abs(rhs(P_IV) - want) / abs(want) < 1e-15
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_reflection_products_keep_their_digits(i):
+    """At the difference suite's points the F and G reflection products stay
+    within 1e-14 relative of 40-digit mpmath products."""
+    z, w1, w1t, w2 = cli._difference_points(3)[i]
+    with mpmath.workdps(40):
+        mz, m1, m1t, m2 = (mpmath.mpc(c) for c in (z, w1, w1t, w2))
+
+        def nome(s):
+            return mpmath.exp(2j * mpmath.pi * s / m2)
+
+        x2, p = nome(mz), nome((m1 + m1t) / 2)
+        a, b = nome(m1), nome(m1t)
+        want = {"F": mpmath.qp(x2, p) / mpmath.qp(p / x2, p),
+                "G": _mp_qp2(x2 * p, a, b) * _mp_qp2(p / x2, a, b)}
+        got = {"F": reflection_rhs_F(z, w1, w1t, w2),
+               "G": reflection_rhs_G(z, w1, w1t, w2)}
+        for name in want:
+            assert abs(got[name] - want[name]) / abs(want[name]) < 1e-14, name
+
+
+def test_reflection_refuses_a_nome_at_the_margin():
+    """|y| = 1 - 1e-13 lies inside the unit circle but within the 1e-12
+    margin of reflection_predicates: both products refuse the point
+    (RegionError) instead of running out of factors (QuadratureError).  A
+    real tau gives |q^(1/2)| = 1, so the D nomes y q^(+-1/2) sit there too."""
+    t = 1 / complex(1, math.log1p(-1e-13) / (2 * math.pi))
+    p = SolutionPoint(V, W, t, 0.1, 0)
+    assert 0 < 1 - abs(p.y) < 1e-12
+    for rhs in (reflection_B_rhs, reflection_D_rhs):
+        with pytest.raises(RegionError):
+            rhs(p)
 
 
 def test_reflection_D_reports_exhausted_budget():
