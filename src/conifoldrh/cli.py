@@ -183,11 +183,13 @@ def _params_dict(args) -> dict[str, complex]:
     return out
 
 
-def _check_names(params: dict, accepted, what: str) -> None:
+def _check_names(params: dict, accepted, what: str, shown=None) -> None:
+    """Refuse a --param name outside `accepted`; the message lists `shown`
+    (default `accepted`)."""
     unknown = sorted(set(params) - set(accepted))
     if unknown:
         raise UsageError(f"unknown --param {', '.join(unknown)} for {what}; "
-                         f"accepted: {', '.join(accepted)}")
+                         f"accepted: {', '.join(shown or accepted)}")
 
 
 def _int_param(params: dict, name: str, default: int | None = None) -> int:
@@ -213,10 +215,14 @@ def cmd_eval(args) -> tuple[dict, int]:
     params = _params_dict(args)
     target = args.target
     what = f"eval --target {target}"
-    accepted = EVAL_PARAMS[target]
+    accepted = shown = EVAL_PARAMS[target]
     if target == "multiple_bernoulli" and "r" in params:
-        accepted += tuple(f"w{i}" for i in range(1, _int_param(params, "r") + 1))
-    _check_names(params, accepted, what)
+        # w<i> is read by its pattern, so the check costs nothing per unused i
+        r = _int_param(params, "r")
+        accepted += tuple(name for name in params
+                          if re.fullmatch(r"w[1-9][0-9]*", name) and int(name[1:]) <= r)
+        shown += (f"w1..w{r}",)
+    _check_names(params, accepted, what, shown)
     if target in TOL_TARGETS:
         tol = args.tol if args.tol is not None else 1e-10
     elif args.tol is not None:
@@ -652,6 +658,8 @@ def cmd_verify(args) -> tuple[dict, int]:
             readers = [s for s, opts in SUITE_OPTIONS.items() if flag in opts]
             raise UsageError(f"{flag} is not honoured by verify --suite {args.suite} "
                              f"(only by suites {', '.join(readers)})")
+        if flag != "--tol" and value is not None and value < 0:
+            raise UsageError(f"{flag} must not be negative, got {value}")
     tol = args.tol if args.tol is not None else 1e-8
     order_n = args.order_n if args.order_n is not None else 4
     qcut = args.order_k if args.order_k is not None else 4 * order_n

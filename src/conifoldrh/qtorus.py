@@ -17,6 +17,7 @@ and in powers of q^(1/2) (cutoff qcut, in half-units).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,14 +64,13 @@ class QTorusElement:
             t[g] = t.get(g, LaurentPoly.zero()) + c
         return QTorusElement(t)
 
-    def mul(self, other: "QTorusElement", qcut: int | None = None) -> "QTorusElement":
-        """Twisted product y_g1 * y_g2 = q^(<g1,g2>/2) y_(g1+g2)."""
+    def mul(self, other: "QTorusElement", qcut: int) -> "QTorusElement":
+        """Twisted product y_g1 * y_g2 = q^(<g1,g2>/2) y_(g1+g2), each
+        coefficient truncated at qcut."""
         out: dict[ChargeVector, LaurentPoly] = {}
         for g1, c1 in self.terms.items():
             for g2, c2 in other.terms.items():
-                c = c1 * c2 * LaurentPoly.monomial(skew_pair(g1, g2))
-                if qcut is not None:
-                    c = c.truncate(qcut)
+                c = (c1 * c2).shift(skew_pair(g1, g2)).truncate(qcut)
                 g = g1 + g2
                 out[g] = out.get(g, LaurentPoly.zero()) + c
         return QTorusElement(out)
@@ -179,15 +179,6 @@ class RaySeries:
             out[j] = (-(inv0 * acc)).truncate(self.qcut)
         return self._like(out)
 
-    def pow_int(self, e: int) -> "RaySeries":
-        """self^e for e >= 1 by e - 1 products."""
-        if e < 1:
-            raise ValueError("pow_int takes an exponent e >= 1")
-        acc = self
-        for _ in range(e - 1):
-            acc = acc.mul(self)
-        return acc
-
     def scale_arg(self, half_exp: int) -> "RaySeries":
         """Substitute u -> q^(half_exp/2) u."""
         return self._like(c.shift(j * half_exp).truncate(self.qcut)
@@ -272,6 +263,9 @@ def minus_q_half_power(n: int) -> LaurentPoly:
 
 
 def _primitive_direction(charges: list[ChargeVector]) -> tuple[ChargeVector, list[int]]:
+    """Primitive charge of a ray (DELTA for an empty one) and multiples."""
+    if not charges:
+        return DELTA, []
     first = charges[0]
     g = 0
     for c in first.coords():
@@ -307,42 +301,36 @@ def dt_ray(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
 
     A factor with a negative exponent is a power of 1/E_q, taken from its
     own series; the tables of E_q and 1/E_q are built once per call, to
-    x^order, and every factor reads its first entries.
+    x^order, and every factor reads its first entries.  A factor to the
+    power |e| enters the product |e| times; the product is taken from the
+    first factor, and is the series 1 when there is none.
     """
-    if not ray_charges:
-        return RaySeries.one(DELTA, order, qcut)
     gamma0, mults = _primitive_direction([g for g, _ in ray_charges])
     tables: dict[bool, list[LaurentPoly]] = {}
-    acc = RaySeries.one(gamma0, order, qcut)
+    factors = []
     for (gamma, omega), w in zip(ray_charges, mults):
         for n, omega_n in omega_components(omega):
             e = -omega_n if n % 2 == 0 else omega_n
             inverse = e < 0
             if inverse not in tables:
                 tables[inverse] = eq_coefficients(order, qcut, inverse)
-            factor = qdilog_series(minus_q_half_power(n + 1), order, qcut,
-                                   gamma0, w, inverse, tables[inverse])
-            acc = acc.mul(factor.pow_int(abs(e)))
-    return acc
-
-
-def series_conjugate(f: RaySeries, gamma_m: ChargeVector) -> RaySeries:
-    """Multiplier g with Ad_f(y_gm) = y_gm * g(y_gamma0):
-    g(u) = f(q^c u) * f(u)^(-1),  c = <gamma0, gamma_m>.
-    """
-    c = skew_pair(f.gamma0, gamma_m)
-    return f.scale_arg(2 * c).mul(f.inverse())
+            factors += [qdilog_series(minus_q_half_power(n + 1), order, qcut,
+                                      gamma0, w, inverse, tables[inverse])] * abs(e)
+    if not factors:
+        return RaySeries.one(gamma0, order, qcut)
+    return functools.reduce(RaySeries.mul, factors)
 
 
 def conjugation_element(f: RaySeries, gamma_m: ChargeVector) -> QTorusElement:
     """Ad_f(y_gm) expanded in the canonical basis  sum_j b_j y_(j gamma0 + gm).
 
-    Moving y_gm across the multiplier costs q^(-j c / 2) on the u^j term.
+    Ad_f(y_gm) = y_gm * g(y_gamma0) with the multiplier
+    g(u) = f(q^c u) * f(u)^(-1),  c = <gamma0, gamma_m>; moving y_gm across
+    it costs q^(-j c / 2) on the u^j term.
     """
-    g = series_conjugate(f, gamma_m)
     c = skew_pair(f.gamma0, gamma_m)
-    canon = g.scale_arg(-c)
-    return canon.as_element(carrier=gamma_m)
+    g = f.scale_arg(2 * c).mul(f.inverse())
+    return g.scale_arg(-c).as_element(carrier=gamma_m)
 
 
 def closed_form_element(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
@@ -351,35 +339,31 @@ def closed_form_element(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
 
     prod_{g} prod_n prod_{k=0}^{M-1}
         (1 + (-q^(1/2))^n (q^(1/2))^(2k+1-M) y_g)^((-1)^n Omega_n(g) sgn<g,gm>)
-    with M = |<gm, g>|, expanded in the canonical basis.
+    with M = |<gm, g>|, expanded in the canonical basis.  The product is
+    taken from the first factor; with none (an empty ray, or gm paired to
+    zero with every charge, as an electric gm is) it is y_gm.
     """
-    if not ray_charges:
-        return QTorusElement.generator(gamma_m)
     gamma0, mults = _primitive_direction([g for g, _ in ray_charges])
-    acc = RaySeries.one(gamma0, order, qcut)
+    factors = []
     for (gamma, omega), w in zip(ray_charges, mults):
         pairing = skew_pair(gamma, gamma_m)
-        m_abs = abs(pairing)
-        if m_abs == 0:
-            continue
-        sgn = 1 if pairing > 0 else -1
+        m_abs, sgn = abs(pairing), (1 if pairing > 0 else -1)
         for n, omega_n in omega_components(omega):
             e = (omega_n if n % 2 == 0 else -omega_n) * sgn
             for k in range(m_abs):
                 coeff = LaurentPoly.monomial(n + 2 * k + 1 - m_abs,
                                              -1 if n % 2 else 1)
-                acc = acc.mul(RaySeries.binomial(gamma0, coeff, w, e, order, qcut))
-    return acc.as_element(carrier=gamma_m)
+                factors.append(RaySeries.binomial(gamma0, coeff, w, e, order, qcut))
+    if not factors:
+        return QTorusElement.generator(gamma_m)
+    return functools.reduce(RaySeries.mul, factors).as_element(carrier=gamma_m)
 
 
 def _work_cut(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
               gamma: ChargeVector, order: int, qcut: int) -> int:
     """Enlarged q cutoff for intermediate arithmetic: truncation tails can
     propagate downward by at most the negative shifts q^(-j c/2) appearing in
-    the conjugation, so a margin proportional to order * |c| is added.  An
-    empty ray multiplies nothing and needs none."""
-    if not ray_charges:
-        return qcut
+    the conjugation, so a margin proportional to order * |c| is added."""
     gamma0, _ = _primitive_direction([g for g, _ in ray_charges])
     return qcut + 2 * order * (abs(skew_pair(gamma0, gamma)) + 2)
 
@@ -448,34 +432,42 @@ def sector_closed_form(gamma: ChargeVector, adeg: int, bdeg: int,
 
     Three product families: rays through beta + n delta (n >= 0), through
     -beta + n delta (n >= 1), and the delta-multiple ray, each expanded to
-    electric bidegree (adeg, bdeg).  Returned in the y basis.
+    electric bidegree (adeg, bdeg).  Returned in the y basis.  A factor
+    (1 - q^(h/2) x_g)^e, x_g = sigma(g) y_g, runs to u^jmax, the largest j
+    with j g inside the bidegree; as its u^j term carries q^(j h/2), the
+    product is formed at qcut + sum(jmax * max(0, -h)) and truncated once
+    at qcut, so no term dropped above a cutoff belongs below it.
     """
-    acc = QTorusElement.generator(ChargeVector())
-
-    def mul_factor(coeff, g, e):
-        """acc times (1 - coeff x_g)^e, with x_g = sigma(g) y_g."""
-        nonlocal acc
-        # the largest j with j g inside bidegree (adeg, bdeg)
-        jmax = min(d // abs(n) for d, n in ((adeg, g.a), (bdeg, g.b)) if n)
-        f = RaySeries.binomial(g, -coeff * sigma(g), 1, e, jmax, qcut)
-        acc = acc.mul(f.as_element(), qcut=qcut).truncate_electric(adeg, bdeg)
-
+    factors = []   # (h, g, e): the factor (1 - q^(h/2) x_g)^e
     for g in ([ChargeVector(1, n) for n in range(0, bdeg + 1)]
               + [ChargeVector(-1, n) for n in range(1, bdeg + 1)]):
         pairing = skew_pair(g, gamma)
         m_abs, sgn = abs(pairing), (1 if pairing > 0 else -1)
-        for k in range(m_abs):
-            mul_factor(LaurentPoly.monomial(1 - m_abs + 2 * k), g, sgn)
+        factors += [(1 - m_abs + 2 * k, g, sgn) for k in range(m_abs)]
     d_pair = skew_pair(DELTA, gamma)
-    if d_pair != 0:
-        sgn = 1 if d_pair > 0 else -1
-        for m in range(1, bdeg + 1):
-            g = ChargeVector(0, m)
-            m_abs = m * abs(d_pair)
-            for k in range(m_abs):
-                mul_factor(LaurentPoly.monomial(2 - m_abs + 2 * k), g, -sgn)
-                mul_factor(LaurentPoly.monomial(-m_abs + 2 * k), g, -sgn)
-    return acc
+    sgn = -1 if d_pair > 0 else 1
+    for m in range(1, bdeg + 1):
+        g, m_abs = ChargeVector(0, m), m * abs(d_pair)
+        for k in range(m_abs):
+            factors += [(2 - m_abs + 2 * k, g, sgn), (-m_abs + 2 * k, g, sgn)]
+    factors = [(h, g, e, min(d // abs(n) for d, n in ((adeg, g.a), (bdeg, g.b)) if n))
+               for h, g, e in factors]
+    work = qcut + sum(jmax * max(0, -h) for h, _, _, jmax in factors)
+    product = _electric_product(
+        [RaySeries.binomial(g, LaurentPoly.monomial(h, -sigma(g)), 1, e, jmax,
+                            work).as_element() for h, g, e, jmax in factors],
+        adeg, bdeg, work)
+    return product.truncate_q(qcut)
+
+
+def _electric_product(multipliers: list[QTorusElement], adeg: int, bdeg: int,
+                      qcut: int) -> QTorusElement:
+    """Product of electric multipliers in order, taken from the first, each
+    partial product truncated to bidegree (adeg, bdeg) and at qcut; y_0 for
+    none."""
+    first, *rest = multipliers or [QTorusElement.generator(ChargeVector())]
+    return functools.reduce(lambda acc, m: acc.mul(m, qcut).truncate_electric(adeg, bdeg),
+                            rest, first.truncate_electric(adeg, bdeg))
 
 
 def sector_from_rays(structure: RefinedBPSStructure, gamma: ChargeVector,
@@ -492,10 +484,8 @@ def sector_from_rays(structure: RefinedBPSStructure, gamma: ChargeVector,
     ray_list.append(conifold_ray_charges("ell_inf", kmax=bdeg))
     ray_list.extend(conifold_ray_charges("-ell_n", -m) for m in range(bdeg, 0, -1))
 
-    acc = QTorusElement.generator(ChargeVector())
-    for charges in ray_list:
-        action = ray_action(charges, gamma, order, qcut)
-        mult = QTorusElement({g - gamma: c for g, c in action.terms.items()})
-        acc = acc.mul(mult, qcut=qcut).truncate_electric(adeg, bdeg)
-    return acc
+    actions = [ray_action(charges, gamma, order, qcut) for charges in ray_list]
+    return _electric_product(
+        [QTorusElement({g - gamma: c for g, c in action.terms.items()})
+         for action in actions], adeg, bdeg, qcut)
 

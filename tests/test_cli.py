@@ -160,6 +160,20 @@ def test_verify_option_not_read_is_usage(suite, flag, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--order-N", "-1"), ("--order-K", "-4")])
+def test_verify_negative_cutoff_is_usage(flag, value, capsys):
+    assert main(["verify", "--suite", "algebra", flag, value]) == EXIT_USAGE
+    assert f"{flag} must not be negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--order-N", "--order-K"])
+def test_verify_algebra_passes_at_zero_cutoff(tmp_path, flag):
+    """At --order-N 0 the q cutoff is 0, where the sector closed form used
+    to lose terms that a factor with a negative q-power pulls back down."""
+    code, data = run_cli(tmp_path, "verify", "--suite", "algebra", flag, "0")
+    assert code == EXIT_OK and data["n_failed"] == 0
+
+
 def test_verify_record_writes_unread_options_as_null(tmp_path):
     _, data = run_cli(tmp_path, "verify", "--suite", "bernoulli")
     assert (data["tolerance"], data["order_N"], data["order_K"]) == (None, None, None)
@@ -284,6 +298,17 @@ def test_unknown_param_is_usage(capsys):
 def test_unread_param_is_usage(argv, capsys):
     assert main(argv) == EXIT_USAGE
     assert "unknown --param" in capsys.readouterr().err
+
+
+def test_weight_names_read_by_pattern(capsys):
+    """multiple_bernoulli accepts w<i> for 1 <= i <= r by its pattern, so a
+    large r costs nothing before the weights are read."""
+    code = main(["eval", "--target", "multiple_bernoulli", "--param", "n=1",
+                 "--param", "r=100000", "--param", "w0=1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "unknown --param w0" in err and "w1..w100000" in err
+    assert len(err.encode()) < 1024
 
 
 def test_invalid_input_is_usage(capsys):

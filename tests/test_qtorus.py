@@ -12,8 +12,7 @@ from conifoldrh.qtorus import (QTorusElement, RaySeries, bps_automorphism,
                                conjugation_element, dt_ray, eq_coefficients,
                                minus_q_half_power, omega_components,
                                qdilog_series,
-                               sector_closed_form, sector_from_rays,
-                               series_conjugate, sigma)
+                               sector_closed_form, sector_from_rays, sigma)
 
 S = conifold_bps(0.3 + 0.4j, 1.0)
 
@@ -39,12 +38,29 @@ def test_sigma_conifold_choice():
 # ---------------------------------------------------------------------------
 # torus product
 
+#: a q cutoff above every twist in a product of three `charges`:
+#: |<g1, g2>| <= 4 * 4 * 4 and |<g1 + g2, g3>| <= 4 * 8 * 4
+NO_CUT = 256
+
 
 @given(charges, charges, charges)
 @settings(max_examples=40)
 def test_product_associative(g1, g2, g3):
     a, b, c = (QTorusElement.generator(g) for g in (g1, g2, g3))
-    assert a.mul(b).mul(c) == a.mul(b.mul(c))
+    assert a.mul(b, NO_CUT).mul(c, NO_CUT) == a.mul(b.mul(c, NO_CUT), NO_CUT)
+
+
+def test_product_twist_and_cutoff():
+    """y_g1 y_g2 = q^(<g1,g2>/2) y_(g1+g2), with the coefficient truncated
+    at the cutoff: <beta_v + delta, delta_v> = -1 moves every term down by
+    q^(1/2) before the cutoff is applied."""
+    a = QTorusElement({BETA_V + DELTA: LaurentPoly({0: 2, 3: 1})})
+    b = QTorusElement.generator(DELTA_V)
+    assert skew_pair(BETA_V + DELTA, DELTA_V) == -1
+    want = QTorusElement({BETA_V + DELTA + DELTA_V: LaurentPoly({-1: 2, 2: 1})})
+    assert a.mul(b, 2) == want
+    assert a.mul(b, 1) == want.truncate_q(1)
+    assert a.mul(b, -2).terms == {}
 
 
 @given(charges, charges)
@@ -59,7 +75,7 @@ def test_xy_translation_intertwines(g1, g2):
     xprod = QTorusElement({g1 + g2: minus_q_half_power(skew_pair(g1, g2))})
     lhs = x_to_y(xprod)
     rhs = x_to_y(QTorusElement({g1: LaurentPoly.one()})).mul(
-        x_to_y(QTorusElement({g2: LaurentPoly.one()})))
+        x_to_y(QTorusElement({g2: LaurentPoly.one()})), NO_CUT)
     assert lhs == rhs
 
 
@@ -166,9 +182,7 @@ def test_eq_functional_identity():
 def test_conjugate_central_is_trivial():
     f = dt_ray(conifold_ray_charges("ell_n", 2), 4, 40)
     # gamma_m = delta pairs to zero with beta + 2 delta
-    g = series_conjugate(f, DELTA)
-    assert g.coeffs[0] == LaurentPoly.one()
-    assert all(c.is_zero() for c in g.coeffs[1:])
+    assert conjugation_element(f, DELTA) == QTorusElement.generator(DELTA)
 
 
 def test_conjugate_beta_v_on_ell0_canonical():
@@ -236,14 +250,6 @@ def test_binomial_power_of_monomials_matches_products():
                         assert got == repeated_power(s, e), (half_exp, a, qcut, e)
 
 
-def test_pow_int_takes_positive_exponents():
-    s = RaySeries.binomial(BETA, BINOMIAL_COEFF, 1, 1, 4, 6)
-    assert s.pow_int(1) is s
-    assert s.pow_int(3) == repeated_power(s, 3)
-    with pytest.raises(ValueError):
-        s.pow_int(0)
-
-
 def test_non_unit_constant_term_rejected():
     bad = RaySeries(DELTA, (LaurentPoly.zero(), LaurentPoly.one()), 20)
     with pytest.raises(ValueError):
@@ -300,6 +306,30 @@ def test_dt_ray_matches_generic_inverse(kind, n, order, qcut):
     assert got == reference_dt_ray(gamma0, factors, order, qcut)
     # both signs of the exponent occur: E_q^(-1) on ell_n, E_q on ell_inf
     assert {e for _, _, e in factors} == ({1} if kind == "ell_inf" else {-1})
+
+
+@pytest.mark.parametrize("build,calls", [
+    (lambda: dt_ray(conifold_ray_charges("ell_n", 0), 4, 16), 0),
+    (lambda: dt_ray(conifold_ray_charges("ell_inf", kmax=3), 4, 16), 5),
+    (lambda: closed_form_element(conifold_ray_charges("ell_n", 0), BETA_V, 4, 16), 0),
+    (lambda: closed_form_element(conifold_ray_charges("ell_inf", kmax=3),
+                                 DELTA_V, 4, 16), 11),
+])
+def test_ray_products_never_multiply_by_one(monkeypatch, build, calls):
+    """Each product is taken from its first factor, so n factors take n - 1
+    products: one on ell_0; on ell_inf to k = 3, six DT factors (two per k)
+    and twelve closed-form factors on delta_v (2k per k, as
+    |<k delta, delta_v>| = k)."""
+    real, seen = RaySeries.mul, []
+
+    def counted(self, other):
+        assert RaySeries.one(self.gamma0, self.order, self.qcut) not in (self, other)
+        seen.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(RaySeries, "mul", counted)
+    build()
+    assert len(seen) == calls
 
 
 def test_dt_ray_coefficients_are_integers():
@@ -395,7 +425,7 @@ def test_automorphism_property_on_monomials():
         Sa = conjugation_element(f, ga)
         Sb = conjugation_element(f, gb)
         Sab = conjugation_element(f, ga + gb)
-        lhs = Sa.mul(Sb)
+        lhs = Sa.mul(Sb, qcut)
         tw = LaurentPoly.monomial(skew_pair(ga, gb))
         rhs = QTorusElement({g: c * tw for g, c in Sab.terms.items()})
         # both sides are series in u = y_(beta+delta) over y_(ga+gb); the
@@ -446,6 +476,16 @@ def test_sector_matches_ray_composition(g):
     # bidegree 3 inverts a delta factor through u^3 (jmax = 3); bidegree 2 stops at u^2
     for d, qcut in ((2, 60), (3, 24)):
         assert sector_closed_form(g, d, d, qcut) == sector_from_rays(S, g, d, d, qcut)
+
+
+@pytest.mark.parametrize("g", [BETA_V, DELTA_V, DELTA, BETA_V - DELTA_V])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sector_closed_form_exact_at_every_cutoff(g, d):
+    """Factors with q^(h/2), h < 0, pull terms down across the cutoff; the
+    product at qcut is the product at a far higher cutoff, truncated."""
+    for qcut in range(0, 7):
+        assert (sector_closed_form(g, d, d, qcut)
+                == sector_closed_form(g, d, d, qcut + 60).truncate_q(qcut)), qcut
 
 
 @pytest.mark.parametrize("g", [BETA_V, DELTA_V])
