@@ -129,6 +129,12 @@ def _cnum(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _tolerance(text: str) -> float:
+    if not 0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
+    return float(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -141,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "--param": dict(action="append", default=[], metavar="NAME=VALUE",
                         help="named complex parameter, e.g. v=0.3+0.4i"),
-        "--tol": dict(type=float, default=None),
+        "--tol": dict(type=_tolerance, default=None),
         "--order-N": dict(type=int, default=None, dest="order_n"),
         "--order-K": dict(type=int, default=None, dest="order_k"),
         "--format": dict(choices=("json", "csv"), default="json"),
@@ -501,16 +507,12 @@ def _suite_asymptotics(order_n: int, qcut: int, tol: float) -> list[Residual]:
     z, ob = 0.3 + 0.4j, 1 + 0.05j
     w1, w1t = 1 + 0.1j, 0.95 - 0.07j
     for K in (1, 2, 3):
-        r = multisine.asymptotic_order_small_w2("F", z, (ob,), K,
-                                                w2_dir=cmath.exp(-0.2j))
-        out.append(Residual.compare(
-            f"F remainder order K={K}", r["slope"], r["nearest_integer"], 0.2,
-            meta={"K": K, "passed_order": r["passed"]}))
-        r = multisine.asymptotic_order_small_w2("G", 0.25 + 0.45j, (w1, w1t), K,
-                                                w2_dir=cmath.exp(-0.2j))
-        out.append(Residual.compare(
-            f"G remainder order K={K}", r["slope"], r["nearest_integer"], 0.2,
-            meta={"K": K, "passed_order": r["passed"]}))
+        for mode, zm, params in (("F", z, (ob,)), ("G", 0.25 + 0.45j, (w1, w1t))):
+            r = multisine.asymptotic_order_small_w2(mode, zm, params, K,
+                                                    w2_dir=cmath.exp(-0.2j))
+            out.append(Residual.compare(
+                f"{mode} remainder order K={K}", r["slope"], r["expected_order"], 0.2,
+                meta={"K": K, "passed_order": r["passed"]}))
     fit = multisine.asymptotic_infinity_fit("F", z, (ob,), cmath.exp(-0.3j))
     for name, row in fit.items():
         out.append(Residual.compare(f"F infinity coefficient ({name})",
@@ -573,18 +575,21 @@ def _extension_consistency(tol: float) -> Residual:
 
 def _inversion_identity(order_n: int, qcut: int) -> Residual:
     """R_(l,-gm) R_(l,gm) == 1 through u-order N: each side computed by its
-    own conjugation, on rays ell_1 and ell_inf, for both magnetic generators."""
-    from .lattice import BETA_V, DELTA_V, ChargeVector
+    own conjugation, on rays ell_1 and ell_inf, for both magnetic generators,
+    at the `_enlarged` cutoff of 2N |c|, c = <l, gm> (a ray's first charge is
+    primitive): N |c| for each side's lowest power and for the twist (j+k) c."""
+    from .lattice import BETA_V, DELTA_V, ChargeVector, skew_pair
     one = qtorus.QTorusElement.generator(ChargeVector())
     rays = (("ell_1", qtorus.conifold_ray_charges("ell_n", 1)),
             ("ell_inf", qtorus.conifold_ray_charges("ell_inf", kmax=order_n)))
     prods = {}
     for ray_name, ray in rays:
         for name, gm in (("beta_v", BETA_V), ("delta_v", DELTA_V)):
-            inv = qtorus.ray_action(ray, -gm, order_n, qcut)
-            fwd = qtorus.ray_action(ray, gm, order_n, qcut)
-            prods[f"{ray_name} {name}"] = inv.mul(fwd, qcut).truncate_electric(
-                order_n, order_n)
+            work = qtorus._enlarged(qcut, [(2 * order_n, -abs(skew_pair(ray[0][0], gm)))])
+            inv = qtorus.ray_action(ray, -gm, order_n, work)
+            fwd = qtorus.ray_action(ray, gm, order_n, work)
+            prods[f"{ray_name} {name}"] = inv.mul(fwd, work).truncate_electric(
+                order_n, order_n).truncate_q(qcut)
     return Residual.exact("inversion identity R(-gm) R(gm) == 1",
                           list(prods.values()), [one] * len(prods),
                           meta={"pairs": {k: p == one for k, p in prods.items()}})

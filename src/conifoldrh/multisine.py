@@ -913,14 +913,14 @@ def asymptotic_order_small_w2(mode: str, z: complex, params: tuple, K: int,
 
     The remainder after the K-th term scales like w2^K when B_(K+1) != 0 and
     like w2^(K+1) otherwise (odd Bernoulli numbers vanish), so the fitted
-    log-log slope must be within 0.2 of an integer >= K.
+    log-log slope must be within 0.2 of that expected order.
     """
     w2s = [w2_dir * 0.4 * 0.5**m for m in range(7)]
     _, rem = small_w2_remainders(mode, z, params, K, w2s)
     slope, dev = fit_loglog_slope(w2s, rem)
-    nearest = round(slope)
-    passed = abs(slope - nearest) <= 0.2 and nearest >= K
-    return {"slope": slope, "nearest_integer": nearest, "K": K,
+    expected = K if bernoulli_numbers(K + 1)[K + 1] else K + 1
+    passed = abs(slope - expected) <= 0.2
+    return {"slope": slope, "expected_order": expected, "K": K,
             "passed": passed, "fit_deviation": dev,
             "remainders": [abs(r) for r in rem]}
 

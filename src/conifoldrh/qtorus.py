@@ -10,9 +10,9 @@ literature, x_g1 * x_g2 = L^(<g1,g2>/2) x_(g1+g2) with q^(1/2) = -L^(1/2),
 is related by y_g = sigma(g) x_g for a quadratic refinement sigma.
 
 The wall-crossing operator attached to an active ray is conjugation by a
-product of quantum dilogarithms.  Everything in this module is exact: the
-only approximations are the tracked truncations in the ray direction (order N)
-and in powers of q^(1/2) (cutoff qcut, in half-units).
+product of quantum dilogarithms.  Everything in this module is exact at
+the cutoffs it is given: order N in the ray direction and qcut in powers of
+q^(1/2) (in half-units); a product is formed at the cutoff `_enlarged`.
 """
 
 from __future__ import annotations
@@ -130,13 +130,11 @@ class RaySeries:
     def binomial(cls, gamma0: ChargeVector, coeff: LaurentPoly, power: int,
                  e: int, order: int, qcut: int) -> "RaySeries":
         """(1 + c u^power)^e = sum_j C(e, j) c^j u^(j power) for any integer
-        e, with c = coeff truncated at qcut and each c^j truncated at qcut;
-        the one series when power > order.  C(e, j) = e (e-1) ... (e-j+1)/j!
-        is an integer also for e < 0, so no factor is inverted.  For e >= 0
-        this equals e truncated products of the factor; for e < 0, products
-        of its inverse, when c is a monomial, as in every factor of this
-        module (with exponents of both signs in c, truncation does not
-        commute with products, and the two can differ near the cutoff)."""
+        e, with c = coeff and each c^j truncated at qcut; the one series when
+        power > order.  C(e, j) = e (e-1) ... (e-j+1)/j! is an integer also
+        for e < 0, so no factor is inverted.  For a monomial c, as in every
+        factor of this module, it equals |e| truncated products of the
+        factor or of its inverse."""
         c = coeff.truncate(qcut)
         coeffs = [LaurentPoly.one()] + [LaurentPoly.zero()] * order
         binom = 1
@@ -244,8 +242,7 @@ def qdilog_series(u_prefactor: LaurentPoly, order: int, qcut: int,
         raise ValueError("power must be a positive integer")
     jmax = order // power
     base = table if table is not None else eq_coefficients(jmax, qcut, inverse)
-    out = [LaurentPoly.zero()] * (order + 1)
-    out[0] = LaurentPoly.one()
+    out = [LaurentPoly.one()] + [LaurentPoly.zero()] * order
     pref = LaurentPoly.one()
     for j in range(1, jmax + 1):
         pref = (pref * u_prefactor).truncate(qcut)
@@ -267,9 +264,7 @@ def _primitive_direction(charges: list[ChargeVector]) -> tuple[ChargeVector, lis
     if not charges:
         return DELTA, []
     first = charges[0]
-    g = 0
-    for c in first.coords():
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*first.coords())
     gamma0 = ChargeVector(first.a // g, first.b // g, first.ma // g, first.mb // g)
     mults = []
     for ch in charges:
@@ -333,6 +328,13 @@ def conjugation_element(f: RaySeries, gamma_m: ChargeVector) -> QTorusElement:
     return g.scale_arg(-c).as_element(carrier=gamma_m)
 
 
+def _enlarged(qcut: int, factors) -> int:
+    """Working cutoff of a product truncated once at qcut: a factor (jmax, h)
+    whose u^j terms (j <= jmax) carry no q-power below q^(j h/2) pulls a term
+    dropped above the cutoff down by at most jmax * max(0, -h) half-units."""
+    return qcut + sum(jmax * max(0, -h) for jmax, h in factors)
+
+
 def closed_form_element(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
                         gamma_m: ChargeVector, order: int, qcut: int) -> QTorusElement:
     """Closed-form ray automorphism on y_gm:
@@ -340,43 +342,39 @@ def closed_form_element(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
     prod_{g} prod_n prod_{k=0}^{M-1}
         (1 + (-q^(1/2))^n (q^(1/2))^(2k+1-M) y_g)^((-1)^n Omega_n(g) sgn<g,gm>)
     with M = |<gm, g>|, expanded in the canonical basis.  The product is
-    taken from the first factor; with none (an empty ray, or gm paired to
-    zero with every charge, as an electric gm is) it is y_gm.
+    taken from the first factor at the `_enlarged` cutoff of its factors and
+    truncated once at qcut; with none (an empty ray, or gm paired to zero
+    with every charge, as an electric gm is) it is y_gm.
     """
     gamma0, mults = _primitive_direction([g for g, _ in ray_charges])
-    factors = []
+    factors = []   # (h, s, w, e): the factor (1 + s q^(h/2) u^w)^e
     for (gamma, omega), w in zip(ray_charges, mults):
         pairing = skew_pair(gamma, gamma_m)
         m_abs, sgn = abs(pairing), (1 if pairing > 0 else -1)
         for n, omega_n in omega_components(omega):
             e = (omega_n if n % 2 == 0 else -omega_n) * sgn
-            for k in range(m_abs):
-                coeff = LaurentPoly.monomial(n + 2 * k + 1 - m_abs,
-                                             -1 if n % 2 else 1)
-                factors.append(RaySeries.binomial(gamma0, coeff, w, e, order, qcut))
+            factors += [(n + 2 * k + 1 - m_abs, -1 if n % 2 else 1, w, e)
+                        for k in range(m_abs)]
     if not factors:
         return QTorusElement.generator(gamma_m)
-    return functools.reduce(RaySeries.mul, factors).as_element(carrier=gamma_m)
-
-
-def _work_cut(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
-              gamma: ChargeVector, order: int, qcut: int) -> int:
-    """Enlarged q cutoff for intermediate arithmetic: truncation tails can
-    propagate downward by at most the negative shifts q^(-j c/2) appearing in
-    the conjugation, so a margin proportional to order * |c| is added."""
-    gamma0, _ = _primitive_direction([g for g, _ in ray_charges])
-    return qcut + 2 * order * (abs(skew_pair(gamma0, gamma)) + 2)
+    work = _enlarged(qcut, [(order // w, h) for h, _, w, _ in factors])
+    return functools.reduce(RaySeries.mul, [
+        RaySeries.binomial(gamma0, LaurentPoly.monomial(h, s), w, e, order, work)
+        for h, s, w, e in factors]).as_element(carrier=gamma_m).truncate_q(qcut)
 
 
 def ray_action(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
                gamma: ChargeVector, order: int, qcut: int) -> QTorusElement:
     """Action of the ray automorphism on y_gamma by genuine conjugation of
-    y_gamma with the DT product, computed at the enlarged cutoff `_work_cut`
-    and truncated at qcut.  Electric gamma and an empty ray act trivially."""
+    y_gamma with the DT product, at the `_enlarged` cutoff of (order, -|c|),
+    c = <gamma0, gamma>, truncated at qcut: the DT product and its inverse
+    carry no negative q-power (n + 1 >= 0 in each factor), and conjugation
+    costs u^j at most q^(-j |c|/2).  Electric gamma and an empty ray act trivially."""
     if gamma.is_electric() or not ray_charges:
         return QTorusElement.generator(gamma)
-    f = dt_ray(ray_charges, order, _work_cut(ray_charges, gamma, order, qcut))
-    return conjugation_element(f, gamma).truncate_q(qcut)
+    gamma0, _ = _primitive_direction([g for g, _ in ray_charges])
+    work = _enlarged(qcut, [(order, -abs(skew_pair(gamma0, gamma)))])
+    return conjugation_element(dt_ray(ray_charges, order, work), gamma).truncate_q(qcut)
 
 
 @dataclass(frozen=True)
@@ -391,16 +389,13 @@ def bps_automorphism(structure: RefinedBPSStructure,
     """Action of the ray automorphism on y_gamma, computed two ways.
 
     (a) genuine conjugation of y_gamma by the DT product (`ray_action`),
-    (b) the closed-form product at the same enlarged cutoff.  Both are exact
-    mod the tracked truncations, so they agree at the reporting cutoff;
+    (b) the closed-form product.  Both are exact at qcut, so they agree;
     callers compare them.  Electric gamma and an empty ray act trivially:
     (a) returns y_gamma without conjugating, and (b) multiplies no factor.
     `structure` is not read.
     """
-    element = ray_action(ray_charges, gamma, order, qcut)
-    closed = closed_form_element(ray_charges, gamma, order,
-                                 _work_cut(ray_charges, gamma, order, qcut))
-    return AutomorphismResult(element, closed.truncate_q(qcut))
+    return AutomorphismResult(ray_action(ray_charges, gamma, order, qcut),
+                              closed_form_element(ray_charges, gamma, order, qcut))
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +428,9 @@ def sector_closed_form(gamma: ChargeVector, adeg: int, bdeg: int,
     Three product families: rays through beta + n delta (n >= 0), through
     -beta + n delta (n >= 1), and the delta-multiple ray, each expanded to
     electric bidegree (adeg, bdeg).  Returned in the y basis.  A factor
-    (1 - q^(h/2) x_g)^e, x_g = sigma(g) y_g, runs to u^jmax, the largest j
-    with j g inside the bidegree; as its u^j term carries q^(j h/2), the
-    product is formed at qcut + sum(jmax * max(0, -h)) and truncated once
-    at qcut, so no term dropped above a cutoff belongs below it.
+    (1 - q^(h/2) x_g)^e, x_g = sigma(g) y_g, runs to u^jmax (`_jmax`); as
+    its u^j term carries q^(j h/2), the product is formed at the `_enlarged`
+    cutoff of its factors and truncated once at qcut.
     """
     factors = []   # (h, g, e): the factor (1 - q^(h/2) x_g)^e
     for g in ([ChargeVector(1, n) for n in range(0, bdeg + 1)]
@@ -450,14 +444,16 @@ def sector_closed_form(gamma: ChargeVector, adeg: int, bdeg: int,
         g, m_abs = ChargeVector(0, m), m * abs(d_pair)
         for k in range(m_abs):
             factors += [(2 - m_abs + 2 * k, g, sgn), (-m_abs + 2 * k, g, sgn)]
-    factors = [(h, g, e, min(d // abs(n) for d, n in ((adeg, g.a), (bdeg, g.b)) if n))
-               for h, g, e in factors]
-    work = qcut + sum(jmax * max(0, -h) for h, _, _, jmax in factors)
-    product = _electric_product(
-        [RaySeries.binomial(g, LaurentPoly.monomial(h, -sigma(g)), 1, e, jmax,
-                            work).as_element() for h, g, e, jmax in factors],
-        adeg, bdeg, work)
-    return product.truncate_q(qcut)
+    work = _enlarged(qcut, [(_jmax(g, adeg, bdeg), h) for h, g, _ in factors])
+    return _electric_product(
+        [RaySeries.binomial(g, LaurentPoly.monomial(h, -sigma(g)), 1, e,
+                            _jmax(g, adeg, bdeg), work).as_element() for h, g, e in factors],
+        adeg, bdeg, work).truncate_q(qcut)
+
+
+def _jmax(g: ChargeVector, adeg: int, bdeg: int) -> int:
+    """Largest j with j g inside electric bidegree (adeg, bdeg)."""
+    return min(d // abs(n) for d, n in ((adeg, g.a), (bdeg, g.b)) if n)
 
 
 def _electric_product(multipliers: list[QTorusElement], adeg: int, bdeg: int,
@@ -477,15 +473,19 @@ def sector_from_rays(structure: RefinedBPSStructure, gamma: ChargeVector,
     Rays are composed in clockwise order, ell(0), ell(1), ..., ell_inf,
     -ell(-bdeg), ..., -ell(-1); since every multiplier is electric and the
     ray operators fix electric generators, the composition reduces to the
-    product of the per-ray multipliers.  `structure` is not read.
+    product of the per-ray multipliers.  A ray's u^j term carries no q-power
+    below q^(-j |c| / 2), c = <gamma0, gamma>; the actions and their product
+    are formed at the `_enlarged` cutoff.  `structure` is not read.
     """
     order = max(adeg, bdeg)
     ray_list: list[list] = [conifold_ray_charges("ell_n", n) for n in range(0, bdeg + 1)]
     ray_list.append(conifold_ray_charges("ell_inf", kmax=bdeg))
     ray_list.extend(conifold_ray_charges("-ell_n", -m) for m in range(bdeg, 0, -1))
-
-    actions = [ray_action(charges, gamma, order, qcut) for charges in ray_list]
+    dirs = [_primitive_direction([g for g, _ in charges])[0] for charges in ray_list]
+    work = _enlarged(qcut, [(_jmax(g0, adeg, bdeg), -abs(skew_pair(g0, gamma)))
+                            for g0 in dirs])
+    actions = [ray_action(charges, gamma, order, work) for charges in ray_list]
     return _electric_product(
         [QTorusElement({g - gamma: c for g, c in action.terms.items()})
-         for action in actions], adeg, bdeg, qcut)
+         for action in actions], adeg, bdeg, work).truncate_q(qcut)
 

@@ -174,6 +174,15 @@ def test_verify_algebra_passes_at_zero_cutoff(tmp_path, flag):
     assert code == EXIT_OK and data["n_failed"] == 0
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_wallcrossing_passes_below_order_n(tmp_path, k):
+    """--order-K below --order-N (4): the inversion row forms R(-gm) R(gm)
+    at its enlarged cutoff and truncates once, so it holds at every cutoff."""
+    code, data = run_cli(tmp_path, "verify", "--suite", "wallcrossing",
+                         "--order-K", str(k))
+    assert code == EXIT_OK and data["n_failed"] == 0
+
+
 def test_verify_record_writes_unread_options_as_null(tmp_path):
     _, data = run_cli(tmp_path, "verify", "--suite", "bernoulli")
     assert (data["tolerance"], data["order_N"], data["order_K"]) == (None, None, None)
@@ -339,6 +348,19 @@ def test_unexpected_exception_is_numerical(monkeypatch, capsys):
 def test_tol_rejected_where_not_honoured(target, capsys):
     assert main(["eval", "--target", target, "--tol", "1e-3"]) == EXIT_USAGE
     assert f"--tol is not honoured by eval --target {target}" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--target", "F", "--param", "z=0.3+0.4i", "--param", "w1bar=1",
+     "--param", "w2=-0.2-0.7i"],
+    ["eval", "--target", "qdilog", "--param", "x=0.3", "--param", "q=0.5"],
+    ["verify", "--suite", "difference"],
+    ["verify", "--suite", "dilog"]])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_tol_not_finite_positive_is_usage(argv, tol, capsys):
+    assert main(argv + ["--tol", tol]) == EXIT_USAGE
+    assert f"argument --tol: must be a finite positive number, got {tol}" in \
         capsys.readouterr().err
 
 
@@ -603,6 +625,26 @@ def test_growth_sweep_matches_verify_exponent(tmp_path):
     row = next(c for c in suite["checks"]
                if c["name"] == "qrh3 growth exponent finite (B)")
     assert abs(sweep["rows"][-1]["value"][0] - row["meta"]["exponent"]) < 1e-12
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_remainder_order_row_fails_one_order_off(off, monkeypatch):
+    """The small-w2 order rows compare the slope with the closed-form order
+    (K, or K + 1 where B_(K+1) = 0), not with the nearest integer: a slope
+    one order off fails all six rows and no other."""
+    import conifoldrh.cli as cli
+    from conifoldrh import multisine
+
+    assert all(r.passed for r in cli._suite_asymptotics(4, 16, 1e-8))
+    good = multisine.fit_loglog_slope
+
+    def shifted(*args):
+        slope, dev = good(*args)
+        return slope + off, dev
+
+    monkeypatch.setattr(multisine, "fit_loglog_slope", shifted)
+    failed = [r.name for r in cli._suite_asymptotics(4, 16, 1e-8) if not r.passed]
+    assert failed == [f"{m} remainder order K={K}" for K in (1, 2, 3) for m in "FG"]
 
 
 @pytest.mark.parametrize("mode,params", [("F", (1 + 0.05j,)),

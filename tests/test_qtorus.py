@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from conifoldrh.laurent import LaurentPoly
 from conifoldrh.lattice import (BETA, BETA_V, DELTA, DELTA_V, ChargeVector,
                                 conifold_bps, skew_pair)
-from conifoldrh.qtorus import (QTorusElement, RaySeries, bps_automorphism,
-                               closed_form_element, conifold_ray_charges,
-                               conjugation_element, dt_ray, eq_coefficients,
-                               minus_q_half_power, omega_components,
-                               qdilog_series,
+from conifoldrh.qtorus import (AutomorphismResult, QTorusElement, RaySeries,
+                               bps_automorphism, closed_form_element,
+                               conifold_ray_charges, conjugation_element, dt_ray,
+                               eq_coefficients, minus_q_half_power,
+                               omega_components, qdilog_series, ray_action,
                                sector_closed_form, sector_from_rays, sigma)
 
 S = conifold_bps(0.3 + 0.4j, 1.0)
@@ -486,6 +486,47 @@ def test_sector_closed_form_exact_at_every_cutoff(g, d):
     for qcut in range(0, 7):
         assert (sector_closed_form(g, d, d, qcut)
                 == sector_closed_form(g, d, d, qcut + 60).truncate_q(qcut)), qcut
+
+
+@pytest.mark.parametrize("g", [BETA_V, DELTA_V, DELTA, BETA_V - DELTA_V])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sector_from_rays_exact_at_every_cutoff(g, d):
+    """Later ray multipliers carry negative q-powers; the composition at qcut
+    is the composition at a far higher cutoff, truncated, and so equals the
+    closed form at every cutoff."""
+    for qcut in range(0, 7):
+        composed = sector_from_rays(S, g, d, d, qcut)
+        assert composed == sector_from_rays(S, g, d, d, qcut + 60).truncate_q(qcut), qcut
+        assert composed == sector_closed_form(g, d, d, qcut), qcut
+
+
+@pytest.mark.parametrize("kind,n", [("ell_n", 0), ("ell_n", 1), ("ell_n", 2),
+                                    ("-ell_n", -1), ("-ell_n", -2), ("ell_inf", 4)])
+def test_ray_routes_exact_at_every_cutoff(kind, n):
+    """ray_action, closed_form_element and bps_automorphism at qcut equal
+    their values at qcut + 60, truncated, for N <= 4 and qcut <= 8."""
+    ray = (conifold_ray_charges("ell_inf", kmax=n) if kind == "ell_inf"
+           else conifold_ray_charges(kind, n))
+    for g in (BETA_V, DELTA_V, BETA_V - DELTA_V, 2 * BETA_V + DELTA_V, -DELTA_V):
+        for order in range(0, 5):
+            for qcut in range(0, 9):
+                action = ray_action(ray, g, order, qcut + 60).truncate_q(qcut)
+                closed = closed_form_element(ray, g, order, qcut + 60).truncate_q(qcut)
+                assert ray_action(ray, g, order, qcut) == action, (g, order, qcut)
+                assert closed_form_element(ray, g, order, qcut) == closed, (g, order, qcut)
+                assert bps_automorphism(S, ray, g, order, qcut) == AutomorphismResult(
+                    action, closed)
+
+
+def test_dt_factors_carry_no_negative_q_power():
+    """Every DT factor E_q((-q^(1/2))^(n+1) y_g) on a conifold ray has
+    n + 1 >= 0, so a DT product and its inverse carry no negative q-power:
+    ray_action's working margin N |c| rests on this."""
+    rays = [conifold_ray_charges(kind, n) for kind in ("ell_n", "-ell_n")
+            for n in range(-8, 9)]
+    rays.append(conifold_ray_charges("ell_inf", kmax=8))
+    ns = [n for ray in rays for _, omega in ray for n, _ in omega_components(omega)]
+    assert ns and all(n + 1 >= 0 for n in ns)
 
 
 @pytest.mark.parametrize("g", [BETA_V, DELTA_V])
