@@ -140,7 +140,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Parser for the command line `argv`.  Only the subcommand that argv[0]
+    names is registered; with no argument, -h or an unknown name all four
+    are, so help and usage errors read the same either way.  This skips
+    three of the five parser builds of a typical call."""
     p = _Parser(prog="conifoldrh", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -160,22 +164,31 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(flag, **options[flag])
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
-    pe = sub.add_parser("eval", help="evaluate one function")
-    pe.add_argument("--target", required=True, choices=EVAL_TARGETS)
-    common(pe, "--param", "--tol")
+    def add_eval():
+        pe = sub.add_parser("eval", help="evaluate one function")
+        pe.add_argument("--target", required=True, choices=EVAL_TARGETS)
+        common(pe, "--param", "--tol")
 
-    pv = sub.add_parser("verify", help="run a named verification suite")
-    pv.add_argument("--suite", required=True, choices=SUITES)
-    common(pv, "--tol", "--order-N", "--order-K")
+    def add_verify():
+        pv = sub.add_parser("verify", help="run a named verification suite")
+        pv.add_argument("--suite", required=True, choices=SUITES)
+        common(pv, "--tol", "--order-N", "--order-K")
 
-    ps = sub.add_parser("sweep", help="sweep one parameter")
-    ps.add_argument("--target", required=True, choices=tuple(SWEEP_PARAMS))
-    ps.add_argument("--sweep", required=True, metavar="NAME:START:RATIO:COUNT",
-                    help="geometric schedule; append :lin for a linear step")
-    common(ps, "--param", "--format")
+    def add_sweep():
+        ps = sub.add_parser("sweep", help="sweep one parameter")
+        ps.add_argument("--target", required=True, choices=tuple(SWEEP_PARAMS))
+        ps.add_argument("--sweep", required=True, metavar="NAME:START:RATIO:COUNT",
+                        help="geometric schedule; append :lin for a linear step")
+        common(ps, "--param", "--format")
 
-    pr = sub.add_parser("region", help="scan the admissible tau region")
-    common(pr, "--param")
+    def add_region():
+        pr = sub.add_parser("region", help="scan the admissible tau region")
+        common(pr, "--param")
+
+    commands = {"eval": add_eval, "verify": add_verify, "sweep": add_sweep,
+                "region": add_region}
+    for name in [argv[0]] if argv and argv[0] in commands else commands:
+        commands[name]()
     return p
 
 
@@ -826,9 +839,10 @@ def _strict(obj):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -427,11 +427,13 @@ def sector_closed_form(gamma: ChargeVector, adeg: int, bdeg: int,
 
     Three product families: rays through beta + n delta (n >= 0), through
     -beta + n delta (n >= 1), and the delta-multiple ray, each expanded to
-    electric bidegree (adeg, bdeg).  Returned in the y basis.  A factor
-    (1 - q^(h/2) x_g)^e, x_g = sigma(g) y_g, runs to u^jmax (`_jmax`); as
-    its u^j term carries q^(j h/2), the product is formed at the `_enlarged`
-    cutoff of its factors and truncated once at qcut.
+    electric bidegree (adeg, bdeg), adeg == bdeg (`_require_square`).
+    Returned in the y basis.  A factor (1 - q^(h/2) x_g)^e, x_g = sigma(g) y_g,
+    runs to u^jmax (`_jmax`); as its u^j term carries q^(j h/2), the product
+    is formed at the `_enlarged` cutoff of its factors and truncated once at
+    qcut.
     """
+    _require_square(adeg, bdeg)
     factors = []   # (h, g, e): the factor (1 - q^(h/2) x_g)^e
     for g in ([ChargeVector(1, n) for n in range(0, bdeg + 1)]
               + [ChargeVector(-1, n) for n in range(1, bdeg + 1)]):
@@ -449,6 +451,14 @@ def sector_closed_form(gamma: ChargeVector, adeg: int, bdeg: int,
         [RaySeries.binomial(g, LaurentPoly.monomial(h, -sigma(g)), 1, e,
                             _jmax(g, adeg, bdeg), work).as_element() for h, g, e in factors],
         adeg, bdeg, work).truncate_q(qcut)
+
+
+def _require_square(adeg: int, bdeg: int) -> None:
+    """Refuse adeg != bdeg: the bidegree box is then not closed under the
+    product of multipliers whose terms take both signs of a, and the closed
+    form and the ray composition disagree (delta_v at (1, 3))."""
+    if adeg != bdeg:
+        raise ValueError(f"sector multipliers need adeg == bdeg, got adeg={adeg}, bdeg={bdeg}")
 
 
 def _jmax(g: ChargeVector, adeg: int, bdeg: int) -> int:
@@ -475,16 +485,17 @@ def sector_from_rays(structure: RefinedBPSStructure, gamma: ChargeVector,
     ray operators fix electric generators, the composition reduces to the
     product of the per-ray multipliers.  A ray's u^j term carries no q-power
     below q^(-j |c| / 2), c = <gamma0, gamma>; the actions and their product
-    are formed at the `_enlarged` cutoff.  `structure` is not read.
+    are formed at the `_enlarged` cutoff.  adeg == bdeg (`_require_square`);
+    `structure` is not read.
     """
-    order = max(adeg, bdeg)
+    _require_square(adeg, bdeg)
     ray_list: list[list] = [conifold_ray_charges("ell_n", n) for n in range(0, bdeg + 1)]
     ray_list.append(conifold_ray_charges("ell_inf", kmax=bdeg))
     ray_list.extend(conifold_ray_charges("-ell_n", -m) for m in range(bdeg, 0, -1))
     dirs = [_primitive_direction([g for g, _ in charges])[0] for charges in ray_list]
     work = _enlarged(qcut, [(_jmax(g0, adeg, bdeg), -abs(skew_pair(g0, gamma)))
                             for g0 in dirs])
-    actions = [ray_action(charges, gamma, order, work) for charges in ray_list]
+    actions = [ray_action(charges, gamma, adeg, work) for charges in ray_list]
     return _electric_product(
         [QTorusElement({g - gamma: c for g, c in action.terms.items()})
          for action in actions], adeg, bdeg, work).truncate_q(qcut)

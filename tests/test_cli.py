@@ -238,6 +238,55 @@ def test_missing_parameter_is_usage(capsys):
     assert main(["eval", "--target", "qdilog"]) == EXIT_USAGE
 
 
+COMMANDS = ("eval", "verify", "sweep", "region")
+FLAGS = ("--target", "--suite", "--sweep", "--param", "--tol", "--order-N",
+         "--order-K", "--format", "--out")
+
+
+@pytest.mark.parametrize("argv,shown", [
+    (["--help"], COMMANDS),
+    (["eval", "--help"], ("--target", "--param", "--tol", "--out")),
+    (["verify", "--help"], ("--suite", "--tol", "--order-N", "--order-K", "--out")),
+    (["sweep", "--help"], ("--target", "--sweep", "--param", "--format", "--out")),
+    (["region", "--help"], ("--param", "--out")),
+])
+def test_help_lists_each_commands_own_options(argv, shown, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in shown)
+    if argv[0] in COMMANDS:
+        assert not [flag for flag in FLAGS if flag not in shown and flag in out]
+
+
+@pytest.mark.parametrize("argv,named", [([], ("command",)), (["bogus"], COMMANDS)])
+def test_no_or_unknown_command_is_usage(argv, named, capsys):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert all(name in err for name in named)
+
+
+@pytest.mark.parametrize("argv,parsers", [
+    (["eval", "--target", "bernoulli", "--param", "n=2"], 2),
+    (["bogus"], 5),
+])
+def test_parser_builds_only_the_invoked_command(argv, parsers, monkeypatch, capsys):
+    """A call builds the top-level parser and the one subcommand it names;
+    without a known name it builds all four, for the help and the error."""
+    from conifoldrh import cli
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    main(argv)
+    assert len(built) == parsers, built
+
+
 def test_numerical_failure_exit_code(monkeypatch):
     import conifoldrh.cli as cli
     from conifoldrh.contour import QuadratureError
@@ -490,6 +539,25 @@ def test_fresh_import_does_not_load_numpy():
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)),
                           check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_fresh_import_builds_no_parser():
+    """Importing the CLI constructs no ArgumentParser: each call builds the
+    parser for its own command line, and the import pays for none."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import conifoldrh.cli\n"
+            "print(len(built))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          check=True)
+    assert done.stdout.strip() == "0"
 
 
 def test_inversion_row_fails_on_perturbed_coefficient(monkeypatch):

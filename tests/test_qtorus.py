@@ -488,6 +488,16 @@ def test_sector_closed_form_exact_at_every_cutoff(g, d):
                 == sector_closed_form(g, d, d, qcut + 60).truncate_q(qcut)), qcut
 
 
+@pytest.mark.parametrize("adeg,bdeg", [(1, 3), (3, 1)])
+def test_sector_refuses_unequal_degrees(adeg, bdeg):
+    """At (1, 3) the two routes disagree on delta_v: the bidegree box is not
+    closed under the product, so both refuse unequal degrees."""
+    with pytest.raises(ValueError, match=f"adeg={adeg}, bdeg={bdeg}"):
+        sector_closed_form(DELTA_V, adeg, bdeg, 4)
+    with pytest.raises(ValueError, match=f"adeg={adeg}, bdeg={bdeg}"):
+        sector_from_rays(S, DELTA_V, adeg, bdeg, 4)
+
+
 @pytest.mark.parametrize("g", [BETA_V, DELTA_V, DELTA, BETA_V - DELTA_V])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sector_from_rays_exact_at_every_cutoff(g, d):
