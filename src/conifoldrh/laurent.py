@@ -138,9 +138,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def is_monomial(self) -> bool:
-        return len(self._c) == 1
-
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -211,12 +208,6 @@ class LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = {n: a for n, a in self._c.items() if n <= max_half_exp}
         return out
-
-    def inverse_monomial(self) -> "LaurentPoly":
-        if len(self._c) != 1:
-            raise ValueError("only monomials are units in the Laurent ring")
-        ((n, a),) = self._c.items()
-        return LaurentPoly({-n: Fraction(1, a)})
 
     # -- export ------------------------------------------------------------
 

@@ -75,9 +75,9 @@ class QTorusElement:
                 out[g] = out.get(g, LaurentPoly.zero()) + c
         return QTorusElement(out)
 
-    def truncate_electric(self, adeg: int, bdeg: int) -> "QTorusElement":
+    def truncate_electric(self, deg: int) -> "QTorusElement":
         return QTorusElement({g: c for g, c in self.terms.items()
-                              if abs(g.a) <= adeg and abs(g.b) <= bdeg})
+                              if abs(g.a) <= deg and abs(g.b) <= deg})
 
     def truncate_q(self, qcut: int) -> "QTorusElement":
         return QTorusElement({g: c.truncate(qcut) for g, c in self.terms.items()})
@@ -164,17 +164,17 @@ class RaySeries:
         return self._like(out)
 
     def inverse(self) -> "RaySeries":
-        """Series inverse; constant term must be a unit (monomial)."""
-        c0 = self.coeffs[0]
-        if c0.is_zero() or not c0.is_monomial():
-            raise ValueError("constant term is not a unit; cannot invert ray series")
-        inv0 = c0.inverse_monomial()
-        out = [inv0] + [LaurentPoly.zero()] * self.order
+        """Series inverse; the constant term must be 1, as it is for every
+        DT product, so each coefficient stays integral."""
+        if self.coeffs[0] != LaurentPoly.one():
+            raise ValueError(f"constant term {self.coeffs[0]} is not 1; "
+                             "cannot invert ray series")
+        out = [LaurentPoly.one()] + [LaurentPoly.zero()] * self.order
         for j in range(1, self.order + 1):
             acc = LaurentPoly.zero()
             for i in range(1, j + 1):
                 acc = acc + (self.coeffs[i] * out[j - i]).truncate(self.qcut)
-            out[j] = (-(inv0 * acc)).truncate(self.qcut)
+            out[j] = (-acc).truncate(self.qcut)
         return self._like(out)
 
     def scale_arg(self, half_exp: int) -> "RaySeries":
@@ -446,11 +446,11 @@ def sector_closed_form(gamma: ChargeVector, adeg: int, bdeg: int,
         g, m_abs = ChargeVector(0, m), m * abs(d_pair)
         for k in range(m_abs):
             factors += [(2 - m_abs + 2 * k, g, sgn), (-m_abs + 2 * k, g, sgn)]
-    work = _enlarged(qcut, [(_jmax(g, adeg, bdeg), h) for h, g, _ in factors])
+    work = _enlarged(qcut, [(_jmax(g, adeg), h) for h, g, _ in factors])
     return _electric_product(
         [RaySeries.binomial(g, LaurentPoly.monomial(h, -sigma(g)), 1, e,
-                            _jmax(g, adeg, bdeg), work).as_element() for h, g, e in factors],
-        adeg, bdeg, work).truncate_q(qcut)
+                            _jmax(g, adeg), work).as_element() for h, g, e in factors],
+        adeg, work).truncate_q(qcut)
 
 
 def _require_square(adeg: int, bdeg: int) -> None:
@@ -461,19 +461,19 @@ def _require_square(adeg: int, bdeg: int) -> None:
         raise ValueError(f"sector multipliers need adeg == bdeg, got adeg={adeg}, bdeg={bdeg}")
 
 
-def _jmax(g: ChargeVector, adeg: int, bdeg: int) -> int:
-    """Largest j with j g inside electric bidegree (adeg, bdeg)."""
-    return min(d // abs(n) for d, n in ((adeg, g.a), (bdeg, g.b)) if n)
+def _jmax(g: ChargeVector, deg: int) -> int:
+    """Largest j with j g inside electric bidegree (deg, deg)."""
+    return deg // max(abs(g.a), abs(g.b))
 
 
-def _electric_product(multipliers: list[QTorusElement], adeg: int, bdeg: int,
+def _electric_product(multipliers: list[QTorusElement], deg: int,
                       qcut: int) -> QTorusElement:
     """Product of electric multipliers in order, taken from the first, each
-    partial product truncated to bidegree (adeg, bdeg) and at qcut; y_0 for
+    partial product truncated to bidegree (deg, deg) and at qcut; y_0 for
     none."""
     first, *rest = multipliers or [QTorusElement.generator(ChargeVector())]
-    return functools.reduce(lambda acc, m: acc.mul(m, qcut).truncate_electric(adeg, bdeg),
-                            rest, first.truncate_electric(adeg, bdeg))
+    return functools.reduce(lambda acc, m: acc.mul(m, qcut).truncate_electric(deg),
+                            rest, first.truncate_electric(deg))
 
 
 def sector_from_rays(structure: RefinedBPSStructure, gamma: ChargeVector,
@@ -493,10 +493,10 @@ def sector_from_rays(structure: RefinedBPSStructure, gamma: ChargeVector,
     ray_list.append(conifold_ray_charges("ell_inf", kmax=bdeg))
     ray_list.extend(conifold_ray_charges("-ell_n", -m) for m in range(bdeg, 0, -1))
     dirs = [_primitive_direction([g for g, _ in charges])[0] for charges in ray_list]
-    work = _enlarged(qcut, [(_jmax(g0, adeg, bdeg), -abs(skew_pair(g0, gamma)))
+    work = _enlarged(qcut, [(_jmax(g0, adeg), -abs(skew_pair(g0, gamma)))
                             for g0 in dirs])
     actions = [ray_action(charges, gamma, adeg, work) for charges in ray_list]
     return _electric_product(
         [QTorusElement({g - gamma: c for g, c in action.terms.items()})
-         for action in actions], adeg, bdeg, work).truncate_q(qcut)
+         for action in actions], adeg, work).truncate_q(qcut)
 

@@ -116,7 +116,7 @@ def test_ell0_row_checks_euler_expansion(monkeypatch):
     name = "DT(ell_0) ray series == Euler expansion"
     # u^2 coefficient q (1 + q + 2q^2 + ...): partitions into parts <= 2
     assert cli._euler_ell0(2, 8)[2] == LaurentPoly({2: 1, 4: 1, 6: 2, 8: 2})
-    row = next(r for r in cli._suite_algebra(3, 12, 1e-8) if r.name == name)
+    row = next(r for r in cli._suite_algebra(3, 12) if r.name == name)
     assert row.passed and row.meta["series"]
     good = cli._euler_ell0
 
@@ -126,25 +126,28 @@ def test_ell0_row_checks_euler_expansion(monkeypatch):
         return out
 
     monkeypatch.setattr(cli, "_euler_ell0", off_by_one)
-    row = next(r for r in cli._suite_algebra(3, 12, 1e-8) if r.name == name)
+    row = next(r for r in cli._suite_algebra(3, 12) if r.name == name)
     assert not row.passed
 
 
 @pytest.mark.parametrize("suite", ["algebra", "dilog", "bernoulli", "difference",
                                    "reflection", "wallcrossing", "cs-match"])
 def test_suite_options_name_what_each_suite_reads(suite):
-    """A suite runs with every option that SUITE_OPTIONS does not list for
-    it set to None, and fails with any listed one set to None.  (asymptotics
-    and qrh-limits list none; the CLI runs them with none in every test.)"""
+    """A suite's parameters are the options that SUITES lists for it, in
+    order; it runs with exactly those, and fails with any of them set to
+    None.  (asymptotics and qrh-limits list none; the CLI runs them with
+    none in every test.)"""
+    import inspect
+
     import conifoldrh.cli as cli
-    reads = cli.SUITE_OPTIONS[suite]
+    func, reads = cli.SUITES[suite]
+    values = {"--order-N": 4, "--order-K": 16, "--tol": 1e-8}
+    params = {"--order-N": "order_n", "--order-K": "qcut", "--tol": "tol"}
 
     def run(unset=None):
-        order_n, qcut, tol = (None if flag not in reads or flag == unset else value
-                              for flag, value in (("--order-N", 4), ("--order-K", 16),
-                                                  ("--tol", 1e-8)))
-        return cli._SUITE_FUNCS[suite](order_n, qcut, tol)
+        return func(*(None if flag == unset else values[flag] for flag in reads))
 
+    assert list(inspect.signature(func).parameters) == [params[f] for f in reads]
     assert all(r.passed for r in run())
     for flag in reads:
         with pytest.raises(TypeError):
@@ -193,11 +196,11 @@ def test_verify_record_writes_unread_options_as_null(tmp_path):
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
     import conifoldrh.cli as cli
 
-    def broken(order_n, qcut, tol):
+    def broken():
         from conifoldrh.checks import Residual
-        return [Residual.compare("forced failure", 1.0, 2.0, tol)]
+        return [Residual.compare("forced failure", 1.0, 2.0, 1e-8)]
 
-    monkeypatch.setitem(cli._SUITE_FUNCS, "bernoulli", broken)
+    monkeypatch.setitem(cli.SUITES, "bernoulli", (broken, ()))
     code = main(["verify", "--suite", "bernoulli", "--out",
                  str(tmp_path / "x.json")])
     assert code == EXIT_CHECK
@@ -228,6 +231,28 @@ def test_sweep_csv_output(tmp_path):
 def test_sweep_empty_schedule_usage(capsys):
     assert main(["sweep", "--target", "qrh-limit-B",
                  "--sweep", "t:0.8:0.5:0"]) == EXIT_USAGE
+
+
+_G_POINT = ["--param", "z=0.3+0.4i", "--param", "w1=1+0.1i", "--param", "w1t=0.95-0.07i"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["sweep", "--target", "qrh-limit-B", "--sweep", "t:0.8:0.5:3:log"], "'log'"),
+    (["sweep", "--target", "qrh-limit-B", "--sweep", "t:0.8:0.5:3:"], "got ''"),
+    (["sweep", "--target", "growth-B", "--sweep", "t:4:-2:3"], "t = -8.0"),
+    (["sweep", "--target", "growth-B", "--sweep", "t:0:0.5:3"], "t = 0.0"),
+    (["sweep", "--target", "growth-B", "--sweep", "t:nan:0.5:2"], "t = nan"),
+    (["sweep", "--target", "growth-B", "--sweep", "t:inf:0.5:2"], "t = inf"),
+    (["region", "--param", "t=1e400"], "'1e400'"),
+    (["eval", "--target", "G", *_G_POINT, "--param", "w2=1e400i"], "'1e400i'"),
+    (["eval", "--target", "bernoulli", "--param", "n=2", "--param", "z=1e400"], "'1e400'"),
+])
+def test_bad_number_is_usage(argv, named, capsys):
+    """A sweep schedule has at most the fifth field `lin`, and each of its
+    values is a modulus, finite and positive; a complex parameter is finite.
+    Anything else exits 64 naming the bad value, before any computation."""
+    assert main(argv) == EXIT_USAGE
+    assert named in capsys.readouterr().err
 
 
 def test_unknown_target_rejected_before_compute(capsys):
@@ -471,8 +496,8 @@ def test_failed_exact_check_is_strict_json(tmp_path, monkeypatch):
     import conifoldrh.cli as cli
     from conifoldrh.checks import Residual
 
-    monkeypatch.setitem(cli._SUITE_FUNCS, "bernoulli",
-                        lambda *a: [Residual.exact("forced", 0, 1)])
+    monkeypatch.setitem(cli.SUITES, "bernoulli",
+                        (lambda: [Residual.exact("forced", 0, 1)], ()))
     out = tmp_path / "x.json"
     assert main(["verify", "--suite", "bernoulli", "--out", str(out)]) == EXIT_CHECK
     row = json.loads(out.read_text(), parse_constant=_no_constants)["checks"][0]
@@ -703,7 +728,7 @@ def test_remainder_order_row_fails_one_order_off(off, monkeypatch):
     import conifoldrh.cli as cli
     from conifoldrh import multisine
 
-    assert all(r.passed for r in cli._suite_asymptotics(4, 16, 1e-8))
+    assert all(r.passed for r in cli._suite_asymptotics())
     good = multisine.fit_loglog_slope
 
     def shifted(*args):
@@ -711,7 +736,7 @@ def test_remainder_order_row_fails_one_order_off(off, monkeypatch):
         return slope + off, dev
 
     monkeypatch.setattr(multisine, "fit_loglog_slope", shifted)
-    failed = [r.name for r in cli._suite_asymptotics(4, 16, 1e-8) if not r.passed]
+    failed = [r.name for r in cli._suite_asymptotics() if not r.passed]
     assert failed == [f"{m} remainder order K={K}" for K in (1, 2, 3) for m in "FG"]
 
 

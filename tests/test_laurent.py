@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,13 +41,6 @@ def test_monomial_shift_truncate():
     assert q.truncate(5) == lp({0: 1, 5: 1})
 
 
-def test_inverse_monomial():
-    p = LaurentPoly.monomial(4, Fraction(3))
-    assert p * p.inverse_monomial() == LaurentPoly.one()
-    with pytest.raises(ValueError):
-        lp({0: 1, 1: 1}).inverse_monomial()
-
-
 # ---------------------------------------------------------------------------
 # integer coefficients
 
@@ -69,16 +61,6 @@ def test_non_integral_fraction_round_trips():
     assert third + third + third == LaurentPoly.one()
     assert (p * lp({0: 3}) - lp({0: 1, 1: 6})).is_zero()
     assert hash(lp({0: Fraction(5)})) == hash(lp({0: 5}))
-
-
-def test_inverse_monomial_keeps_units_integral():
-    for a in (1, -1):
-        inv = LaurentPoly.monomial(3, a).inverse_monomial()
-        assert inv == LaurentPoly.monomial(-3, a)
-        assert type(inv.coeff(-3)) is int
-    assert LaurentPoly.monomial(2, 4).inverse_monomial().coeff(-2) == Fraction(1, 4)
-    assert LaurentPoly.monomial(2, Fraction(2, 3)).inverse_monomial().coeff(-2) == \
-        Fraction(3, 2)
 
 
 def test_to_json_strings():

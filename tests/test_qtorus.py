@@ -256,6 +256,16 @@ def test_non_unit_constant_term_rejected():
         bad.inverse()
 
 
+@pytest.mark.parametrize("c0", [LaurentPoly.from_scalar(2), LaurentPoly.from_scalar(-1),
+                                LaurentPoly.monomial(1)])
+def test_constant_term_other_than_one_rejected(c0):
+    """Only a series with constant term 1 is inverted, so no coefficient of
+    an inverse leaves the integers: 2, -1 and q^(1/2) are refused."""
+    bad = RaySeries(DELTA, (c0, LaurentPoly.one()), 20)
+    with pytest.raises(ValueError, match="is not 1"):
+        bad.inverse()
+
+
 # ---------------------------------------------------------------------------
 # DT products per ray
 
