@@ -60,8 +60,8 @@ class Residual:
     """Result of one identity check: left value, right value, residuals."""
 
     name: str
-    lhs: complex
-    rhs: complex
+    lhs: complex | tuple[int, int]
+    rhs: complex | tuple[int, int]
     abs_err: float
     rel_err: float
     tol: float
@@ -84,18 +84,19 @@ class Residual:
     def exact(cls, name: str, lhs, rhs, meta: dict | None = None) -> "Residual":
         """Record for an exact comparison of two exact values (LaurentPoly,
         QTorusElement, Fraction, int, bool, or lists of them), made here.
-        Only their equality is recorded: `lhs` and `rhs` read 0, and both
-        errors 0 when equal, inf otherwise."""
+        Only their equality is recorded: `lhs` and `rhs` read the integer
+        pair (0, 0), and both errors 0 when equal, inf otherwise."""
         equal = bool(lhs == rhs)
-        return cls(name=name, lhs=0, rhs=0, abs_err=0.0 if equal else float("inf"),
+        return cls(name=name, lhs=(0, 0), rhs=(0, 0),
+                   abs_err=0.0 if equal else float("inf"),
                    rel_err=0.0 if equal else float("inf"), tol=0.0, passed=equal,
                    meta=meta or {})
 
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "lhs": [self.lhs.real, self.lhs.imag],
-            "rhs": [self.rhs.real, self.rhs.imag],
+            "lhs": self.lhs,
+            "rhs": self.rhs,
             "abs_err": self.abs_err,
             "rel_err": self.rel_err,
             "tol": self.tol,

@@ -106,10 +106,6 @@ def parse_complex(text: str) -> complex:
     return z
 
 
-def _cnum(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def _tolerance(text: str) -> float:
     if not 0 < float(text) < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
@@ -233,8 +229,8 @@ def cmd_eval(args) -> tuple[dict, int]:
 
     record = {
         "target": target,
-        "params": {k: _cnum(v) for k, v in sorted(params.items())},
-        "value": _cnum(value),
+        "params": params,
+        "value": value,
         "error_estimate": err_est,
         "tolerance": tol,
         "predicates": [q.to_json() for q in predicates],
@@ -477,21 +473,13 @@ def _suite_wallcrossing(order_n: int, qcut: int, tol: float) -> list[Residual]:
         rd = rhsolver.wallcross_D(p, tol)
         rd.meta["predicates"] = [q.to_json() for q in rhsolver.d_predicates(p)]
         out.append(rd)
-    # telescoping: B_m/B_0 equals the product of the individual jumps
+    # telescoping: X_m/X_0 equals the product of the individual jumps
     m = 4
-    lhs = cmath.exp(rhsolver.log_B_n(p0.shifted(m), enforce=False)
-                    - rhsolver.log_B_n(p0, enforce=False))
-    rhs = 1 + 0j
-    for n in range(m):
-        rhs /= 1 - p0.x * p0.y**n
-    out.append(Residual.compare(f"B telescoping to m={m}", lhs, rhs, 1e-7))
-    lhs = cmath.exp(rhsolver.log_D_n(p0.shifted(m), enforce=False)
-                    - rhsolver.log_D_n(p0, enforce=False))
-    rhs = 1 + 0j
-    for n in range(m):
-        for k in range(n):
-            rhs /= 1 - p0.q_half ** (1 - n + 2 * k) * p0.x * p0.y**n
-    out.append(Residual.compare(f"D telescoping to m={m}", lhs, rhs, 1e-7))
+    for which, log_x, jump in (("B", rhsolver.log_B_n, rhsolver.jump_B),
+                               ("D", rhsolver.log_D_n, rhsolver.jump_D)):
+        lhs = cmath.exp(log_x(p0.shifted(m), enforce=False) - log_x(p0, enforce=False))
+        rhs = math.prod(jump(p0.shifted(n)) for n in range(m))
+        out.append(Residual.compare(f"{which} telescoping to m={m}", lhs, rhs, 1e-7))
     out.append(_extension_consistency(tol))
     out.append(_inversion_identity(order_n, qcut))
     return out
@@ -507,7 +495,7 @@ def _extension_consistency(tol: float) -> Residual:
     rhs = cmath.exp(multisine.log_F_contour(p0.v, p0.w, -p0.t)[0]
                     + multisine.q_F(p0.v, p0.w, -p0.t))
     return Residual.compare("extension consistency (B, mirrored)", lhs, rhs, tol,
-                            meta={"mirror_t": _cnum(-p0.t)})
+                            meta={"mirror_t": -p0.t})
 
 
 def _inversion_identity(order_n: int, qcut: int) -> Residual:
@@ -566,7 +554,7 @@ def _zcs_finite() -> Residual:
     """Z_cs at beta = 1, where sqrt(beta) = 1/sqrt(beta): holds iff finite."""
     z1 = rhsolver.refined_cs_partition(1.2 + 0.4j, 0.8 + 0.3j, 1.0 + 0j)
     return Residual.exact("Z_cs finite at beta=1", cmath.isfinite(z1), True,
-                          meta={"value": _cnum(z1)})
+                          meta={"value": z1})
 
 
 #: suite -> (its function, the verify options it reads in parameter order);
@@ -660,14 +648,14 @@ def cmd_sweep(args) -> tuple[dict, int]:
     p0 = _point(params)
     if args.target in ("qrh-limit-B", "qrh-limit-D"):
         _, vals = rhsolver.along_ray(p0, args.target[-1], values)
-        rows = [{name: s, "value": _cnum(val), "metric": abs(val - 1)}
+        rows = [{name: s, "value": val, "metric": abs(val - 1)}
                 for s, val in zip(values, vals)]
     elif args.target in ("growth-B", "growth-D"):
         ts, vals = rhsolver.along_ray(p0, args.target[-1], values)
-        rows = [{name: s, "value": _cnum(val), "metric": abs(val)}
+        rows = [{name: s, "value": val, "metric": abs(val)}
                 for s, val in zip(values, vals)]
         fit = rhsolver.fit_growth_exponent(ts, vals)
-        rows.append({name: None, "value": [fit["exponent"], 0.0],
+        rows.append({name: None, "value": complex(fit["exponent"], 0.0),
                      "metric": fit["max_fit_deviation"]})
     else:  # asym-order-F / asym-order-G
         mode = args.target[-1]
@@ -678,12 +666,12 @@ def cmd_sweep(args) -> tuple[dict, int]:
         logs, rems = multisine.small_w2_remainders(
             mode, params.get("z", 0.3 + 0.4j), pars, _int_param(params, "K", 2),
             [w2dir * s for s in values])
-        rows = [{name: s, "value": _cnum(lv), "metric": abs(rem)}
+        rows = [{name: s, "value": lv, "metric": abs(rem)}
                 for s, lv, rem in zip(values, logs, rems)]
     record = {
         "target": args.target,
         "sweep": args.sweep,
-        "params": {k: _cnum(v) for k, v in sorted(params.items())},
+        "params": params,
         "rows": rows,
         "timing": {"wall_s": time.perf_counter() - t0},
     }
@@ -697,8 +685,8 @@ def cmd_region(args) -> tuple[dict, int]:
     t0 = time.perf_counter()
     rep = rhsolver.region_neighborhood_tau(p.v, p.w, p.t, p.n)
     record = {
-        "params": {"v": _cnum(p.v), "w": _cnum(p.w), "t": _cnum(p.t), "n": p.n},
-        "grid": [{"tau": _cnum(r["tau"]), "ok": r["ok"], "failed": r["failed"]}
+        "params": {"v": p.v, "w": p.w, "t": p.t, "n": p.n},
+        "grid": [{"tau": r["tau"], "ok": r["ok"], "failed": r["failed"]}
                  for r in rep["grid"]],
         "n_admissible": rep["n_admissible"],
         "n_total": rep["n_total"],
@@ -722,9 +710,9 @@ def _emit(record: dict, args) -> None:
                 cells = []
                 for k in keys:
                     v = r[k]
-                    if isinstance(v, list):
-                        sign = "+" if v[1] >= 0 else "-"
-                        cells.append(f"{v[0]!r}{sign}{abs(v[1])!r}i")
+                    if isinstance(v, complex):
+                        sign = "+" if v.imag >= 0 else "-"
+                        cells.append(f"{v.real!r}{sign}{abs(v.imag)!r}i")
                     elif v is None:
                         cells.append("")
                     else:
@@ -742,8 +730,9 @@ def _emit(record: dict, args) -> None:
 
 
 def _strict(obj):
-    """Strict-JSON form of a record: complex -> [re, im], Fraction -> str,
-    and a non-finite float (e.g. the residual of a failed exact check) -> null."""
+    """Strict-JSON form of a record: complex -> [re, im] (records keep their
+    complex values until here), Fraction -> str, and a non-finite float
+    (e.g. the residual of a failed exact check) -> null."""
     if isinstance(obj, dict):
         return {k: _strict(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

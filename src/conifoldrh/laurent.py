@@ -132,9 +132,6 @@ class LaurentPoly:
     def items(self):
         return self._c.items()
 
-    def coeff(self, half_exp: int) -> Scalar:
-        return self._c.get(half_exp, 0)
-
     def is_zero(self) -> bool:
         return not self._c
 

@@ -861,7 +861,7 @@ def residue_lemma_check(w: complex, d: int) -> Residual:
     factor = 1.0 if d == 1 else (d - 1) * zeta_int(d)
     rhs = factor / TWO_PI_I * (w / TWO_PI_I) ** (d - 2)
     res = Residual.compare(f"residue_lemma(d={d})", lhs, rhs, 1e-8,
-                           meta={"quad_err": err, "w": [w.real, w.imag]})
+                           meta={"quad_err": err, "w": w})
     return res
 
 

@@ -9,11 +9,13 @@ The electric jump data is solved by
           * prod_{k=0}^{n-1} B_0(v + n w + (1-n+2k) t tau/2, w + t tau/2, t)
 
 with q^(1/2) = exp(pi i tau).  Each evaluation carries a checklist of the
-region predicates; by default violations raise, but the identity suites may
-evaluate through the analytic continuation (enforce=False) since the wall
-crossing and reflection relations are relations between the continued
-functions.  tau-neighborhood predicates (those involving t tau/2) guard
-actual convergence of the moment integrals and always matter.
+region predicates; by default violations raise, but the identity suites and
+the sweeps evaluate with enforce=False, which checks none of them, since the
+wall-crossing and reflection relations are relations between the continued
+functions.  The tau-neighborhood predicates (those involving t tau/2) are
+the convergence conditions of the moment integrals.  Only a moment's
+quadrature checks its own; a moment that takes its residue series does
+not, so with enforce=False a value is returned where they fail.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ class SolutionPoint:
     t: complex
     tau: complex
     n: int = 0
-
-    @property
-    def q_half(self) -> complex:
-        return cmath.exp(1j * math.pi * self.tau)
 
     @property
     def x(self) -> complex:
@@ -115,11 +113,14 @@ def B_n(p: SolutionPoint, enforce: bool = True) -> complex:
 def log_D_n(p: SolutionPoint, enforce: bool = True) -> complex:
     """log D_n per the shifted-argument product formula.
 
-    The tau-neighborhood predicates (Im(dw/omega) > 0 for the G* factor) are
-    genuine convergence conditions of the moment integrals, which enforce
-    them in any case; enforce=False only relaxes the t half-plane
-    conditions, under which the value continues analytically.  d_predicates
-    contains every factor's G*/F* checklist (dw = -t tau/2).
+    d_predicates contains every factor's G*/F* checklist (dw = -t tau/2).
+    enforce=False skips all of it: the t half-plane conditions, under which
+    the value continues analytically, and the tau-neighborhood conditions,
+    the convergence conditions of the moment integrals.  Only a moment's
+    quadrature checks its own (Im(z/w1) > 0 and Im(z/w1t) > 0 for a g
+    moment); a moment that takes its residue series does not, so a value is
+    returned where a tau predicate fails, as from |t| = 32 on the growth-D
+    sweep ray t = -0.755+0.655i at tau = 0.054+0.140i.
     """
     if enforce:
         require(d_predicates(p), f"D_{p.n}")
@@ -143,29 +144,37 @@ def D_n(p: SolutionPoint) -> complex:
 # wall crossing
 
 
+def jump_B(p: SolutionPoint) -> complex:
+    """The jump B_(n+1)/B_n = (1 - x y^n)^(-1) at the point's sector index n."""
+    return 1 / (1 - p.x * p.y**p.n)
+
+
+def jump_D(p: SolutionPoint) -> complex:
+    """The jump D_(n+1)/D_n = prod_{k=0}^{n-1} (1 - q^((1-n+2k)/2) x y^n)^(-1)
+    at the point's sector index n."""
+    out = 1 + 0j
+    for k in range(p.n):
+        qpow = cmath.exp(1j * math.pi * p.tau * (1 - p.n + 2 * k))
+        out /= 1 - qpow * p.x * p.y**p.n
+    return out
+
+
 def wallcross_B(p: SolutionPoint, tol: float = 1e-8) -> Residual:
-    """B_(n+1)/B_n against (1 - x y^n)^(-1) at the point's sector index,
-    through the continuation (enforce=False)."""
+    """B_(n+1)/B_n against `jump_B` at the point's sector index, through the
+    continuation (enforce=False)."""
     lb = log_B_n(p, enforce=False)
     lb1 = log_B_n(p.shifted(p.n + 1), enforce=False)
-    lhs = cmath.exp(lb1 - lb)
-    rhs = 1 / (1 - p.x * p.y**p.n)
-    return Residual.compare(f"B_wallcrossing(n={p.n})", lhs, rhs, tol,
-                            meta={"n": p.n})
+    return Residual.compare(f"B_wallcrossing(n={p.n})", cmath.exp(lb1 - lb),
+                            jump_B(p), tol, meta={"n": p.n})
 
 
 def wallcross_D(p: SolutionPoint, tol: float = 1e-8) -> Residual:
-    """D_(n+1)/D_n against prod_{k=0}^{n-1} (1 - q^((1-n+2k)/2) x y^n)^(-1),
-    through the continuation (enforce=False)."""
+    """D_(n+1)/D_n against `jump_D` at the point's sector index, through the
+    continuation (enforce=False)."""
     ld = log_D_n(p, enforce=False)
     ld1 = log_D_n(p.shifted(p.n + 1), enforce=False)
-    lhs = cmath.exp(ld1 - ld)
-    rhs = 1 + 0j
-    for k in range(p.n):
-        qpow = cmath.exp(1j * math.pi * p.tau * (1 - p.n + 2 * k))
-        rhs /= 1 - qpow * p.x * p.y**p.n
-    return Residual.compare(f"D_wallcrossing(n={p.n})", lhs, rhs, tol,
-                            meta={"n": p.n})
+    return Residual.compare(f"D_wallcrossing(n={p.n})", cmath.exp(ld1 - ld),
+                            jump_D(p), tol, meta={"n": p.n})
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +256,7 @@ def qrh2_limit(p: SolutionPoint, which: str = "B") -> Residual:
     vals = [solution(replace(p, t=p.t * 0.5**j)) for j in range(8)]
     lim = richardson_limit(vals)
     return Residual.compare(f"qrh2_limit_{which}(n={p.n})", lim, 1.0, QRH2_TOL,
-                            meta={"raw_last": [vals[-1].real, vals[-1].imag]})
+                            meta={"raw_last": vals[-1]})
 
 
 def fit_growth_exponent(ts: list[complex], values: list[complex]) -> dict:

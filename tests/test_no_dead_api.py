@@ -1,13 +1,14 @@
 """Every name the package and the benchmark define is read somewhere.
 
 The package's reachable surface is what `src/conifoldrh` and `bench/` load.
-A module-level function, class or constant, or a non-dunder method, that no
-`Name`, `Attribute` or import alias in those trees loads outside its own
-definition is dead API, and this test names it.  Names are matched as
-spelled, so an attribute `.x` anywhere keeps every method `x` alive: the
-check finds names nothing reads at all, not every unused binding.  Test
-modules under `bench/` are read for loads only (pytest calls their
-functions by collection).
+A module-level function, class or constant that no `Name`, `Attribute` or
+import alias in those trees loads outside its own definition is dead API,
+and this test names it; so is a non-dunder method that no `Attribute` or
+import alias loads there (a bare `Name` such as a parameter `x` does not
+read a method `x`).  Names are matched as spelled, so an attribute `.x`
+anywhere keeps every method `x` alive: the check finds names nothing reads
+at all, not every unused binding.  Test modules under `bench/` are read for
+loads only (pytest calls their functions by collection).
 """
 
 import ast
@@ -22,34 +23,34 @@ def _sources() -> list[Path]:
 
 
 def _definitions(tree: ast.Module):
-    """(name, first line, last line) of each module-level function, class
-    and assigned constant, and each non-dunder method of a module-level
-    class."""
+    """(name, first line, last line, is a method) of each module-level
+    function, class and assigned constant, and each non-dunder method of a
+    module-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno, node.end_lineno
+            yield node.name, node.lineno, node.end_lineno, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                    yield item.name, item.lineno, item.end_lineno
+                    yield item.name, item.lineno, item.end_lineno, True
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AnnAssign) else [])
         for target in targets:
             if isinstance(target, ast.Name) and not target.id.startswith("__"):
-                yield target.id, node.lineno, node.end_lineno
+                yield target.id, node.lineno, node.end_lineno, False
 
 
 def _loads(tree: ast.Module):
-    """(name, line) of every name the module loads."""
+    """(name, line, is a bare `Name`) of every name the module loads."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 for part in alias.name.split("."):
-                    yield part, node.lineno
+                    yield part, node.lineno, False
 
 
 def unread_names() -> list[str]:
@@ -59,11 +60,12 @@ def unread_names() -> list[str]:
         rel = path.relative_to(ROOT).as_posix()
         if not path.name.startswith("test_"):
             defs += [(rel, *d) for d in _definitions(tree)]
-        for name, line in _loads(tree):
-            loads.setdefault(name, []).append((rel, line))
-    return [f"{rel}:{first} {name}" for rel, name, first, last in defs
-            if not any(where != rel or not first <= line <= last
-                       for where, line in loads.get(name, ()))]
+        for name, line, bare in _loads(tree):
+            loads.setdefault(name, []).append((rel, line, bare))
+    return [f"{rel}:{first} {name}" for rel, name, first, last, method in defs
+            if not any((where != rel or not first <= line <= last)
+                       and not (method and bare)
+                       for where, line, bare in loads.get(name, ()))]
 
 
 def test_every_defined_name_is_read():

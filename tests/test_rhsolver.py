@@ -7,8 +7,8 @@ import pytest
 from conifoldrh import cli
 from conifoldrh.contour import QuadratureError
 from conifoldrh.lattice import RegionError
-from conifoldrh.multisine import (log_F_star, log_G_star, reflection_rhs_F,
-                                  reflection_rhs_G)
+from conifoldrh.multisine import (g_moment_quad, log_F_star, log_G_star,
+                                  reflection_rhs_F, reflection_rhs_G)
 from conifoldrh.rhsolver import (SolutionPoint, B_n, D_n, b_predicates,
                                  check_qrh3_growth, cs_match_residual,
                                  cs_point, d_predicates, default_tau_grid,
@@ -36,7 +36,6 @@ P_SW = SolutionPoint(V, W, T_SW, TAU_SW, 0)
 
 
 def test_solution_point_derived():
-    assert abs(P0.q_half - cmath.exp(1j * math.pi * TAU0)) < 1e-15
     assert abs(P0.x - cmath.exp(-2j * math.pi * V / T0)) < 1e-15
     assert abs(P0.y - cmath.exp(-2j * math.pi * W / T0)) < 1e-15
 
@@ -89,6 +88,23 @@ def test_wallcrossing_second_stability_point():
         assert wallcross_D(p.shifted(n)).rel_err < 1e-8
 
 
+def test_enforce_false_skips_the_tau_predicates():
+    """On the growth-D sweep ray t = -0.755+0.655i at tau = 0.054+0.140i,
+    |t| = 32 fails the tau predicate Im(z0/(w+t*tau/2)) > 0.  The g moment
+    quadrature refuses the point, but log_D_n(enforce=False) returns a
+    finite value, since the moments take their residue series there."""
+    t = 32 * (-0.755 + 0.655j) / abs(-0.755 + 0.655j)
+    p = SolutionPoint(V, W, t, 0.054 + 0.140j, 0)
+    assert [(q.name, q.kind) for q in d_predicates(p) if not q.ok] == [
+        ("Im(z0/(w+t*tau/2)) > 0", "tau")]
+    with pytest.raises(RegionError, match="outside tau-neighborhood"):
+        log_D_n(p)
+    w1, w1t = W - t * p.tau / 2, W + t * p.tau / 2
+    with pytest.raises(RegionError):
+        g_moment_quad(-2, V, w1, w1t)
+    assert cmath.isfinite(log_D_n(p, enforce=False))
+
+
 def test_D1_argument_plumbing():
     """D_1 = D_0(v + w - t tau/2, w, t) * B_0(v + w, w + t tau/2, t) literally."""
     p = P_IV.shifted(1)
@@ -117,7 +133,7 @@ def _mp_qp2(u, a, b):
 
 def _mp_reflection_rhs(which: str, p: SolutionPoint):
     """The B or D reflection product at 40 digits, in x, y and q^(1/2)."""
-    x, y, qh = (mpmath.mpc(c) for c in (p.x, p.y, p.q_half))
+    x, y, qh = (mpmath.mpc(c) for c in (p.x, p.y, cmath.exp(1j * math.pi * p.tau)))
     if which == "B":
         return mpmath.qp(x, y) / mpmath.qp(y / x, y)
     a, b = qh * y, y / qh
@@ -175,7 +191,7 @@ def test_reflection_D_reports_exhausted_budget():
     # instead of returning a truncation
     y = SolutionPoint(V, W, 2 + 0.2j, 0.08j, 0).y
     p = SolutionPoint(V, W, 2 + 0.2j, 1j * (-math.log(abs(y)) - 1e-5) / math.pi, 0)
-    assert 1 - 2e-5 < abs(p.y) / abs(p.q_half) < 1
+    assert 1 - 2e-5 < abs(p.y) / abs(cmath.exp(1j * math.pi * p.tau)) < 1
     with pytest.raises(QuadratureError, match="not converged within 200000 factors"):
         reflection_D_rhs(p)
 
@@ -184,7 +200,7 @@ def test_reflection_D_rhs_matches_order_by_order_product():
     """Where |y| |q^(-1/2)| = 0.942 the double q-product agrees with the
     defining product over n >= 1, k < n taken to n = 700."""
     p = SolutionPoint(V, W, 2 + 0.2j, 0.08j, 0)
-    x, y, qh = p.x, p.y, p.q_half
+    x, y, qh = p.x, p.y, cmath.exp(1j * math.pi * p.tau)
     direct = 1 + 0j
     for n in range(1, 701):
         yn = y**n
