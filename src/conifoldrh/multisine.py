@@ -292,8 +292,10 @@ def _gamma(n: float) -> float:
 # sqrt(5) u < gamma_3 (Brent, Percival and Zimmermann 2007); CPython divides
 # complex numbers by Smith's method, whose ratio r has |r| <= 1 and whose
 # denominator is at least |b|, which gives 2 gamma_3 + gamma_4 < gamma_11;
-# exp, expm1, sin, cos and pow are taken within 1 ulp (2u), as glibc
-# documents, so cmath.exp is within gamma_5.
+# exp, expm1, log, log1p, atan2, sin, cos and pow are taken within 1 ulp
+# (2u), as glibc documents, so cmath.exp is within gamma_5, and cmath.log(w)
+# (log1p of (|w|^2 - 1) from three rounded products where |w| is near 1,
+# else log of hypot; atan2) is within gamma_16 (1 + |log w|) absolutely.
 
 
 def _lambert_terms(order: int, aw: float, tol: float) -> float:
@@ -398,7 +400,12 @@ def _lambert(p: int, lu: complex, las: list[complex], K: int, dlu: float,
     """The family kernel sum_{k=1..K} k^p e^(k lu) / prod_i (1 - e^(k la_i))
     over one or two nomes a_i = e^(la_i), |a_i| < 1, with |e^lu| < 1, where
     lu and la_i are within dlu and dla_i of the exact logs; the value and its
-    error bound: the tail past K plus the rounding.
+    error bound: the tail past K plus the rounding.  `_family` also runs it
+    on the shifted family x a^S, whose rate |x| |a|^S is far from 1 even
+    where |x| and |a| are near it: the split 1/(1 - a^k) =
+    sum_(m<S) a^(km) + a^(kS)/(1 - a^k) moves the first S rows of the
+    geometric series into polylogs, and the bound here is that of the
+    shifted kernel alone.
 
     1 - a^k is accumulated from 1 - a = -expm1(la) as
     (1 - a^(k-1)) + a^(k-1) (1 - a), so a nome near 1 keeps its digits, and
@@ -473,6 +480,111 @@ def _lambert(p: int, lu: complex, las: list[complex], K: int, dlu: float,
     return s, (tail + rounding) * (1 + _gamma(K + 8))
 
 
+#: |x| above which Li_2(x) takes its series in mu = log x: up to it the
+#: power series needs at most 44 terms, and beyond it
+#: |mu| <= |log 2 + i pi| < 3.3, so the series in mu shrinks by
+#: (|mu| / 2 pi)^2 < 0.28 per nonzero term
+LI2_SWITCH = 0.5
+
+
+@lru_cache(maxsize=None)
+def _li2_log_coeffs() -> tuple[tuple[int, float], ...]:
+    """(k, zeta(2-k)/k!) for 2 <= k <= 64 where nonzero, with
+    zeta(2-k) = (-1)^k B_(k-1)/(k-1) (B_1 = -1/2).  At |mu| = 3.3 the
+    term of k = 61 is 3e-20."""
+    nums = bernoulli_numbers(63)
+    return tuple((k, float((-1) ** k * nums[k - 1] / ((k - 1) * math.factorial(k))))
+                 for k in range(2, 65) if nums[k - 1])
+
+
+def _polylog_exp(s: int, mu: complex, dmu: float) -> tuple[complex, float]:
+    """Li_s(e^mu) for s = 1, 2 and Re mu < 0, where mu is within dmu of the
+    exact log; the value and its error bound.
+
+    Im mu is first reduced modulo 2 pi.  Li_1(e^mu) = -log(-expm1(mu)).
+    Li_2 is the power series sum_m e^(m mu)/m^2 where |e^mu| <= LI2_SWITCH
+    (its tail past M terms at most |e^mu|^(M+1)/((M+1)^2 (1 - |e^mu|))),
+    and elsewhere the series in mu, valid for |mu| < 2 pi (here |mu| < 3.3),
+
+        Li_2(e^mu) = zeta(2) + mu (1 - log(-mu)) + sum_(k>=2) c_k mu^k,
+
+    c_k = zeta(2-k)/k!, with |c_k| <= 4/(k (k-1) (2 pi)^(k-1)) from
+    |B_n| = 2 n! zeta(n)/(2 pi)^n, so that its tail past k is at most
+    8 pi r^(k+1)/(k (k+1) (1 - r)), r = |mu|/(2 pi).  Each series stops once
+    its tail is below u times its sum.  The bound is that tail, the counted
+    rounding, and dmu times a bound of |Li_(s-1)| on the disc of radius dmu
+    about mu: |Li_1(y)| <= -log(1 - |y|), and |Li_0(y)| = |y|/|1 - y| with
+    |1 - y| bounded below by the computed 1 - e^mu less its errors."""
+    n = round(mu.imag / (2 * math.pi))
+    if n:
+        # 2 pi n is within gamma_2 |2 pi n| <= gamma_2 2 |Im mu|, the
+        # difference rounds once more
+        dmu += _gamma(8) * abs(mu.imag)
+        mu = complex(mu.real, mu.imag - n * 2 * math.pi)
+    # |e^mu'| on the disc, past the rounding of the exponent and of exp
+    r = math.exp(mu.real + dmu + _gamma(2) * abs(mu.real)) * (1 + _gamma(2))
+    if s == 1:
+        d = -_expm1(mu)
+        dd = _expm1_error(mu)
+        log_d = cmath.log(d)
+        # on the disc |1 - e^mu'| >= |d| - dd - r expm1(dmu)
+        gap = abs(d) - dd - r * math.expm1(dmu)
+        if r >= 1 or gap <= 0:
+            return -log_d, math.inf
+        return -log_d, ((dd / (abs(d) - dd) + _gamma(16) * (1 + abs(log_d))
+                         + dmu * r / gap) * (1 + _gamma(8)))
+    prop = dmu * -math.log1p(-r) if r < 1 else math.inf
+    mag = wmag = 0.0
+    if mu.real <= math.log(LI2_SWITCH):
+        y = cmath.exp(mu)
+        ay = math.exp(mu.real) * (1 + _gamma(2))
+        acc, yk, ayk, m = 0j, y, ay, 0
+        while True:
+            m += 1
+            t = yk / (m * m)
+            acc += t
+            mag += abs(t)
+            wmag += m * abs(t)
+            ayk *= ay
+            tail = ayk / ((m + 1) ** 2 * (1 - ay))
+            if tail <= U * abs(acc):
+                break
+            yk *= y
+        # term j: y within gamma_5, j - 1 products and the division, within
+        # gamma_(9j); the sum of m terms, gamma_(2m) of their moduli; each
+        # gamma_n <= n u/(1 - N u) for the largest count N
+        rounding = (9 * wmag + 2 * m * mag) * U
+        return acc, (tail + rounding + prop) / (1 - (9 * m + 16) * U)
+    log_mu = cmath.log(-mu)
+    head = mu * (1 - log_mu)
+    z2 = zeta_int(2)
+    acc = z2 + head
+    rho = abs(mu) / (2 * math.pi) * (1 + _gamma(3))
+    stop = U * abs(acc) * (1 - rho) / (8 * math.pi)
+    steps = {1: (mu, rho), 2: (mu * mu, rho * rho)}
+    pw, rk, j = 1 + 0j, rho, 0      # mu^j and rho^(j+1)
+    for k, c in _li2_log_coeffs():
+        step, rstep = steps[k - j]
+        pw *= step
+        rk *= rstep
+        j = k
+        t = c * pw
+        acc += t
+        at = abs(t)
+        mag += at
+        wmag += k * at
+        if rk <= stop * k * (k + 1):
+            break
+    tail = 8 * math.pi * rk / (k * (k + 1) * (1 - rho))
+    # zeta(2) = pi^2/6 within gamma_3; log(-mu) within gamma_16 (1 + |log|),
+    # 1 - log and the product with mu gamma_5; mu^k by k - 1 complex
+    # products, so c_k mu^k within gamma_(3k); the sum of its at most k + 2
+    # items within gamma_(2k+4) of their moduli
+    rounding = (3 * z2 + abs(mu) * (16 * (1 + abs(log_mu)) + 5 * abs(1 - log_mu))
+                + 3 * wmag + (2 * k + 4) * (z2 + abs(head) + mag)) * U
+    return acc, (tail + rounding + prop) / (1 - (3 * k + 16) * U)
+
+
 def _reduce(b: complex, a: complex) -> tuple[int, complex, float]:
     """(m, e, de): m the integer nearest Re(b/a), e = (b - m a)/a and a
     bound de on its error.  b - m a is formed exactly and rounded once (m
@@ -489,6 +601,52 @@ def _reduce(b: complex, a: complex) -> tuple[int, complex, float]:
         parts.append(math.fsum((bp, -m * hi, -m * (ap - hi))))
     e = complex(*parts) / a
     return m, e, _gamma(13) * abs(e)
+
+
+def _family(p: int, lu: complex, las: list[complex], K: int, dlu: float,
+            dlas: list[float], tol: float) -> tuple[complex, float]:
+    """The family kernel of `_lambert` with its tail at most tol, K the
+    count of that tail; the value and its error bound.
+
+    Over one nome a = e^la, at p = -1 and -2, the geometric series splits
+    exactly as 1/(1 - a^k) = sum_(m<S) a^(km) + a^(kS)/(1 - a^k), so that
+
+        sum_k k^p x^k/(1 - a^k) = sum_(m<S) Li_(-p)(x a^m)
+                                  + sum_k k^p (x a^S)^k/(1 - a^k),
+
+    x = e^lu.  The shifted kernel is `_lambert` again, at its own count: it
+    converges at the rate |x| |a|^S and so takes about 1/(1/K + S/K_a)
+    terms, K_a the count at x = a.  With each polylog counted as one term,
+    S = isqrt(K_a) - K_a // K minimises the work (S = isqrt(K) - 1 where
+    x = a, the z = dw moments); Li_2 is taken only at arguments past
+    LI2_SWITCH, since below it its power series takes as many terms as the
+    kernel it would replace.  Two nomes, any other p, and S <= 0 run
+    `_lambert` alone.  The bound is the sum of the parts' bounds, each part
+    at mu_m = lu + m la within dlu + m dla and the gamma_3 of forming it,
+    plus the rounding of their correctly rounded sum (`math.fsum`)."""
+    S = 0
+    if len(las) == 1 and p in (-2, -1):
+        (la,), (dla,) = las, dlas
+        K_a = _lambert_count(p, math.exp(la.real), [math.exp(la.real)], tol)
+        S = math.isqrt(K_a) - K_a // K
+        if p == -2:
+            S = min(S, math.ceil((math.log(LI2_SWITCH) - lu.real) / la.real))
+    if S <= 0:
+        return _lambert(p, lu, las, K, dlu, dlas)
+    values, err = [], 0.0
+    for m in range(S + 1):
+        mu = lu + m * la
+        dmu = dlu + m * dla + _gamma(3) * (abs(lu) + m * abs(la))
+        if m < S:
+            value, bound = _polylog_exp(-p, mu, dmu)
+        else:
+            value, bound = _lambert(p, mu, las, _lambert_count(
+                p, math.exp(min(mu.real, 0.0)), [math.exp(la.real)], tol), dmu, dlas)
+        values.append(value)
+        err += bound
+    total = complex(math.fsum(v.real for v in values),
+                    math.fsum(v.imag for v in values))
+    return total, (err + _gamma(2) * abs(total)) * (1 + _gamma(S + 8))
 
 
 def _residue_sums(p: int, z: complex, periods: dict, tol: float,
@@ -508,9 +666,15 @@ def _residue_sums(p: int, z: complex, periods: dict, tol: float,
     w1t/a, without rounding Z.  A nome with |q| > 1 is folded into x as
     1/(q^k - 1) = q^-k/(1 - q^-k); one with |q| < 1 gives
     1/(q^k - 1) = -1/(1 - q^k) and flips the family's sign.  Every family
-    then runs `_lambert` with its tail at most tol, given the error of each
+    then runs `_family` with its tail at most tol, given the error of each
     log: gamma_14 on 2 pi i z/a, gamma_2 on 2 pi i e past the error of e,
-    and u on each sum.
+    and u on each sum.  A one-nome family (a g moment) at p = -1 or -2 is
+    split there by 1/(1 - a^k) = sum_(m<S) a^(km) + a^(kS)/(1 - a^k) into
+    S polylogs Li_(-p)(x a^m) and the kernel at x a^S, with
+    S = isqrt(K_a) - K_a // K from the counts K of the family and K_a of
+    its nome (about sqrt(K) at z = dw), and its bound is the sum of the
+    parts' bounds; a two-nome family (log G) runs `_lambert` whole.  The
+    term budget below reads the unshifted count K.
 
     Refused (RegionError) where a nome lies on the unit circle (coincident
     poles), where a family's rate rho = |x| / prod_{|q|>1} |q| is not below
@@ -553,7 +717,7 @@ def _residue_sums(p: int, z: complex, periods: dict, tol: float,
             f"{what} (impractically slow: {max(counts)} terms)")
     out = []
     for (a, sign, lu, las, _, dlu, dlas), K in zip(families, counts):
-        value, bound = _lambert(p, lu, las, K, dlu, dlas)
+        value, bound = _family(p, lu, las, K, dlu, dlas, tol)
         out.append((a, sign * value, bound))
     return out
 
@@ -630,49 +794,11 @@ def g_moment_quad(order: int, z: complex, w1: complex, w1t: complex,
     return _contour(f, zeff, (w1, w1t), spec or ContourSpec())
 
 
-#: |x| above which Li_2(x) takes its series in mu = log x: up to it the
-#: power series needs at most 43 terms, and beyond it
-#: |mu| <= |log 2 + i pi| < 3.3, so the series in mu shrinks by
-#: (|mu| / 2 pi)^2 < 0.28 per nonzero term
-LI2_SWITCH = 0.5
-
-
-@lru_cache(maxsize=None)
-def _li2_log_coeffs() -> tuple[tuple[int, float], ...]:
-    """(k, zeta(2-k)/k!) for 2 <= k <= 64 where nonzero, with
-    zeta(2-k) = (-1)^k B_(k-1)/(k-1) (B_1 = -1/2).  At |mu| = 3.3 the
-    term of k = 61 is 3e-20."""
-    nums = bernoulli_numbers(63)
-    return tuple((k, float((-1) ** k * nums[k - 1] / ((k - 1) * math.factorial(k))))
-                 for k in range(2, 65) if nums[k - 1])
-
-
 def polylog(s: int, x: complex) -> complex:
-    """Li_s(x) for integer -4 <= s <= 2 and |x| < 1; closed forms for s <= 1.
-
-    Li_2 is the power series where |x| <= LI2_SWITCH, and elsewhere, up to
-    |x| -> 1 where the power series would need about 37/(1 - |x|) terms,
-    the series in mu = log x (valid for |mu| < 2 pi),
-    Li_2(e^mu) = zeta(2) + mu (1 - log(-mu)) + sum_(k>=2) zeta(2-k) mu^k/k!.
-    """
+    """Li_s(x) for integer -4 <= s <= 2 and |x| < 1; closed forms for s <= 1,
+    and Li_2 from `_polylog_exp` at mu = log x."""
     if s == 2:
-        if abs(x) <= LI2_SWITCH:
-            acc = 0j
-            term = x
-            m = 1
-            while abs(term) / m**2 > 1e-16 * max(1.0, abs(acc)) or m < 4:
-                acc += term / m**2
-                m += 1
-                term *= x
-            return acc
-        mu = cmath.log(x)
-        acc = zeta_int(2) + mu * (1 - cmath.log(-mu))
-        for k, c in _li2_log_coeffs():
-            term = c * mu**k
-            acc += term
-            if abs(term) <= 1e-17 * abs(acc):
-                break
-        return acc
+        return _polylog_exp(2, cmath.log(x), 0.0)[0] if x else 0j
     if s == 1:
         return -cmath.log(1 - x)
     y = 1 - x
@@ -888,7 +1014,8 @@ def small_w2_remainders(mode: str, z: complex, params: tuple, K: int,
     """(log X(w2), log X(w2) - S_K(w2)) for each w2, where X is F (params
     (w1bar,)) or G (params (w1, w1t)) and S_K(w2) = sum_{k=0..K} B_k
     w2^(k-1) m_(k-2) / k! its small-w2 partial sum, m the f or g moments.
-    log X is taken at the default ContourSpec tolerance."""
+    The terms with B_k = 0 (odd k >= 3) are exactly zero, and their moments
+    are not computed.  log X is taken at the default ContourSpec tolerance."""
     if mode == "F":
         moment, log_X = f_moment, log_F_contour
     elif mode == "G":
@@ -896,11 +1023,11 @@ def small_w2_remainders(mode: str, z: complex, params: tuple, K: int,
     else:
         raise ValueError("mode must be 'F' or 'G'")
     nums = bernoulli_numbers(K)
-    moms = [moment(k - 2, z, *params) for k in range(K + 1)]
+    moms = {k: moment(k - 2, z, *params) for k in range(K + 1) if nums[k]}
 
     def S(w2: complex) -> complex:
-        return sum(complex(nums[k]) * w2 ** (k - 1) * moms[k] / math.factorial(k)
-                   for k in range(K + 1))
+        return sum(complex(nums[k]) * w2 ** (k - 1) * m / math.factorial(k)
+                   for k, m in moms.items())
 
     logs = [log_X(z, *params, w2)[0] for w2 in w2s]
     return logs, [lv - S(w2) for w2, lv in zip(w2s, logs)]

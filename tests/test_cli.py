@@ -757,6 +757,51 @@ def test_asym_order_sweep_matches_suite_remainders(mode, params, tmp_path):
         r["remainders"], rel=1e-6)
 
 
+def _all_terms_remainders(mode, z, params, K, w2s):
+    """`small_w2_remainders` summing every k = 0..K, the B_k = 0 terms
+    (odd k >= 3) with their moments included."""
+    from conifoldrh import multisine
+    from conifoldrh.bernoulli import bernoulli_numbers
+
+    moment, log_X = {"F": (multisine.f_moment, multisine.log_F_contour),
+                     "G": (multisine.g_moment, multisine.log_G_value)}[mode]
+    nums = bernoulli_numbers(K)
+    moms = [moment(k - 2, z, *params) for k in range(K + 1)]
+
+    def S(w2):
+        return sum(complex(nums[k]) * w2 ** (k - 1) * moms[k] / math.factorial(k)
+                   for k in range(K + 1))
+
+    logs = [log_X(z, *params, w2)[0] for w2 in w2s]
+    return logs, [lv - S(w2) for w2, lv in zip(w2s, logs)]
+
+
+@pytest.mark.parametrize("mode", ["F", "G"])
+def test_asym_order_sweep_skips_only_zero_terms(mode, tmp_path, monkeypatch):
+    """The K = 7 rows, which used to take the order-5 f moment by
+    quadrature only to multiply it by B_7 = 0, are the bytes of the sum
+    over every k: each skipped term is exactly 0 * m."""
+    from conifoldrh import multisine
+
+    argv = ["sweep", "--target", f"asym-order-{mode}", "--sweep", "w2:0.4:0.5:7",
+            "--param", "K=7"]
+    code, skipped = run_cli(tmp_path, *argv)
+    monkeypatch.setattr(multisine, "small_w2_remainders", _all_terms_remainders)
+    multisine.clear_caches()
+    full_code, full = run_cli(tmp_path, *argv)
+    assert code == full_code == EXIT_OK
+    skipped.pop("timing")
+    full.pop("timing")
+    assert json.dumps(skipped) == json.dumps(full)
+
+
+def test_asym_order_sweep_at_K9():
+    """K = 9 exits 0: the order-7 f moment, which quadrature cannot reach
+    within 3e-11 (exit 3), has weight B_9 = 0 and is not computed."""
+    assert main(["sweep", "--target", "asym-order-F", "--sweep", "w2:0.4:0.5:7",
+                 "--param", "K=9"]) == EXIT_OK
+
+
 def test_region_outside_mplus_names_predicate(capsys):
     assert main(["region", "--param", "v=1", "--param", "w=1"]) == EXIT_PRECONDITION
     err = capsys.readouterr().err

@@ -9,6 +9,7 @@ series where it converges within its tolerance and the contour otherwise.
 """
 
 import cmath
+import math
 import sys
 from pathlib import Path
 
@@ -225,3 +226,109 @@ def test_kernel_within_its_bound_on_random_families():
                 ak = [u * a for u, a in zip(ak, nomes)]
             assert abs(value - complex(total)) <= bound, (p, lu, las)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# the nome-shifted kernel and the bounded polylog
+
+
+def _family_oracle(lu, la, ps=(-2, -1)):
+    """sum_k k^p x^k / (1 - a^k), x = e^lu, a = e^la, at 30 digits for each
+    p: one direct sum, until a term is below 1e-24 of the sum."""
+    with mpmath.workdps(30):
+        x, a = mpmath.exp(mpmath.mpc(lu)), mpmath.exp(mpmath.mpc(la))
+        totals = dict.fromkeys(ps, 0)
+        xk, ak, k = x, a, 1
+        while True:
+            base = xk / (1 - ak)
+            for p in ps:
+                totals[p] += mpmath.mpf(k) ** p * base
+            if abs(base) / k**2 < mpmath.mpf(10) ** -24 * abs(totals[-2]):
+                break
+            k += 1
+            xk *= x
+            ak *= a
+        return {p: complex(v) for p, v in totals.items()}
+
+
+#: (|a|, arg a, x): x = "a" is the z = dw family, whose terms cancel
+#: against the other family's; otherwise |x| = 0.98 at argument 1.3
+SHIFT_CASES = [(0.9, 0.01, "a"), (0.97, -0.02, "a"), (0.99, 0.004, "a"),
+               (0.997, 0.001, "a"), (0.9, 0.3, "x"), (0.99, -2.0, "x"),
+               (0.997, 0.7, "x"), (0.97, math.pi - 1e-3, "a"),
+               (0.99, -math.pi + 1e-3, "x"), (0.997, math.pi - 1e-4, "x")]
+
+
+@pytest.mark.parametrize("abs_a,arg_a,x", SHIFT_CASES)
+def test_shifted_kernel_within_its_bound(abs_a, arg_a, x):
+    """`_family` splits a one-nome family into polylogs and a shifted
+    `_lambert`, at p = -2 and -1: its value is within the returned bound
+    of the direct 30-digit sum.  Near arg a = +-pi the arguments mu_m of
+    the polylogs leave (-pi, pi] and are reduced modulo 2 pi."""
+    la = complex(math.log(abs_a), arg_a)
+    lu = la if x == "a" else complex(math.log(0.98), 1.3)
+    ref = _family_oracle(lu, la)
+    for p in (-2, -1):
+        K = multisine._lambert_count(p, math.exp(lu.real), [abs_a], multisine.MOMENT_TAIL)
+        value, bound = multisine._family(p, lu, [la], K, 0.0, [0.0], multisine.MOMENT_TAIL)
+        assert abs(value - ref[p]) <= bound, (p, abs(value - ref[p]), bound)
+
+
+def test_shifted_kernel_takes_polylogs_where_they_pay(monkeypatch):
+    """At the z = dw family of |a| = 0.997 the kernel's 15,000 terms become
+    about sqrt(K) polylogs plus about as many shifted terms."""
+    la = complex(math.log(0.997), 0.001)
+    K = multisine._lambert_count(-2, 0.997, [0.997], multisine.MOMENT_TAIL)
+    calls = []
+    real_lambert, real_polylog = multisine._lambert, multisine._polylog_exp
+    monkeypatch.setattr(multisine, "_lambert",
+                        lambda *a: calls.append(("lambert", a[3])) or real_lambert(*a))
+    monkeypatch.setattr(multisine, "_polylog_exp",
+                        lambda *a: calls.append(("polylog",)) or real_polylog(*a))
+    multisine._family(-2, la, [la], K, 0.0, [0.0], multisine.MOMENT_TAIL)
+    polylogs = sum(c[0] == "polylog" for c in calls)
+    (terms,) = [c[1] for c in calls if c[0] == "lambert"]
+    assert K > 10_000
+    assert polylogs == math.isqrt(K) - 1
+    assert terms < 2 * math.isqrt(K)
+
+
+def test_shifted_and_unshifted_kernels_agree():
+    """Random one-nome families up to K = 20,000 terms: `_family` and the
+    plain `_lambert` agree within the sum of their bounds."""
+    import random
+    rng = random.Random(5)
+    for _ in range(24):
+        p = rng.choice([-2, -1])
+        la = complex(math.log(rng.uniform(0.9, 0.9985)), rng.uniform(-math.pi, math.pi))
+        lu = complex(math.log(rng.uniform(0.9, 0.9985)), rng.uniform(-math.pi, math.pi))
+        dlu, dla = 1e-15 * rng.random(), 1e-17 * rng.random()
+        K = multisine._lambert_count(p, math.exp(lu.real), [math.exp(la.real)],
+                                     multisine.MOMENT_TAIL)
+        assert K <= 20_000
+        shifted, b1 = multisine._family(p, lu, [la], K, dlu, [dla], multisine.MOMENT_TAIL)
+        plain, b0 = multisine._lambert(p, lu, [la], K, dlu, [dla])
+        assert abs(shifted - plain) <= b0 + b1, (p, lu, la)
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.1, 0.5, 0.5 * (1 + 1e-15), 0.7, 0.9, 0.99,
+                               0.999, 1 - 1e-6, 1 - 1e-9])
+def test_bounded_polylog_within_its_bound(r):
+    """`_polylog_exp(s, mu)` for s = 1, 2 against mpmath at 30 digits, over
+    arguments across (-pi, pi]; mu is also given with Im mu shifted by
+    multiples of 2 pi, where its input error dmu (a few ulps of |mu|) is
+    then large, and `polylog(2, x)` returns the same Li_2 value."""
+    for arg in (-math.pi + 1e-9, -2.0, -0.5, 0.0, 1e-6, 1.0, 2.5, math.pi):
+        x = r * cmath.exp(1j * arg)
+        with mpmath.workdps(30):
+            xm = mpmath.mpc(r) * mpmath.exp(1j * mpmath.mpf(arg))
+            refs = {1: complex(-mpmath.log(1 - xm)), 2: complex(mpmath.polylog(2, xm))}
+        for turns in (0, 3, -7):
+            mu = complex(math.log(r), arg + 2 * math.pi * turns)
+            dmu = 4 * multisine.U * abs(mu)
+            for s, ref in refs.items():
+                value, bound = multisine._polylog_exp(s, mu, dmu)
+                assert abs(value - ref) <= bound, (s, x, turns, abs(value - ref), bound)
+                if not turns:
+                    assert bound <= 1e-12 * max(1.0, abs(ref))
+        assert multisine.polylog(2, x) == multisine._polylog_exp(2, cmath.log(x), 0.0)[0]

@@ -287,6 +287,26 @@ def test_g_series_guard_falls_back_to_quadrature():
         assert abs(g_moment(order, DWQ, W1Q, W1TQ) - quad) < 1e-8 * abs(quad)
 
 
+def test_g_series_route_at_the_qrh_limit_point():
+    """The `verify --suite qrh-limits` ray t = t_sw 2^-j, whose z = dw
+    moments are one-nome families at |q| -> 1: at j = 7 (|q| = 0.997,
+    about 15,000 terms per family) orders -2 and -1 take the series, split
+    into polylogs and a shifted kernel, and no quadrature; at j = 8 the
+    unshifted count passes MAX_LAMBERT_TERMS and the series is refused."""
+    t_sw, tau = 0.8 * cmath.exp(1j * (math.pi - 0.5)), 0.15 * cmath.exp(1.2j)
+    for j, series in ((7, True), (8, False)):
+        tt2 = t_sw * 0.5**j * tau / 2
+        w1, w1t = 1 - tt2, 1 + tt2
+        dw = (w1 - w1t) / 2
+        for order in (-2, -1):
+            clear_caches()
+            if series:
+                assert g_moment(order, dw, w1, w1t) == g_moment_series(order, dw, w1, w1t)
+            else:
+                with pytest.raises(RegionError, match="impractically slow"):
+                    g_moment_series(order, dw, w1, w1t)
+
+
 def test_g_series_route_at_small_w_near_unit_q():
     # at z = v, |w| ~ 0.1: the series needs about 16 terms although
     # |q| = 0.999 (summed over m, Li(w q^m) would need ~34000), so it runs;
