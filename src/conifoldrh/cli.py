@@ -502,17 +502,20 @@ def _inversion_identity(order_n: int, qcut: int) -> Residual:
     """R_(l,-gm) R_(l,gm) == 1 through u-order N: each side computed by its
     own conjugation, on rays ell_1 and ell_inf, for both magnetic generators,
     at the `_enlarged` cutoff of 2N |c|, c = <l, gm> (a ray's first charge is
-    primitive): N |c| for each side's lowest power and for the twist (j+k) c."""
+    primitive): N |c| for each side's lowest power and for the twist (j+k) c.
+    Each ray's DT product is built once, at the largest cutoff `ray_action`
+    takes for a side (N |c| more); each side is exact at its own."""
     from .lattice import BETA_V, DELTA_V, ChargeVector, skew_pair
     one = qtorus.QTorusElement.generator(ChargeVector())
     rays = (("ell_1", qtorus.conifold_ray_charges("ell_n", 1)),
             ("ell_inf", qtorus.conifold_ray_charges("ell_inf", kmax=order_n)))
     prods = {}
     for ray_name, ray in rays:
+        cs = {gm: abs(skew_pair(ray[0][0], gm)) for gm in (BETA_V, DELTA_V)}
+        dt = qtorus.dt_ray(ray, order_n, qtorus._enlarged(qcut, [(3 * order_n, -max(cs.values()))]))
         for name, gm in (("beta_v", BETA_V), ("delta_v", DELTA_V)):
-            work = qtorus._enlarged(qcut, [(2 * order_n, -abs(skew_pair(ray[0][0], gm)))])
-            inv = qtorus.ray_action(ray, -gm, order_n, work)
-            fwd = qtorus.ray_action(ray, gm, order_n, work)
+            work = qtorus._enlarged(qcut, [(2 * order_n, -cs[gm])])
+            inv, fwd = (qtorus.conjugation_element(dt, g).truncate_q(work) for g in (-gm, gm))
             prods[f"{ray_name} {name}"] = inv.mul(fwd, work).truncate_electric(
                 order_n).truncate_q(qcut)
     return Residual.exact("inversion identity R(-gm) R(gm) == 1",

@@ -429,13 +429,15 @@ def _lambert(p: int, lu: complex, las: list[complex], K: int, dlu: float,
     runs = [(lo, hi, cap) for lo, hi, cap in
             ((1, 1, 1.0), (2, k1, 1 / math.cos(SPREAD)), (k1 + 1, K, math.inf))
             if lo <= min(hi, K)]
-    chords = []
+    chords, ends = [], []
     for lo, hi, cap in runs:
-        e_lo, e_hi = (_term_error(k, dlu, nomes, ops, cap) for k in (lo, hi))
+        e_lo = _term_error(lo, dlu, nomes, ops, cap)
+        e_hi = _term_error(hi, dlu, nomes, ops, cap) if hi > lo else e_lo
         slope = (e_hi - e_lo) / max(hi - lo, 1)
         chords.append((lo, hi, e_lo - slope * lo, slope))
-    eta1 = _term_error(1, dlu, nomes, ops, 1.0)
-    etaK = _term_error(K, dlu, nomes, ops, runs[-1][2]) if runs else 0.0
+        ends += [e_lo, e_hi]
+    # the runs start at k = 1 and end at K: eta_1 and eta_K are chord ends
+    eta1, etaK = (ends[0], ends[-1]) if ends else (1.0, 0.0)
     xk, a1k, d1k = x, a1, d1
     if len(las) == 2:
         a2k, d2k = a2, d2
@@ -603,6 +605,12 @@ def _reduce(b: complex, a: complex) -> tuple[int, complex, float]:
     return m, e, _gamma(13) * abs(e)
 
 
+#: time of one Li_(-p) of `_polylog_exp` over that of one `_lambert` term,
+#: measured in process over the polylog arguments of a seed-1 `cli-session`
+#: pass (medians of 11 interleaved rounds: Li_1 5.1, Li_2 10.0)
+POLYLOG_COST = {-1: 5, -2: 10}
+
+
 def _family(p: int, lu: complex, las: list[complex], K: int, dlu: float,
             dlas: list[float], tol: float) -> tuple[complex, float]:
     """The family kernel of `_lambert` with its tail at most tol, K the
@@ -616,19 +624,20 @@ def _family(p: int, lu: complex, las: list[complex], K: int, dlu: float,
 
     x = e^lu.  The shifted kernel is `_lambert` again, at its own count: it
     converges at the rate |x| |a|^S and so takes about 1/(1/K + S/K_a)
-    terms, K_a the count at x = a.  With each polylog counted as one term,
-    S = isqrt(K_a) - K_a // K minimises the work (S = isqrt(K) - 1 where
-    x = a, the z = dw moments); Li_2 is taken only at arguments past
-    LI2_SWITCH, since below it its power series takes as many terms as the
-    kernel it would replace.  Two nomes, any other p, and S <= 0 run
-    `_lambert` alone.  The bound is the sum of the parts' bounds, each part
-    at mu_m = lu + m la within dlu + m dla and the gamma_3 of forming it,
-    plus the rounding of their correctly rounded sum (`math.fsum`)."""
+    terms, K_a the count at x = a.  With one Li_(-p) costing c_p =
+    POLYLOG_COST[p] kernel terms, S = isqrt(K_a // c_p) - K_a // K minimises
+    the work c_p S + 1/(1/K + S/K_a) (S = isqrt(K // c_p) - 1 where x = a,
+    the z = dw moments); Li_2 is taken only at arguments past LI2_SWITCH,
+    where its power series would take as many terms as the kernel.  Two
+    nomes, any other p, and S <= 0 run `_lambert` alone.  The bound is the
+    sum of the parts' bounds, each part at mu_m = lu + m la within
+    dlu + m dla and the gamma_3 of forming it, plus the rounding of their
+    correctly rounded sum (`math.fsum`)."""
     S = 0
     if len(las) == 1 and p in (-2, -1):
         (la,), (dla,) = las, dlas
         K_a = _lambert_count(p, math.exp(la.real), [math.exp(la.real)], tol)
-        S = math.isqrt(K_a) - K_a // K
+        S = math.isqrt(K_a // POLYLOG_COST[p]) - K_a // K
         if p == -2:
             S = min(S, math.ceil((math.log(LI2_SWITCH) - lu.real) / la.real))
     if S <= 0:
@@ -668,13 +677,10 @@ def _residue_sums(p: int, z: complex, periods: dict, tol: float,
     1/(q^k - 1) = -1/(1 - q^k) and flips the family's sign.  Every family
     then runs `_family` with its tail at most tol, given the error of each
     log: gamma_14 on 2 pi i z/a, gamma_2 on 2 pi i e past the error of e,
-    and u on each sum.  A one-nome family (a g moment) at p = -1 or -2 is
-    split there by 1/(1 - a^k) = sum_(m<S) a^(km) + a^(kS)/(1 - a^k) into
-    S polylogs Li_(-p)(x a^m) and the kernel at x a^S, with
-    S = isqrt(K_a) - K_a // K from the counts K of the family and K_a of
-    its nome (about sqrt(K) at z = dw), and its bound is the sum of the
-    parts' bounds; a two-nome family (log G) runs `_lambert` whole.  The
-    term budget below reads the unshifted count K.
+    and u on each sum; a's own ratio is exactly 1 + 0, not reduced.
+    `_family` splits a one-nome family (a g moment) at p = -1 or -2 into
+    polylogs and a shifted kernel.  The term budget below reads the
+    unshifted count K.
 
     Refused (RegionError) where a nome lies on the unit circle (coincident
     poles), where a family's rate rho = |x| / prod_{|q|>1} |q| is not below
@@ -682,8 +688,8 @@ def _residue_sums(p: int, z: complex, periods: dict, tol: float,
     """
     families, preds = [], []
     for name, a in periods.items():
-        parts = {other: _reduce(b, a) for other, b in periods.items()}
-        (m1, e1, de1), (m2, e2, de2) = parts["w1"], parts["w1t"]
+        parts = {other: _reduce(b, a) for other, b in periods.items() if other != name}
+        (m1, e1, de1), (m2, e2, de2) = (parts.get(w, (1, 0j, 0.0)) for w in ("w1", "w1t"))
         lz = TWO_PI_I * z / a
         n = (m1 + m2) % 2
         lu = lz + 1j * math.pi * (e1 + e2 + n)
@@ -692,8 +698,6 @@ def _residue_sums(p: int, z: complex, periods: dict, tol: float,
                + math.pi * (de1 + de2 + _gamma(4) * (abs(e1) + abs(e2) + n)))
         las, dlas, sign = [], [], 1
         for other, (_, e, de) in parts.items():
-            if other == name:
-                continue
             la = TWO_PI_I * e
             dla = 2 * math.pi * (de + _gamma(2) * abs(e))
             preds.append(Predicate(f"{other}/{name} not real", abs(la.real), margin=1e-9))
@@ -1015,11 +1019,11 @@ def small_w2_remainders(mode: str, z: complex, params: tuple, K: int,
     (w1bar,)) or G (params (w1, w1t)) and S_K(w2) = sum_{k=0..K} B_k
     w2^(k-1) m_(k-2) / k! its small-w2 partial sum, m the f or g moments.
     The terms with B_k = 0 (odd k >= 3) are exactly zero, and their moments
-    are not computed.  log X is taken at the default ContourSpec tolerance."""
+    are not computed.  log X is memoised at the default ContourSpec tolerance."""
     if mode == "F":
-        moment, log_X = f_moment, log_F_contour
+        moment, log_X = f_moment, lambda *a: _cached(log_F_contour, *a)
     elif mode == "G":
-        moment, log_X = g_moment, log_G_value
+        moment, log_X = g_moment, log_G_cached
     else:
         raise ValueError("mode must be 'F' or 'G'")
     nums = bernoulli_numbers(K)

@@ -595,11 +595,11 @@ def test_inversion_row_fails_on_perturbed_coefficient(monkeypatch):
     row = cli._inversion_identity(3, 12)
     assert row.passed and list(row.meta["pairs"]) == [
         "ell_1 beta_v", "ell_1 delta_v", "ell_inf beta_v", "ell_inf delta_v"]
-    good = qtorus.ray_action
+    good = qtorus.conjugation_element
     calls = []
 
-    def perturbed(ray, gamma, order, qcut):
-        action = good(ray, gamma, order, qcut)
+    def perturbed(f, gamma):
+        action = good(f, gamma)
         calls.append(gamma)
         if len(calls) > 1:
             return action
@@ -609,7 +609,7 @@ def test_inversion_row_fails_on_perturbed_coefficient(monkeypatch):
         terms[g] = terms[g] + LaurentPoly.one()
         return qtorus.QTorusElement(terms)
 
-    monkeypatch.setattr(qtorus, "ray_action", perturbed)
+    monkeypatch.setattr(qtorus, "conjugation_element", perturbed)
     row = cli._inversion_identity(3, 12)
     assert not row.passed
     assert row.meta["pairs"] == {"ell_1 beta_v": False, "ell_1 delta_v": True,
@@ -738,6 +738,24 @@ def test_remainder_order_row_fails_one_order_off(off, monkeypatch):
     monkeypatch.setattr(multisine, "fit_loglog_slope", shifted)
     failed = [r.name for r in cli._suite_asymptotics() if not r.passed]
     assert failed == [f"{m} remainder order K={K}" for K in (1, 2, 3) for m in "FG"]
+
+
+def test_asymptotics_suite_takes_each_log_value_once(tmp_path, monkeypatch):
+    """The order rows at K = 1, 2, 3 read log X at the same seven w2, once
+    each through the memo store: `verify --suite asymptotics` calls
+    log_F_contour and log_G_value 15 times each (7 small-w2, 8 for the
+    infinity fit), and every row passes."""
+    from conifoldrh import multisine
+
+    calls = []
+    for name in ("log_F_contour", "log_G_value"):
+        good = getattr(multisine, name)
+        monkeypatch.setattr(multisine, name,
+                            lambda *a, good=good, name=name: calls.append(name) or good(*a))
+    multisine.clear_caches()
+    code, record = run_cli(tmp_path, "verify", "--suite", "asymptotics")
+    assert code == EXIT_OK and all(row["passed"] for row in record["checks"])
+    assert calls.count("log_F_contour") == calls.count("log_G_value") == 15
 
 
 @pytest.mark.parametrize("mode,params", [("F", (1 + 0.05j,)),

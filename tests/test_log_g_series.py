@@ -275,8 +275,10 @@ def test_shifted_kernel_within_its_bound(abs_a, arg_a, x):
 
 
 def test_shifted_kernel_takes_polylogs_where_they_pay(monkeypatch):
-    """At the z = dw family of |a| = 0.997 the kernel's 15,000 terms become
-    about sqrt(K) polylogs plus about as many shifted terms."""
+    """At the z = dw family of |a| = 0.997 (x = a, so K_a = K) the kernel's
+    14,196 terms become S = isqrt(K // c) - 1 polylogs, c = POLYLOG_COST[-2]
+    the cost of one Li_2 in kernel terms, plus the shifted kernel, whose rate
+    |a|^(S+1) takes it to at most K / (S + 1) terms."""
     la = complex(math.log(0.997), 0.001)
     K = multisine._lambert_count(-2, 0.997, [0.997], multisine.MOMENT_TAIL)
     calls = []
@@ -288,9 +290,36 @@ def test_shifted_kernel_takes_polylogs_where_they_pay(monkeypatch):
     multisine._family(-2, la, [la], K, 0.0, [0.0], multisine.MOMENT_TAIL)
     polylogs = sum(c[0] == "polylog" for c in calls)
     (terms,) = [c[1] for c in calls if c[0] == "lambert"]
-    assert K > 10_000
-    assert polylogs == math.isqrt(K) - 1
-    assert terms < 2 * math.isqrt(K)
+    assert K == 14_196 and multisine.POLYLOG_COST[-2] == 10
+    assert polylogs == math.isqrt(K // 10) - 1 == 36
+    assert terms <= K / (polylogs + 1)
+
+
+@pytest.mark.parametrize("K,ends", [(1, 1), (2, 2), (5, 3), (400, 5)])
+def test_lambert_bounds_each_chord_end_once(monkeypatch, K, ends):
+    """`_lambert` evaluates `_term_error` once per distinct (k, cap): once
+    at K = 1, once per one-term run, and 5 times over three runs, whose
+    first and last ends are eta_1 and eta_K."""
+    calls = []
+    real = multisine._term_error
+    monkeypatch.setattr(multisine, "_term_error",
+                        lambda k, *a: calls.append((k, a[-1])) or real(k, *a))
+    la = complex(math.log(0.99), 0.3)       # k1 = 5: runs (1, 1), (2, 5), (6, K)
+    multisine._lambert(-1, complex(math.log(0.98), 1.3), [la], K, 0.0, [0.0])
+    assert len(calls) == len(set(calls)) == ends
+    assert calls[0] == (1, 1.0) and calls[-1][0] == K
+
+
+def test_residue_sums_reduce_each_period_against_the_others(monkeypatch):
+    """Each period is reduced against the other periods only: its own ratio
+    is exactly (1, 0, 0), so `_reduce(a, a)` is never called."""
+    calls = []
+    real = multisine._reduce
+    monkeypatch.setattr(multisine, "_reduce", lambda b, a: calls.append((b, a)) or real(b, a))
+    periods = {"w1": W1, "w1t": W1T, "w2": 0.4 - 0.9j}
+    multisine._residue_sums(-1, 0.3 + 0.4j, periods, 1e-12, "test")
+    assert len(calls) == 6
+    assert set(calls) == {(b, a) for a in periods.values() for b in periods.values() if b != a}
 
 
 def test_shifted_and_unshifted_kernels_agree():
