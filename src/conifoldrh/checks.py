@@ -8,6 +8,7 @@ bare boolean, so failures stay diagnosable from the JSON output alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class RegionError(ValueError):
@@ -18,11 +19,11 @@ class RegionError(ValueError):
         self.failed = failed or []
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(NamedTuple):
     """A named region/validity condition: it holds when the witness value
     exceeds the margin.  An upper bound x < b is stated as value -x,
-    margin -b."""
+    margin -b.  A tuple, so that the residue series can state its
+    conditions on every call at little cost."""
 
     name: str
     value: float                  # e.g. the Im(...) that must be positive

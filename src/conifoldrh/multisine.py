@@ -51,40 +51,62 @@ class PoleZeroError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# overflow-safe integrand pieces
+# the one integrand
 
 
-def _exp_over_prod(zeff: complex, omegas: tuple, s: complex) -> complex:
-    """e^(zeff s) / prod_i (e^(w_i s) - 1), overflow-safe.
+def _integrand(sign: int, zeff: complex, omegas: tuple, k: int):
+    """s -> sign e^(zeff s) s^k / prod_i (e^(w_i s) - 1), overflow-safe.
 
     Factors with Re(w s) > 0 are rewritten 1/(e^a - 1) = e^(-a)/(1 - e^(-a))
     and the e^(-a) pulled into the numerator exponent, so nothing overflows
-    along either half-line.
-    """
-    shift = 0j
-    den = 1 + 0j
-    for w in omegas:
-        a = w * s
-        if a.real > 0:
-            den *= 1 - cmath.exp(-a)
-            shift += a
-        else:
-            den *= cmath.exp(a) - 1
-    return cmath.exp(zeff * s - shift) / den
+    along either half-line.  s^-1 is a division by s, the form of the log
+    integrands.  Each distinct w takes one exponential: a repeated w raises
+    its factor to its multiplicity n and adds n a to the shift, and periods
+    that are all distinct take a loop without that power."""
+    powers = {w: omegas.count(w) for w in omegas}
+    exp, one, log = cmath.exp, sign + 0j, k == -1
+
+    def distinct(s: complex) -> complex:
+        shift, den = 0j, one
+        for w in omegas:
+            a = w * s
+            if a.real > 0:
+                den *= 1 - exp(-a)
+                shift += a
+            else:
+                den *= exp(a) - 1
+        value = exp(zeff * s - shift) / den
+        return value / s if log else value * s ** k
+
+    def repeated(s: complex) -> complex:
+        shift, den = 0j, one
+        for w, n in powers.items():
+            a = w * s
+            if a.real > 0:
+                d = 1 - exp(-a)
+                shift += n * a
+            else:
+                d = exp(a) - 1
+            den *= d ** n
+        value = exp(zeff * s - shift) / den
+        return value / s if log else value * s ** k
+
+    return repeated if len(powers) < len(omegas) else distinct
 
 
-def _contour(f, zeff: complex, omegas: tuple, spec: ContourSpec,
+def _contour(sign: int, zeff: complex, omegas: tuple, k: int, spec: ContourSpec,
              names: list[str] | None = None) -> tuple[complex, float]:
-    """Integral of f = +-e^(zeff s) s^k / prod_i (e^(w_i s) - 1) over the
-    detour contour rotated by c.
+    """Integral of `_integrand(sign, zeff, omegas, k)` over the detour
+    contour rotated by c.
 
-    f decays along both half-lines and no pole is crossed when every w_i,
-    zeff and sum(w) - zeff lie in the right half-plane of c, and the value
-    does not depend on c there; hull_rotation picks the c of widest margin.
-    The semicircle radius is EPS_POLE_FRACTION of the distance to the nearest
-    pole 2 pi i / w of the integrand, the outer cutoff the first radius where
-    f is negligible.
+    The integrand decays along both half-lines and no pole is crossed when
+    every w_i, zeff and sum(w) - zeff lie in the right half-plane of c, and
+    the value does not depend on c there; hull_rotation picks the c of
+    widest margin.  The semicircle radius is EPS_POLE_FRACTION of the
+    distance to the nearest pole 2 pi i / w of the integrand, the outer
+    cutoff the first radius where it is negligible.
     """
+    f = _integrand(sign, zeff, omegas, k)
     c, _ = hull_rotation([*omegas, zeff, sum(omegas) - zeff], names)
     eps = EPS_POLE_FRACTION * 2 * math.pi / max(abs(w) for w in omegas)
     R = choose_outer_cutoff(f, c, eps, spec.tol)
@@ -98,11 +120,7 @@ def log_F_contour(z: complex, w1bar: complex, w2: complex,
     Valid when a rotation c exists with Re(c w1bar) > 0, Re(c w2) > 0 and
     0 < Re(c z) < Re(c (w1bar + w2)).
     """
-
-    def f(s: complex) -> complex:
-        return _exp_over_prod(z, (w1bar, w2), s) / s
-
-    return _contour(f, z, (w1bar, w2), spec or ContourSpec(),
+    return _contour(1, z, (w1bar, w2), -1, spec or ContourSpec(),
                     ["Re(c*w1bar)>0", "Re(c*w2)>0", "Re(c*z)>0",
                      "Re(c*(w1bar+w2-z))>0"])
 
@@ -119,13 +137,8 @@ def log_G_contour(z: complex, w1: complex, w1t: complex, w2: complex,
     Valid when a rotation c exists making all of (w1, w1t, w2) and the strip
     directions z + w1bar, w1bar + w2 - z lie in the right half-plane.
     """
-    zeff = z + (w1 + w1t) / 2
-
-    def f(s: complex) -> complex:
-        return -_exp_over_prod(zeff, (w1, w1t, w2), s) / s
-
-    return _contour(f, zeff, (w1, w1t, w2), spec or ContourSpec(), _G_DIRECTIONS)
-
+    return _contour(-1, z + (w1 + w1t) / 2, (w1, w1t, w2), -1,
+                    spec or ContourSpec(), _G_DIRECTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +299,11 @@ def _gamma(n: float) -> float:
     return n * U / (1 - n * U)
 
 
+#: gamma_n of the fixed operation counts below
+_G2, _G3, _G4, _G5, _G6, _G8, _G13, _G14, _G16, _G17 = map(
+    _gamma, (2, 3, 4, 5, 6, 8, 13, 14, 16, 17))
+
+
 # Rounding bounds below count the operations of each step in these units:
 # a complex sum or a real-by-complex product is one rounding per part, so
 # relative u; a complex product (x.re y.re - x.im y.im, ...) is within
@@ -312,20 +330,14 @@ def _lambert_terms(order: int, aw: float, tol: float) -> float:
     return n
 
 
-def _expm1(x: complex) -> complex:
-    """e^x - 1 without the cancellation of cmath.exp(x) - 1 at small |x|."""
+def _expm1(x: complex) -> tuple[complex, float]:
+    """e^x - 1 without the cancellation of cmath.exp(x) - 1 at small |x|, and
+    a bound on its rounding error: each part of its real part is within
+    gamma_5, their difference adds u, the imaginary part is within gamma_5."""
     h = math.sin(x.imag / 2)
-    return complex(math.expm1(x.real) * math.cos(x.imag) - 2 * h * h,
-                   math.exp(x.real) * math.sin(x.imag))
-
-
-def _expm1_error(x: complex) -> float:
-    """Bound on the rounding error of `_expm1(x)`: each part of its real part
-    is within gamma_5, their difference adds u, the imaginary part is within
-    gamma_5."""
-    h = math.sin(x.imag / 2)
-    return _gamma(6) * (abs(math.expm1(x.real)) + 2 * h * h
-                        + math.exp(x.real) * abs(math.sin(x.imag)))
+    em1, ex, sn = math.expm1(x.real), math.exp(x.real), math.sin(x.imag)
+    return (complex(em1 * math.cos(x.imag) - 2 * h * h, ex * sn),
+            _G6 * (abs(em1) + 2 * h * h + ex * abs(sn)))
 
 
 def _tail_den(p: int, rho: float, amods: list[float], K: int) -> float:
@@ -346,19 +358,14 @@ def _lambert_count(p: int, rho: float, amods: list[float], tol: float) -> int:
     return math.ceil(_lambert_terms(p, rho, tol * _tail_den(p, rho, amods, K)))
 
 
-def _pow_error(k: float, dl: float) -> float:
-    """Relative error of e^(k l) formed as k - 1 products of cmath.exp(l'),
-    |l' - l| <= dl: e^(k dl) (1 + gamma_(5k + 3(k-1))) - 1."""
-    return math.exp(k * dl) * (1 + _gamma(8 * k)) - 1
-
-
-def _term_error(k: float, dlu: float, nomes: list[tuple], ops: int, cap: float) -> float:
+def _term_error(k: float, dlu: float, nomes: list[tuple], gops: float, cap: float) -> float:
     """Relative error bound eta(k) of `_lambert`'s computed k-th term
     k^p x^k / prod_i d_i,k, d_i,k = 1 - a_i^k, against the exact term.
 
-    x^k carries `_pow_error`, the term's own ops roundings gamma_ops.  Each
-    nome is (alpha, kappa, rho1, dla): alpha >= |a|, d_1 within rho1
-    relatively, kappa >= |1 - a|/(1 - |a|).  d_k = d_(k-1) + a^(k-1) d_1
+    x^k, k - 1 products of cmath.exp(l), |l - log x| <= dl, is within
+    e^(k dl) (1 + gamma_(5k + 3(k-1))) - 1, the term's own ops roundings
+    gops = gamma_ops.  Each nome is (alpha, kappa, rho1, dla): alpha >= |a|,
+    d_1 within rho1, kappa >= |1 - a|/(1 - |a|).  d_k = d_(k-1) + a^(k-1) d_1
     gathers, over its k - 1 steps, the errors |a^j d_1| w_j of the products
     (w_j from a^j, d_1 and one complex product) and u |d_j| of the sums.
     With |d_j| <= |d_1| s_k, s_k = sum_(j<k) |a|^j, this is at most
@@ -369,9 +376,10 @@ def _term_error(k: float, dlu: float, nomes: list[tuple], ops: int, cap: float) 
     (rho1 + alpha w_k + 2 k u), and d_1 within r_1 = rho1; 1/d_k is within
     r_k/(1 - r_k).  For k >= 2 every piece is convex and increasing in k,
     so eta is."""
-    eta = (1 + _pow_error(k, dlu)) * (1 + _gamma(ops))
+    g = 1 + _gamma(8 * k)
+    eta = (1 + (math.exp(k * dlu) * g - 1)) * (1 + gops)
     for alpha, kappa, rho1, dla in nomes:
-        w = (1 + _pow_error(k, dla)) * (1 + rho1) * (1 + _gamma(3)) - 1
+        w = (1 + (math.exp(k * dla) * g - 1)) * (1 + rho1) * (1 + _G3) - 1
         r = rho1 if k == 1 else min(kappa, cap) * (rho1 + alpha * w + 2 * k * U)
         if r >= 0.5:
             return math.inf
@@ -382,9 +390,10 @@ def _term_error(k: float, dlu: float, nomes: list[tuple], ops: int, cap: float) 
 def _nome(la: complex, dla: float) -> tuple[complex, complex, tuple]:
     """a = e^la, d = 1 - a and the (alpha, kappa, rho1, dla) of
     `_term_error`, for la within dla of the exact log."""
-    a, d = cmath.exp(la), -_expm1(la)
-    alpha = abs(a) * math.exp(dla) / (1 - _gamma(5))
-    err = _expm1_error(la) + alpha * math.expm1(dla)
+    m, err = _expm1(la)
+    a, d = cmath.exp(la), -m
+    alpha = abs(a) * math.exp(dla) / (1 - _G5)
+    err += alpha * math.expm1(dla)
     if alpha >= 1 or abs(d) <= err:
         return a, d, (alpha, math.inf, math.inf, dla)
     return a, d, (alpha, (abs(d) + err) / (1 - alpha), err / (abs(d) - err), dla)
@@ -393,6 +402,7 @@ def _nome(la: complex, dla: float) -> tuple[complex, complex, tuple]:
 #: half-spread of the arguments of a^j, j < k, up to which `_lambert` bounds
 #: |1 - a^k| from below by cos(SPREAD) sum_(j<k) |a^j (1 - a)|
 SPREAD = math.pi / 5
+_SEC_SPREAD = 1 / math.cos(SPREAD)
 
 
 def _lambert(p: int, lu: complex, las: list[complex], K: int, dlu: float,
@@ -419,20 +429,19 @@ def _lambert(p: int, lu: complex, las: list[complex], K: int, dlu: float,
     2005, Prop. 4.5)."""
     x = cmath.exp(lu)
     a1, d1, n1 = _nome(las[0], dlas[0])
-    nomes = [n1]
+    nomes, gops = [n1], _G14            # k^p x^k and the division
+    arg = abs(las[0].imag) + dlas[0]
     if len(las) == 2:
         a2, d2, n2 = _nome(las[1], dlas[1])
-        nomes.append(n2)
-    ops = 14 + 3 * (len(las) - 1)       # k^p x^k, the division, d_1 d_2
-    arg = max(abs(la.imag) + dla for la, dla in zip(las, dlas))
+        nomes, gops = [n1, n2], _G17    # and d_1 d_2
+        arg = max(arg, abs(las[1].imag) + dlas[1])
     k1 = max(1, min(K, 1 + math.floor(2 * SPREAD / arg) if arg else K))
-    runs = [(lo, hi, cap) for lo, hi, cap in
-            ((1, 1, 1.0), (2, k1, 1 / math.cos(SPREAD)), (k1 + 1, K, math.inf))
-            if lo <= min(hi, K)]
     chords, ends = [], []
-    for lo, hi, cap in runs:
-        e_lo = _term_error(lo, dlu, nomes, ops, cap)
-        e_hi = _term_error(hi, dlu, nomes, ops, cap) if hi > lo else e_lo
+    for lo, hi, cap in ((1, 1, 1.0), (2, k1, _SEC_SPREAD), (k1 + 1, K, math.inf)):
+        if lo > min(hi, K):
+            continue
+        e_lo = _term_error(lo, dlu, nomes, gops, cap)
+        e_hi = _term_error(hi, dlu, nomes, gops, cap) if hi > lo else e_lo
         slope = (e_hi - e_lo) / max(hi - lo, 1)
         chords.append((lo, hi, e_lo - slope * lo, slope))
         ends += [e_lo, e_hi]
@@ -473,10 +482,10 @@ def _lambert(p: int, lu: complex, las: list[complex], K: int, dlu: float,
         return s, math.inf
     # past K (beyond the peak of k^p rho^k) each 1/(1 - |a_i|^k) is at most
     # its value at K + 1 and the terms k^p rho^k fall at least by the ratio r
-    rho = abs(x) * math.exp(dlu) / (1 - _gamma(5))
-    den = _tail_den(p, rho, [alpha for alpha, *_ in nomes], K)
+    rho = abs(x) * math.exp(dlu) / (1 - _G5)
+    den = _tail_den(p, rho, [nome[0] for nome in nomes], K)
     tail = (K + 1) ** p * rho ** (K + 1) / den if den > 0 else math.inf
-    rounding = (mag / (1 - etaK) + _gamma(2) * abs(s)
+    rounding = (mag / (1 - etaK) + _G2 * abs(s)
                 + 3 * _gamma(K) ** 2 * mag / eta1)
     # the bound's own evaluation rounds: K + 8 operations deep at most
     return s, (tail + rounding) * (1 + _gamma(K + 8))
@@ -521,25 +530,25 @@ def _polylog_exp(s: int, mu: complex, dmu: float) -> tuple[complex, float]:
     if n:
         # 2 pi n is within gamma_2 |2 pi n| <= gamma_2 2 |Im mu|, the
         # difference rounds once more
-        dmu += _gamma(8) * abs(mu.imag)
+        dmu += _G8 * abs(mu.imag)
         mu = complex(mu.real, mu.imag - n * 2 * math.pi)
     # |e^mu'| on the disc, past the rounding of the exponent and of exp
-    r = math.exp(mu.real + dmu + _gamma(2) * abs(mu.real)) * (1 + _gamma(2))
+    r = math.exp(mu.real + dmu + _G2 * abs(mu.real)) * (1 + _G2)
     if s == 1:
-        d = -_expm1(mu)
-        dd = _expm1_error(mu)
+        d, dd = _expm1(mu)
+        d = -d
         log_d = cmath.log(d)
         # on the disc |1 - e^mu'| >= |d| - dd - r expm1(dmu)
         gap = abs(d) - dd - r * math.expm1(dmu)
         if r >= 1 or gap <= 0:
             return -log_d, math.inf
-        return -log_d, ((dd / (abs(d) - dd) + _gamma(16) * (1 + abs(log_d))
-                         + dmu * r / gap) * (1 + _gamma(8)))
+        return -log_d, ((dd / (abs(d) - dd) + _G16 * (1 + abs(log_d))
+                         + dmu * r / gap) * (1 + _G8))
     prop = dmu * -math.log1p(-r) if r < 1 else math.inf
     mag = wmag = 0.0
     if mu.real <= math.log(LI2_SWITCH):
         y = cmath.exp(mu)
-        ay = math.exp(mu.real) * (1 + _gamma(2))
+        ay = math.exp(mu.real) * (1 + _G2)
         acc, yk, ayk, m = 0j, y, ay, 0
         while True:
             m += 1
@@ -561,7 +570,7 @@ def _polylog_exp(s: int, mu: complex, dmu: float) -> tuple[complex, float]:
     head = mu * (1 - log_mu)
     z2 = zeta_int(2)
     acc = z2 + head
-    rho = abs(mu) / (2 * math.pi) * (1 + _gamma(3))
+    rho = abs(mu) / (2 * math.pi) * (1 + _G3)
     stop = U * abs(acc) * (1 - rho) / (8 * math.pi)
     steps = {1: (mu, rho), 2: (mu * mu, rho * rho)}
     pw, rk, j = 1 + 0j, rho, 0      # mu^j and rho^(j+1)
@@ -596,13 +605,12 @@ def _reduce(b: complex, a: complex) -> tuple[int, complex, float]:
     m = round((b / a).real)
     require([Predicate("|m| < 2^26 in w_i/w_j = m + e", 2.0**26 - abs(m))],
             "period reduction")
-    parts = []
-    for bp, ap in ((b.real, a.real), (b.imag, a.imag)):
-        c = 134217729.0 * ap        # Veltkamp split at 2^27 + 1
-        hi = c - (c - ap)
-        parts.append(math.fsum((bp, -m * hi, -m * (ap - hi))))
-    e = complex(*parts) / a
-    return m, e, _gamma(13) * abs(e)
+    ar, ai = a.real, a.imag
+    cr, ci = 134217729.0 * ar, 134217729.0 * ai     # Veltkamp split at 2^27 + 1
+    hr, hi = cr - (cr - ar), ci - (ci - ai)
+    e = complex(math.fsum((b.real, -m * hr, -m * (ar - hr))),
+                math.fsum((b.imag, -m * hi, -m * (ai - hi)))) / a
+    return m, e, _G13 * abs(e)
 
 
 #: time of one Li_(-p) of `_polylog_exp` over that of one `_lambert` term,
@@ -636,7 +644,8 @@ def _family(p: int, lu: complex, las: list[complex], K: int, dlu: float,
     S = 0
     if len(las) == 1 and p in (-2, -1):
         (la,), (dla,) = las, dlas
-        K_a = _lambert_count(p, math.exp(la.real), [math.exp(la.real)], tol)
+        ra = math.exp(la.real)
+        K_a = _lambert_count(p, ra, [ra], tol)
         S = math.isqrt(K_a // POLYLOG_COST[p]) - K_a // K
         if p == -2:
             S = min(S, math.ceil((math.log(LI2_SWITCH) - lu.real) / la.real))
@@ -645,17 +654,17 @@ def _family(p: int, lu: complex, las: list[complex], K: int, dlu: float,
     values, err = [], 0.0
     for m in range(S + 1):
         mu = lu + m * la
-        dmu = dlu + m * dla + _gamma(3) * (abs(lu) + m * abs(la))
+        dmu = dlu + m * dla + _G3 * (abs(lu) + m * abs(la))
         if m < S:
             value, bound = _polylog_exp(-p, mu, dmu)
         else:
             value, bound = _lambert(p, mu, las, _lambert_count(
-                p, math.exp(min(mu.real, 0.0)), [math.exp(la.real)], tol), dmu, dlas)
+                p, math.exp(min(mu.real, 0.0)), [ra], tol), dmu, dlas)
         values.append(value)
         err += bound
     total = complex(math.fsum(v.real for v in values),
                     math.fsum(v.imag for v in values))
-    return total, (err + _gamma(2) * abs(total)) * (1 + _gamma(S + 8))
+    return total, (err + _G2 * abs(total)) * (1 + _gamma(S + 8))
 
 
 def _residue_sums(p: int, z: complex, periods: dict, tol: float,
@@ -689,17 +698,18 @@ def _residue_sums(p: int, z: complex, periods: dict, tol: float,
     families, preds = [], []
     for name, a in periods.items():
         parts = {other: _reduce(b, a) for other, b in periods.items() if other != name}
-        (m1, e1, de1), (m2, e2, de2) = (parts.get(w, (1, 0j, 0.0)) for w in ("w1", "w1t"))
+        m1, e1, de1 = parts.get("w1", (1, 0j, 0.0))
+        m2, e2, de2 = parts.get("w1t", (1, 0j, 0.0))
         lz = TWO_PI_I * z / a
         n = (m1 + m2) % 2
         lu = lz + 1j * math.pi * (e1 + e2 + n)
-        size = abs(lz) + math.pi * (abs(e1) + abs(e2) + n)
-        dlu = (_gamma(14) * abs(lz)
-               + math.pi * (de1 + de2 + _gamma(4) * (abs(e1) + abs(e2) + n)))
+        ae = abs(e1) + abs(e2) + n
+        size = abs(lz) + math.pi * ae
+        dlu = _G14 * abs(lz) + math.pi * (de1 + de2 + _G4 * ae)
         las, dlas, sign = [], [], 1
         for other, (_, e, de) in parts.items():
             la = TWO_PI_I * e
-            dla = 2 * math.pi * (de + _gamma(2) * abs(e))
+            dla = 2 * math.pi * (de + _G2 * abs(e))
             preds.append(Predicate(f"{other}/{name} not real", abs(la.real), margin=1e-9))
             if la.real > 0:
                 la = -la
@@ -710,7 +720,7 @@ def _residue_sums(p: int, z: complex, periods: dict, tol: float,
                 sign = -sign
             las.append(la)
             dlas.append(dla)
-        dlu += _gamma(3) * size
+        dlu += _G3 * size
         rho = math.exp(min(lu.real, 0.0))
         preds.append(Predicate(f"rho_{name} < 1", -lu.real, margin=1e-12))
         families.append((a, sign, lu, las, rho, dlu, dlas))
@@ -753,7 +763,7 @@ def log_G_series(z: complex, w1: complex, w1t: complex, w2: complex,
         total -= value
         err += bound
         size += abs(value)
-    err += _gamma(3) * size
+    err += _G3 * size
     _require_bound(err, tol, "log G residue series")
     return total, err
 
@@ -777,11 +787,7 @@ def f_moment_quad(order: int, z: complex, w1bar: complex,
                   spec: ContourSpec | None = None) -> tuple[complex, float]:
     """f^c_order(z, w1bar) = int_{cC} e^(zs) s^order / (e^(w1bar s) - 1) ds."""
     require([im_ratio_predicate("z/w1bar", z, w1bar)], "f-moment")
-
-    def f(s: complex) -> complex:
-        return _exp_over_prod(z, (w1bar,), s) * s**order
-
-    return _contour(f, z, (w1bar,), spec or ContourSpec())
+    return _contour(1, z, (w1bar,), order, spec or ContourSpec())
 
 
 def g_moment_quad(order: int, z: complex, w1: complex, w1t: complex,
@@ -790,12 +796,7 @@ def g_moment_quad(order: int, z: complex, w1: complex, w1t: complex,
     int_{cC} -e^((z+w1bar)s) s^order / ((e^(w1 s)-1)(e^(w1t s)-1)) ds."""
     require([im_ratio_predicate("z/w1", z, w1), im_ratio_predicate("z/w1t", z, w1t)],
             "g-moment")
-    zeff = z + (w1 + w1t) / 2
-
-    def f(s: complex) -> complex:
-        return -_exp_over_prod(zeff, (w1, w1t), s) * s**order
-
-    return _contour(f, zeff, (w1, w1t), spec or ContourSpec())
+    return _contour(-1, z + (w1 + w1t) / 2, (w1, w1t), order, spec or ContourSpec())
 
 
 def polylog(s: int, x: complex) -> complex:
@@ -983,11 +984,7 @@ def residue_lemma_check(w: complex, d: int) -> Residual:
     against (d-1) zeta(d) / (2 pi i) * (w / 2 pi i)^(d-2);  d = 1 uses the
     factor 1."""
     require([Predicate("Re(w) > 0", w.real)], "residue lemma")
-
-    def f(s: complex) -> complex:
-        return -_exp_over_prod(w, (w, w), s) * s ** (1 - d)
-
-    lhs, err = _contour(f, w, (w, w), ContourSpec(tol=1e-10))
+    lhs, err = _contour(-1, w, (w, w), 1 - d, ContourSpec(tol=1e-10))
     factor = 1.0 if d == 1 else (d - 1) * zeta_int(d)
     rhs = factor / TWO_PI_I * (w / TWO_PI_I) ** (d - 2)
     res = Residual.compare(f"residue_lemma(d={d})", lhs, rhs, 1e-8,

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import mpmath
 import pytest
@@ -244,9 +245,7 @@ def test_moment_tilt_invariance():
     f_moment_quad takes, and three other admissible rotations agree."""
     from conifoldrh.contour import choose_outer_cutoff
 
-    def f(s):
-        return multisine._exp_over_prod(Z, (OB,), s) * s**-2
-
+    f = multisine._integrand(1, Z, (OB,), -2)
     dirs = [OB, Z, OB - Z]
     c0, margin = hull_rotation(dirs)
     eps = multisine.EPS_POLE_FRACTION * 2 * math.pi / abs(OB)
@@ -346,3 +345,103 @@ def test_shift_identity_beyond_panel_budget():
     spec = ContourSpec(tol=1e-8)
     shift = log_G_contour(z + w1, w1, w1t, w2, spec)[0] - log_G_contour(z, w1, w1t, w2, spec)[0]
     assert abs(cmath.exp(shift) * F_value(z + (w1 + w1t) / 2, w1t, w2) - 1) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the one integrand
+
+
+def _exp_over_prod_oracle(zeff, omegas, s):
+    """e^(zeff s) / prod_i (e^(w_i s) - 1) with one exponential per factor,
+    the form the integrands took before `multisine._integrand`."""
+    shift = 0j
+    den = 1 + 0j
+    for w in omegas:
+        a = w * s
+        if a.real > 0:
+            den *= 1 - cmath.exp(-a)
+            shift += a
+        else:
+            den *= cmath.exp(a) - 1
+    return cmath.exp(zeff * s - shift) / den
+
+
+def _contour_points(zeff, omegas):
+    """Points on both half-lines (out to the far tail) and on the arc of the
+    rotated detour contour of these periods."""
+    c, _ = hull_rotation([*omegas, zeff, sum(omegas) - zeff])
+    eps = multisine.EPS_POLE_FRACTION * 2 * math.pi / max(abs(w) for w in omegas)
+    radii = [eps * 1.7**j for j in range(24)]
+    return ([c * x for x in radii] + [-c * x for x in radii]
+            + [c * eps * cmath.exp(1j * math.pi * t / 16) for t in range(17)])
+
+
+#: (z, w1bar, w2) of log F and (z, w1, w1t, w2) of log G: near-coincident
+#: periods, a large |w2| and a w2 on the other side of the w1
+LOG_F_POINTS = [(0.3 + 0.4j, 1 + 0.1j, 0.4 - 0.9j), (0.2 + 0.5j, 1 + 0.1j, 30 - 12j)]
+LOG_G_POINTS = [(0.3 + 0.4j, 1 + 0.1j, 0.95 - 0.07j, 0.4 - 0.9j),
+                (0.336278 + 0.481368j, 1.199328 + 0.062274j, 1.005438 - 0.190325j,
+                 1928.137 * cmath.exp(-1.12475j)),
+                (0.1 + 0.2j, 1 + 1e-6j, 1 - 1e-6j, 0.3 + 1.1j)]
+
+
+def test_log_integrands_are_bitwise_the_old_formula():
+    """`_integrand` of log F and log G at distinct periods equals
+    e^(zeff s) / prod (e^(w s) - 1) / s to the last bit, at points of both
+    half-lines and of the arc, so the contour values do not move.  Only the
+    sign of a part that underflows to zero in the far tail may differ, and
+    0.0 == -0.0."""
+    for z, w1bar, w2 in LOG_F_POINTS:
+        f = multisine._integrand(1, z, (w1bar, w2), -1)
+        for s in _contour_points(z, (w1bar, w2)):
+            assert f(s) == _exp_over_prod_oracle(z, (w1bar, w2), s) / s
+    for z, w1, w1t, w2 in LOG_G_POINTS:
+        zeff = z + (w1 + w1t) / 2
+        f = multisine._integrand(-1, zeff, (w1, w1t, w2), -1)
+        for s in _contour_points(zeff, (w1, w1t, w2)):
+            assert f(s) == -_exp_over_prod_oracle(zeff, (w1, w1t, w2), s) / s, s
+
+
+def _within_ulps(new, old, n=4):
+    return abs(new - old) <= n * sys.float_info.epsilon * abs(old)
+
+
+@pytest.mark.parametrize("order", [-2, -1, 0, 3])
+def test_moment_integrands_agree_with_the_old_formula(order):
+    """The f and g moment shapes, sign and s^order included, agree with the
+    old formula within 4 ulp (s^-1 is now a division by s)."""
+    f = multisine._integrand(1, Z, (OB,), order)
+    for s in _contour_points(Z, (OB,)):
+        assert _within_ulps(f(s), _exp_over_prod_oracle(Z, (OB,), s) * s**order)
+    w1, w1t = 1 + 0.1j, 0.95 - 0.07j
+    zeff = Z + (w1 + w1t) / 2
+    g = multisine._integrand(-1, zeff, (w1, w1t), order)
+    for s in _contour_points(zeff, (w1, w1t)):
+        assert _within_ulps(g(s), -_exp_over_prod_oracle(zeff, (w1, w1t), s) * s**order)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_residue_lemma_integrand_agrees_with_the_old_formula(d):
+    w = 0.7 - 0.3j
+    f = multisine._integrand(-1, w, (w, w), 1 - d)
+    for s in _contour_points(w, (w, w)):
+        assert _within_ulps(f(s), -_exp_over_prod_oracle(w, (w, w), s) * s ** (1 - d))
+
+
+@pytest.mark.parametrize("omegas,exps", [
+    ((0.7 - 0.3j, 0.7 - 0.3j), 2),
+    ((1 + 0.1j, 1 + 0.1j, 0.4 - 0.9j), 3),
+    ((1 + 0.1j, 0.95 - 0.07j, 0.4 - 0.9j), 4),
+])
+def test_each_distinct_period_takes_one_exponential(monkeypatch, omegas, exps):
+    """A repeated (w, w) takes one `cmath.exp` for both its factors: with
+    the numerator's, an evaluation makes one call more than it has distinct
+    periods."""
+    calls = []
+    real = cmath.exp
+    monkeypatch.setattr(cmath, "exp", lambda x: calls.append(x) or real(x))
+    f = multisine._integrand(-1, 0.3 + 0.4j, omegas, -1)
+    for s in (0.8 - 0.1j, -0.8 + 0.1j):
+        calls.clear()
+        f(s)
+        assert len(calls) == exps

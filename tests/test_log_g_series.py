@@ -361,3 +361,80 @@ def test_bounded_polylog_within_its_bound(r):
                 if not turns:
                     assert bound <= 1e-12 * max(1.0, abs(ref))
         assert multisine.polylog(2, x) == multisine._polylog_exp(2, cmath.log(x), 0.0)[0]
+
+
+# ---------------------------------------------------------------------------
+# pinned values: the set-up of each family is arithmetic the bounds rest on
+
+
+#: `_residue_sums(p, z, periods, tol)` calls of a seed-1 `cli-session` pass,
+#: with the (value, bound) of each family as the reprs the series returned
+#: when they were recorded; every step of the series is deterministic, so
+#: they must come back to the last bit
+PINNED_SERIES = [
+    # one nome, p = -2, split into Li_2 and a shifted kernel
+    ((-2, (0.042087743830000024+0.047026187769j), {'w1': (1.04208774383+0.047026187769j), 'w1t': (0.95791225617-0.047026187769j)}, 1e-16),
+     [((0.488797998210678+0.9970295330415626j), 2.5785269732388596e-14),
+      ((-0.5064757235859187-0.813830143276737j), 2.2327465870010528e-14)]),
+    # one nome, p = -1, split into Li_1 and a shifted kernel
+    ((-1, (0.230126+0.456772j), {'w1': (1.115841+0.158322j), 'w1t': (1.036221-0.170875j)}, 1e-16),
+     [((-0.023775589286909708+0.03880308239529483j), 4.079399780252156e-15),
+      ((-0.011905756718681508-0.019320902284001795j), 2.753130925606343e-16)]),
+    # z = dw, p = -2: about 15,000 terms unsplit
+    ((-2, (0.0004141655253697696+0.00021988572053490178j), {'w1': (1.0004141655253698+0.00021988572053490178j), 'w1t': (0.9995858344746302-0.00021988572053490178j)}, 1e-16),
+     [((94.83778470402595+180.2687521676208j), 1.5961267700711883e-12),
+      ((-94.83778769908757-180.07743744593873j), 1.5930592845274694e-12)]),
+    # z = dw, p = -1
+    ((-1, (0.0004141655253697696+0.00021988572053490178j), {'w1': (1.0004141655253698+0.00021988572053490178j), 'w1t': (0.9995858344746302-0.00021988572053490178j)}, 1e-16),
+     [((127.41513382446028+246.14889000267092j), 2.4872585197538606e-12),
+      ((-127.41554779925465-245.8873106296238j), 2.4744405509014116e-12)]),
+    # one nome, p = -2, below the split
+    ((-2, (0.230126+0.456772j), {'w1': (1.115841+0.158322j), 'w1t': (1.036221-0.170875j)}, 1e-16),
+     [((-0.02352075672886678+0.03910737467935504j), 7.235351561760692e-16),
+      ((-0.011946633626245902-0.019230843624669553j), 2.730343686720723e-16)]),
+    # one nome, p = 0
+    ((0, (0.3+0.4j), {'w1': (1+0.1j), 'w1t': (0.95-0.07j)}, 1e-16),
+     [((-0.0713011242245899+0.0458187636562078j), 1.315647066882363e-15),
+      ((0.02272506882316093-0.044761743091615076j), 6.394084453650876e-16)]),
+    # log G, two nomes
+    ((-1, (0.320378+0.394244j), {'w1': (1.122342+0.07629j), 'w1t': (0.928693-0.07062j), 'w2': (0.179239-0.612163j)}, 5.625e-14),
+     [((-0.0017856295873914727+0.0024131923406243583j), 7.026393314609116e-17),
+      ((-0.00012850961094695466-0.0006464942560510586j), 1.567549782131114e-17),
+      ((9.924658464058497e-07-2.8214112443095537e-08j), 4.078549372135708e-20)]),
+    # log G, two nomes, 596 terms
+    ((-1, (0.2+0.5j), {'w1': (1+0.1j), 'w1t': (0.95-0.07j), 'w2': (122.28307060807757-37.82658645265146j)}, 5.625000000000001e-10),
+     [((2.548735292584299e-137-2.0275297544541823e-138j), 1.633332699110168e-149),
+      ((1.3326442674870906e-85-1.2974510181594062e-84j), 5.117367638802531e-97),
+      ((-408.7794819427202+293.65121660895943j), 6.661047788515459e-12)]),
+]
+
+
+@pytest.mark.parametrize("args,families", PINNED_SERIES)
+def test_residue_sums_return_their_pinned_values_and_bounds(args, families):
+    got = multisine._residue_sums(*args, "pinned")
+    assert [a for a, _, _ in got] == list(args[2].values())
+    assert [(repr(v), repr(b)) for _, v, b in got] == [(repr(v), repr(b)) for v, b in families]
+
+
+@pytest.mark.parametrize("args,message,failed", [
+    ((-1, 0.3 + 0.4j, {"w1": W1, "w1t": W1T, "w2": 0.8 * W1}, 1e-12, "log G residue series"),
+     "log G residue series undefined; region violation: w2/w1 not real, w1/w2 not real",
+     ["w2/w1 not real", "w1/w2 not real"]),
+    ((-2, 1e-4 + 5e-5j, {"w1": 1.0001 + 5e-5j, "w1t": 0.9999 - 5e-5j}, 1e-16,
+      "g-moment residue series"),
+     "g-moment residue series (impractically slow: 70384 terms) undefined; "
+     "region violation: terms < 20000",
+     ["terms < 20000"]),
+])
+def test_residue_sums_refusals_keep_their_messages(args, message, failed):
+    """A real ratio and a family past the term budget are refused with
+    every failed predicate named."""
+    with pytest.raises(RegionError) as exc:
+        multisine._residue_sums(*args)
+    assert str(exc.value) == message
+    assert exc.value.failed == failed
+
+
+def test_gamma_constants_equal_gamma():
+    for n in (2, 3, 4, 5, 6, 8, 13, 14, 16, 17):
+        assert getattr(multisine, f"_G{n}") == multisine._gamma(n)
