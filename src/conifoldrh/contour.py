@@ -115,11 +115,11 @@ def integrate_segment(f, a: complex, b: complex, tol: float) -> tuple[complex, f
 def integrate_arc(f, radius: float, c: complex, tol: float) -> tuple[complex, float]:
     """Integral of f over the rotated upper semicircle  s = c * radius * e^(i phi),
     phi from pi down to 0."""
+    cr, rect = c * radius, cmath.rect
 
     def g(phi):
-        phi = phi.real
-        s = c * radius * cmath.exp(1j * phi)
-        return f(s) * 1j * s
+        s = cr * rect(1.0, phi)
+        return f(s) * (1j * s)
 
     return integrate_segment(g, math.pi, 0.0, tol)
 
@@ -135,21 +135,24 @@ def geometric_knots(eps: float, R: float) -> list[float]:
     return knots
 
 
-def detour_integral(f, eps: float, R: float, c: complex, tol: float) -> tuple[complex, float]:
-    """Integral over c*([-R,-eps]) + upper semicircle + c*([eps,R])."""
+def detour_integral(lower, upper, eps: float, R: float, c: complex,
+                    tol: float) -> tuple[complex, float]:
+    """Integral over c*([-R,-eps]) + upper semicircle + c*([eps,R]) of one
+    integrand given by two forms: `lower` on c[-R, -eps] and the arc,
+    `upper` on c[eps, R]."""
     knots = geometric_knots(eps, R)
     budget_tol = tol / (2 * len(knots))
     val = 0j
     err = 0.0
     for x0, x1 in zip(knots, knots[1:]):
-        v, e = integrate_segment(f, -c * x1, -c * x0, budget_tol)
+        v, e = integrate_segment(lower, -c * x1, -c * x0, budget_tol)
         val += v
         err += e
-    v, e = integrate_arc(f, eps, c, tol / 4)
+    v, e = integrate_arc(lower, eps, c, tol / 4)
     val += v
     err += e
     for x0, x1 in zip(knots, knots[1:]):
-        v, e = integrate_segment(f, c * x0, c * x1, budget_tol)
+        v, e = integrate_segment(upper, c * x0, c * x1, budget_tol)
         val += v
         err += e
     if err > tol:

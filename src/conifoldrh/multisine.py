@@ -55,49 +55,54 @@ class PoleZeroError(ArithmeticError):
 
 
 def _integrand(sign: int, zeff: complex, omegas: tuple, k: int):
-    """s -> sign e^(zeff s) s^k / prod_i (e^(w_i s) - 1), overflow-safe.
+    """The two branch-free forms (lower, upper) of
+    s -> sign e^(zeff s) s^k / prod_i (e^(w_i s) - 1).
 
-    Factors with Re(w s) > 0 are rewritten 1/(e^a - 1) = e^(-a)/(1 - e^(-a))
-    and the e^(-a) pulled into the numerator exponent, so nothing overflows
-    along either half-line.  s^-1 is a division by s, the form of the log
-    integrands.  Each distinct w takes one exponential: a repeated w raises
-    its factor to its multiplicity n and adds n a to the shift, and periods
-    that are all distinct take a loop without that power."""
+    Both are K e^(alpha s) s^k / prod_b (e^(b s) - 1)^n over the distinct
+    periods b of multiplicity n:
+      lower: alpha = zeff, b = w, K = sign;
+      upper: alpha = zeff - sum(w), b = -w, K = sign (-1)^m (m counts the
+        periods with multiplicity), from 1/(e^a - 1) = -e^(-a)/(e^(-a) - 1).
+    With Re(c w) > 0 for every period, every exponent of `lower` has a
+    negative real part on c[-R, -eps] and every exponent of `upper` on
+    c[eps, R], so each form is overflow-safe on its half-line; on the arc
+    |w s| <= 2 pi EPS_POLE_FRACTION and `lower` serves.  s^-1 is a division
+    by s, the form of the log integrands.  Each distinct period takes one
+    exponential, raised to its multiplicity when it repeats."""
     powers = {w: omegas.count(w) for w in omegas}
-    exp, one, log = cmath.exp, sign + 0j, k == -1
+    exp, log = cmath.exp, k == -1
 
-    def distinct(s: complex) -> complex:
-        shift, den = 0j, one
-        for w in omegas:
-            a = w * s
-            if a.real > 0:
-                den *= 1 - exp(-a)
-                shift += a
-            else:
-                den *= exp(a) - 1
-        value = exp(zeff * s - shift) / den
-        return value / s if log else value * s ** k
+    def form(K: complex, alpha: complex, periods: dict):
+        if len(periods) == len(omegas):
+            bs = tuple(periods)
 
-    def repeated(s: complex) -> complex:
-        shift, den = 0j, one
-        for w, n in powers.items():
-            a = w * s
-            if a.real > 0:
-                d = 1 - exp(-a)
-                shift += n * a
-            else:
-                d = exp(a) - 1
-            den *= d ** n
-        value = exp(zeff * s - shift) / den
-        return value / s if log else value * s ** k
+            def distinct(s: complex) -> complex:
+                den = K
+                for b in bs:
+                    den *= exp(b * s) - 1
+                value = exp(alpha * s) / den
+                return value / s if log else value * s ** k
+            return distinct
+        pairs = tuple(periods.items())
 
-    return repeated if len(powers) < len(omegas) else distinct
+        def repeated(s: complex) -> complex:
+            den = K
+            for b, n in pairs:
+                den *= (exp(b * s) - 1) ** n
+            value = exp(alpha * s) / den
+            return value / s if log else value * s ** k
+        return repeated
+
+    return (form(sign + 0j, zeff, powers),
+            form(sign * (-1) ** len(omegas) + 0j, zeff - sum(omegas),
+                 {-w: n for w, n in powers.items()}))
 
 
 def _contour(sign: int, zeff: complex, omegas: tuple, k: int, spec: ContourSpec,
              names: list[str] | None = None) -> tuple[complex, float]:
     """Integral of `_integrand(sign, zeff, omegas, k)` over the detour
-    contour rotated by c.
+    contour rotated by c: `lower` on c[-R, -eps] and the arc, `upper` on
+    c[eps, R].
 
     The integrand decays along both half-lines and no pole is crossed when
     every w_i, zeff and sum(w) - zeff lie in the right half-plane of c, and
@@ -106,11 +111,13 @@ def _contour(sign: int, zeff: complex, omegas: tuple, k: int, spec: ContourSpec,
     distance to the nearest pole 2 pi i / w of the integrand, the outer
     cutoff the first radius where it is negligible.
     """
-    f = _integrand(sign, zeff, omegas, k)
+    lower, upper = _integrand(sign, zeff, omegas, k)
     c, _ = hull_rotation([*omegas, zeff, sum(omegas) - zeff], names)
     eps = EPS_POLE_FRACTION * 2 * math.pi / max(abs(w) for w in omegas)
-    R = choose_outer_cutoff(f, c, eps, spec.tol)
-    return detour_integral(f, eps, R, c, spec.tol)
+    cbar = c.conjugate()
+    R = choose_outer_cutoff(
+        lambda s: upper(s) if (s * cbar).real > 0 else lower(s), c, eps, spec.tol)
+    return detour_integral(lower, upper, eps, R, c, spec.tol)
 
 
 def log_F_contour(z: complex, w1bar: complex, w2: complex,
@@ -175,11 +182,6 @@ def clear_caches() -> None:
 # q-products
 
 
-def _check_factor(u: complex, where: str, tol: float) -> None:
-    if abs(1 - u) < 1e3 * tol:
-        raise PoleZeroError(f"near-vanishing factor in {where}: |1-u| = {abs(1 - u):.3e}")
-
-
 def _qprod(u: complex, q: complex, tol: float, where: str) -> complex:
     """prod_{k>=0} (1 - u q^k) for |q| < 1.
 
@@ -193,8 +195,10 @@ def _qprod(u: complex, q: complex, tol: float, where: str) -> complex:
     for _ in range(MAX_FACTORS):
         if abs(u) <= 0.5 and 2 * abs(u) / (1 - aq) < tol:
             return out
-        _check_factor(u, where, tol)
-        out *= 1 - u
+        d = 1 - u
+        if abs(d) < 1e3 * tol:
+            raise PoleZeroError(f"near-vanishing factor in {where}: |1-u| = {abs(d):.3e}")
+        out *= d
         u *= q
     raise QuadratureError(
         f"{where}: q-product not converged after {MAX_FACTORS} factors "
@@ -799,9 +803,20 @@ def g_moment_quad(order: int, z: complex, w1: complex, w1t: complex,
     return _contour(-1, z + (w1 + w1t) / 2, (w1, w1t), order, spec or ContourSpec())
 
 
+def _eulerian(n: int) -> list[int]:
+    """Eulerian numbers A(n, 0..n-1) (A(0, 0) = 1) by the recurrence
+    A(n, k) = (k + 1) A(n-1, k) + (n - k) A(n-1, k-1)."""
+    row = [1]
+    for m in range(1, n + 1):
+        prev = [0, *row, 0]
+        row = [(k + 1) * prev[k + 1] + (m - k) * prev[k] for k in range(m)]
+    return row
+
+
 def polylog(s: int, x: complex) -> complex:
-    """Li_s(x) for integer -4 <= s <= 2 and |x| < 1; closed forms for s <= 1,
-    and Li_2 from `_polylog_exp` at mu = log x."""
+    """Li_s(x) for integer s <= 2 and |x| < 1: Li_2 from `_polylog_exp` at
+    mu = log x, Li_1 = -log(1 - x), and for s = -n <= 0 the Eulerian form
+    Li_(-n)(x) = x A_n(x) / (1 - x)^(n+1), A_n(x) = sum_k A(n, k) x^k."""
     if s == 2:
         return _polylog_exp(2, cmath.log(x), 0.0)[0] if x else 0j
     if s == 1:
@@ -809,24 +824,19 @@ def polylog(s: int, x: complex) -> complex:
     y = 1 - x
     if abs(y) < 1e-14:
         raise PoleZeroError("polylog pole at x = 1")
-    if s == 0:
-        return x / y
-    if s == -1:
-        return x / y**2
-    if s == -2:
-        return x * (1 + x) / y**3
-    if s == -3:
-        return x * (1 + 4 * x + x * x) / y**4
-    return x * (1 + x) * (1 + 10 * x + x * x) / y**5
+    acc = 0j
+    for a in reversed(_eulerian(-s)):
+        acc = acc * x + a
+    return x * acc / y ** (1 - s)
 
 
 def f_moment_series(order: int, z: complex, w1bar: complex) -> complex:
     """Residue-sum closed form: f^c_order = (2 pi i / w1bar)^(order+1) Li_(-order)(x1),
     x1 = exp(2 pi i z / w1bar); converges for Im(z/w1bar) > 0.  Refused
-    (RegionError) for an order outside -2..4, where `polylog` has no closed
-    form of Li_(-order), so that the moment takes quadrature there."""
+    (RegionError) for an order below -2, where `polylog` has no form of
+    Li_(-order), so that the moment takes quadrature there."""
     x1 = cmath.exp(TWO_PI_I * z / w1bar)
-    require([Predicate("-2 <= order <= 4", min(order + 2, 4 - order), margin=-1),
+    require([Predicate("order >= -2", order + 2, margin=-1),
              Predicate("|x1| < 1", 1 - abs(x1), margin=1e-12)],
             "f-moment residue series")
     return (TWO_PI_I / w1bar) ** (order + 1) * polylog(-order, x1)

@@ -71,8 +71,9 @@ def test_eval_bernoulli(tmp_path):
 
 
 def test_eval_f_moment_past_the_closed_forms(tmp_path):
-    """An f moment of order 5 has no closed form in `polylog` and takes
-    quadrature: exit 0 with the 30-digit value to 1e-12."""
+    """An f moment of order 5, past the five closed forms `polylog` once
+    had, takes the residue series with the Eulerian Li_(-5): exit 0 with
+    the 30-digit value to 1e-12."""
     code, data = run_cli(tmp_path, "eval", "--target", "moments",
                          "--param", "order=5", "--param", "z=0.3+0.4i",
                          "--param", "w1bar=1+0.05i")
@@ -815,9 +816,17 @@ def test_asym_order_sweep_skips_only_zero_terms(mode, tmp_path, monkeypatch):
 
 def test_asym_order_sweep_at_K9():
     """K = 9 exits 0: the order-7 f moment, which quadrature cannot reach
-    within 3e-11 (exit 3), has weight B_9 = 0 and is not computed."""
+    within 3e-11, has weight B_9 = 0 and is not computed."""
     assert main(["sweep", "--target", "asym-order-F", "--sweep", "w2:0.4:0.5:7",
                  "--param", "K=9"]) == EXIT_OK
+
+
+def test_asym_order_sweep_at_K11():
+    """K = 11 exits 0: its order-8 f moment (weight B_10 != 0), past the
+    reach of quadrature within 3e-11, is the residue series
+    (2 pi i / w1bar)^9 Li_(-8)(x1) with the Eulerian Li_(-8)."""
+    assert main(["sweep", "--target", "asym-order-F", "--sweep", "w2:0.4:0.5:7",
+                 "--param", "K=11"]) == EXIT_OK
 
 
 def test_region_outside_mplus_names_predicate(capsys):

@@ -115,7 +115,7 @@ def test_detour_arc_honours_panel_budget(monkeypatch):
     monkeypatch.setattr(contour, "MAX_PANELS", 20)
     f = Counted(lambda s: s**-4)
     with pytest.raises(QuadratureError):
-        detour_integral(f, 1e-3, 8.0, 1 + 0j, 1e-14)
+        detour_integral(f, f, 1e-3, 8.0, 1 + 0j, 1e-14)
     # 13 half-line segments on each side plus the arc, each at most
     # 21 (2 * 20 - 1) calls
     assert f.calls <= 27 * 21 * (2 * 20 - 1)
@@ -123,11 +123,34 @@ def test_detour_arc_honours_panel_budget(monkeypatch):
 
 def test_detour_picks_up_residue():
     # int over the detour of 1/s is -i pi (half residue, passing above 0)
-    val, err = detour_integral(lambda s: 1 / s, 0.5, 40.0, 1 + 0j, 1e-11)
+    inv = lambda s: 1 / s
+    val, err = detour_integral(inv, inv, 0.5, 40.0, 1 + 0j, 1e-11)
     assert abs(val - (-1j * math.pi)) < 1e-10
     # odd negative powers integrate to ~ -2/R^2/... -> essentially 0 at large R
-    val, _ = detour_integral(lambda s: s**-3, 0.5, 1e4, 1 + 0j, 1e-11)
+    cube = lambda s: s**-3
+    val, _ = detour_integral(cube, cube, 0.5, 1e4, 1 + 0j, 1e-11)
     assert abs(val) < 1e-8
+
+
+def test_detour_routes_each_form_to_its_segments():
+    """`upper` sees only points c x with x >= eps (the positive half-line);
+    `lower` sees c[-R, -eps] and the arc, and no point of c[eps, R]."""
+    c, eps, R = cmath.exp(0.7j), 0.5, 8.0
+    seen = {"lower": [], "upper": []}
+
+    def form(name):
+        def f(s):
+            seen[name].append(s / c)
+            return cmath.exp(-s * s.conjugate()) / s
+        return f
+
+    detour_integral(form("lower"), form("upper"), eps, R, c, 1e-9)
+    assert seen["lower"] and seen["upper"]
+    for x in seen["upper"]:
+        assert abs(x.imag) <= 1e-14 * abs(x) and x.real >= eps * (1 - 1e-14)
+    for x in seen["lower"]:
+        on_arc = x.imag > 0 and abs(abs(x) - eps) <= 1e-14 * eps
+        assert on_arc or x.real <= -eps * (1 - 1e-14)
 
 
 def test_hull_rotation():
@@ -171,16 +194,31 @@ def test_f_moment_routes_agree(order):
 
 @pytest.mark.parametrize("order", [-3, 5])
 def test_f_moment_past_the_closed_forms_takes_quadrature(order):
-    """`polylog` has no closed form of Li_(-order) for order -3 or 5: the
-    series refuses by its order predicate, and `f_moment` takes quadrature,
-    which matches (2 pi i/w1bar)^(order+1) Li_(-order)(x1) from mpmath."""
-    with pytest.raises(RegionError, match="-2 <= order <= 4"):
-        f_moment_series(order, Z, OB)
+    """Orders -3 and 5 lie past the five closed forms `polylog` once had.
+    Order -3 (Li_3) is still refused by the series' order predicate and
+    `f_moment` takes quadrature; order 5 is the series with the Eulerian
+    Li_(-5), and quadrature agrees with it.  Each matches
+    (2 pi i/w1bar)^(order+1) Li_(-order)(x1) from mpmath."""
     with mpmath.workdps(30):
         z, ob = mpmath.mpc(Z), mpmath.mpc(OB)
         x1 = mpmath.exp(2j * mpmath.pi * z / ob)
         ref = complex((2j * mpmath.pi / ob) ** (order + 1) * mpmath.polylog(-order, x1))
+    if order < -2:
+        with pytest.raises(RegionError, match="order >= -2"):
+            f_moment_series(order, Z, OB)
+    else:
+        assert abs(f_moment_series(order, Z, OB) - ref) <= 1e-12 * abs(ref)
+    assert abs(f_moment_quad(order, Z, OB)[0] - ref) <= 1e-12 * abs(ref)
     assert abs(multisine.f_moment(order, Z, OB) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_eulerian_polylog_of_nonpositive_order(n):
+    """Li_(-n)(x) = x A_n(x) / (1 - x)^(n+1) against mpmath, inside the
+    unit disc and near its edge."""
+    for x in (0.3 + 0.5j, -0.9 + 0.1j, 0.05j, 0.95 * cmath.exp(0.4j)):
+        ref = complex(mpmath.polylog(-n, mpmath.mpc(x)))
+        assert abs(multisine.polylog(-n, x) - ref) <= 1e-13 * abs(ref), x
 
 
 @pytest.mark.parametrize("r", [0.9, 0.999, 1 - 1e-7])
@@ -245,7 +283,7 @@ def test_moment_tilt_invariance():
     f_moment_quad takes, and three other admissible rotations agree."""
     from conifoldrh.contour import choose_outer_cutoff
 
-    f = multisine._integrand(1, Z, (OB,), -2)
+    lower, upper = multisine._integrand(1, Z, (OB,), -2)
     dirs = [OB, Z, OB - Z]
     c0, margin = hull_rotation(dirs)
     eps = multisine.EPS_POLE_FRACTION * 2 * math.pi / abs(OB)
@@ -254,8 +292,10 @@ def test_moment_tilt_invariance():
     for tilt in (0.0, -0.8, 0.4, 0.8):
         c = c0 * cmath.exp(1j * tilt * margin)
         assert all((c * d).real > 0 for d in dirs)
-        R = choose_outer_cutoff(f, c, eps, tol)
-        vals.append(detour_integral(f, eps, R, c, tol)[0])
+        R = choose_outer_cutoff(
+            lambda s: upper(s) if (s * c.conjugate()).real > 0 else lower(s),
+            c, eps, tol)
+        vals.append(detour_integral(lower, upper, eps, R, c, tol)[0])
     assert vals[0] == f_moment_quad(-2, Z, OB)[0]
     for v in vals[1:]:
         assert abs(v - vals[0]) < 1e-10
@@ -351,29 +391,16 @@ def test_shift_identity_beyond_panel_budget():
 # the one integrand
 
 
-def _exp_over_prod_oracle(zeff, omegas, s):
-    """e^(zeff s) / prod_i (e^(w_i s) - 1) with one exponential per factor,
-    the form the integrands took before `multisine._integrand`."""
-    shift = 0j
-    den = 1 + 0j
-    for w in omegas:
-        a = w * s
-        if a.real > 0:
-            den *= 1 - cmath.exp(-a)
-            shift += a
-        else:
-            den *= cmath.exp(a) - 1
-    return cmath.exp(zeff * s - shift) / den
-
-
 def _contour_points(zeff, omegas):
-    """Points on both half-lines (out to the far tail) and on the arc of the
-    rotated detour contour of these periods."""
+    """(form, s) at points of both half-lines (out to the far tail) and of
+    the arc of the rotated detour contour of these periods, with the form
+    that `detour_integral` hands each point: 1 (`upper`) on c[eps, R],
+    0 (`lower`) elsewhere."""
     c, _ = hull_rotation([*omegas, zeff, sum(omegas) - zeff])
     eps = multisine.EPS_POLE_FRACTION * 2 * math.pi / max(abs(w) for w in omegas)
     radii = [eps * 1.7**j for j in range(24)]
-    return ([c * x for x in radii] + [-c * x for x in radii]
-            + [c * eps * cmath.exp(1j * math.pi * t / 16) for t in range(17)])
+    return ([(1, c * x) for x in radii] + [(0, -c * x) for x in radii]
+            + [(0, c * eps * cmath.exp(1j * math.pi * t / 16)) for t in range(17)])
 
 
 #: (z, w1bar, w2) of log F and (z, w1, w1t, w2) of log G: near-coincident
@@ -384,48 +411,46 @@ LOG_G_POINTS = [(0.3 + 0.4j, 1 + 0.1j, 0.95 - 0.07j, 0.4 - 0.9j),
                  1928.137 * cmath.exp(-1.12475j)),
                 (0.1 + 0.2j, 1 + 1e-6j, 1 - 1e-6j, 0.3 + 1.1j)]
 
-
-def test_log_integrands_are_bitwise_the_old_formula():
-    """`_integrand` of log F and log G at distinct periods equals
-    e^(zeff s) / prod (e^(w s) - 1) / s to the last bit, at points of both
-    half-lines and of the arc, so the contour values do not move.  Only the
-    sign of a part that underflows to zero in the far tail may differ, and
-    0.0 == -0.0."""
-    for z, w1bar, w2 in LOG_F_POINTS:
-        f = multisine._integrand(1, z, (w1bar, w2), -1)
-        for s in _contour_points(z, (w1bar, w2)):
-            assert f(s) == _exp_over_prod_oracle(z, (w1bar, w2), s) / s
-    for z, w1, w1t, w2 in LOG_G_POINTS:
-        zeff = z + (w1 + w1t) / 2
-        f = multisine._integrand(-1, zeff, (w1, w1t, w2), -1)
-        for s in _contour_points(zeff, (w1, w1t, w2)):
-            assert f(s) == -_exp_over_prod_oracle(zeff, (w1, w1t, w2), s) / s, s
+#: (sign, zeff, omegas, k) of the log F and log G integrands at those points
+#: and of the residue lemma's (w, w) at d = 1..4, by name
+INTEGRANDS = {
+    **{f"logF{i}": (1, z, (w1bar, w2), -1)
+       for i, (z, w1bar, w2) in enumerate(LOG_F_POINTS)},
+    **{f"logG{i}": (-1, z + (w1 + w1t) / 2, (w1, w1t, w2), -1)
+       for i, (z, w1, w1t, w2) in enumerate(LOG_G_POINTS)},
+    **{f"lemma-d{d}": (-1, 0.7 - 0.3j, (0.7 - 0.3j, 0.7 - 0.3j), 1 - d)
+       for d in range(1, 5)},
+}
 
 
-def _within_ulps(new, old, n=4):
-    return abs(new - old) <= n * sys.float_info.epsilon * abs(old)
-
-
-@pytest.mark.parametrize("order", [-2, -1, 0, 3])
-def test_moment_integrands_agree_with_the_old_formula(order):
-    """The f and g moment shapes, sign and s^order included, agree with the
-    old formula within 4 ulp (s^-1 is now a division by s)."""
-    f = multisine._integrand(1, Z, (OB,), order)
-    for s in _contour_points(Z, (OB,)):
-        assert _within_ulps(f(s), _exp_over_prod_oracle(Z, (OB,), s) * s**order)
-    w1, w1t = 1 + 0.1j, 0.95 - 0.07j
-    zeff = Z + (w1 + w1t) / 2
-    g = multisine._integrand(-1, zeff, (w1, w1t), order)
-    for s in _contour_points(zeff, (w1, w1t)):
-        assert _within_ulps(g(s), -_exp_over_prod_oracle(zeff, (w1, w1t), s) * s**order)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_residue_lemma_integrand_agrees_with_the_old_formula(d):
-    w = 0.7 - 0.3j
-    f = multisine._integrand(-1, w, (w, w), 1 - d)
-    for s in _contour_points(w, (w, w)):
-        assert _within_ulps(f(s), -_exp_over_prod_oracle(w, (w, w), s) * s ** (1 - d))
+@pytest.mark.parametrize("sign,zeff,omegas,k", INTEGRANDS.values(), ids=INTEGRANDS)
+def test_integrand_forms_against_40_digits(sign, zeff, omegas, k):
+    """Each form of `_integrand` at the points it is handed agrees with
+    sign e^(zeff s) s^k / prod (e^(w s) - 1) to 40 digits within
+    2 eps_mach cond, cond = 3 + m + |alpha s| + sum (1 + |b s|) |e^(b s)| /
+    |e^(b s) - 1| over the m periods b of that form: the rounding of the
+    exponents and the cancellation of e^(b s) - 1 near the origin, which
+    every closed form carries.  Points where the value underflows below
+    1e-280 in the far tail are skipped."""
+    forms = multisine._integrand(sign, zeff, omegas, k)
+    eps_mach = sys.float_info.epsilon
+    checked = [0, 0]
+    for side, s in _contour_points(zeff, omegas):
+        with mpmath.workdps(40):
+            ms = mpmath.mpc(s)
+            den = mpmath.fprod(mpmath.exp(mpmath.mpc(w) * ms) - 1 for w in omegas)
+            exact = complex(sign * mpmath.exp(mpmath.mpc(zeff) * ms) * ms**k / den)
+        if abs(exact) < 1e-280:
+            continue
+        alpha, bs = ((zeff, omegas) if side == 0
+                     else (zeff - sum(omegas), [-w for w in omegas]))
+        cond = 3 + len(omegas) + abs(alpha * s) + sum(
+            (1 + abs(b * s)) * abs(cmath.exp(b * s)) / abs(cmath.exp(b * s) - 1)
+            for b in bs)
+        err = abs(forms[side](s) - exact)
+        assert err <= 2 * eps_mach * cond * abs(exact), (side, s)
+        checked[side] += 1
+    assert min(checked) >= 10
 
 
 @pytest.mark.parametrize("omegas,exps", [
@@ -435,13 +460,13 @@ def test_residue_lemma_integrand_agrees_with_the_old_formula(d):
 ])
 def test_each_distinct_period_takes_one_exponential(monkeypatch, omegas, exps):
     """A repeated (w, w) takes one `cmath.exp` for both its factors: with
-    the numerator's, an evaluation makes one call more than it has distinct
-    periods."""
+    the numerator's, an evaluation of either form makes one call more than
+    it has distinct periods."""
     calls = []
     real = cmath.exp
     monkeypatch.setattr(cmath, "exp", lambda x: calls.append(x) or real(x))
-    f = multisine._integrand(-1, 0.3 + 0.4j, omegas, -1)
-    for s in (0.8 - 0.1j, -0.8 + 0.1j):
-        calls.clear()
-        f(s)
-        assert len(calls) == exps
+    for f in multisine._integrand(-1, 0.3 + 0.4j, omegas, -1):
+        for s in (0.8 - 0.1j, -0.8 + 0.1j):
+            calls.clear()
+            f(s)
+            assert len(calls) == exps

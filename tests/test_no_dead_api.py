@@ -24,8 +24,8 @@ def _sources() -> list[Path]:
 
 def _definitions(tree: ast.Module):
     """(name, first line, last line, is a method) of each module-level
-    function, class and assigned constant, and each non-dunder method of a
-    module-level class."""
+    function, class and assigned constant (each name of a tuple target
+    included), and each non-dunder method of a module-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.lineno, node.end_lineno, False
@@ -35,9 +35,21 @@ def _definitions(tree: ast.Module):
                     yield item.name, item.lineno, item.end_lineno, True
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AnnAssign) else [])
-        for target in targets:
-            if isinstance(target, ast.Name) and not target.id.startswith("__"):
-                yield target.id, node.lineno, node.end_lineno, False
+        for name in (n for target in targets for n in _target_names(target)):
+            if not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno, False
+
+
+def _target_names(target: ast.expr):
+    """Each name an assignment target binds, inside tuple, list and starred
+    targets too (`a, (b, *c) = ...` binds a, b and c)."""
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _target_names(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _target_names(target.value)
 
 
 def _loads(tree: ast.Module):
@@ -71,3 +83,10 @@ def unread_names() -> list[str]:
 def test_every_defined_name_is_read():
     unread = unread_names()
     assert not unread, "defined but never read: " + ", ".join(unread)
+
+
+def test_tuple_targets_are_definitions():
+    """A constant bound inside a tuple, list or starred target is checked
+    like a single-name one."""
+    tree = ast.parse("A, (B, *C), [D] = x\n__all__ = []\nE: int = 1\n")
+    assert [d[0] for d in _definitions(tree)] == ["A", "B", "C", "D", "E"]
