@@ -1,13 +1,13 @@
 """Residual records, named region predicates, and `require`: the one place
 that raises `RegionError`, naming each failed predicate.
 
-Every identity check reports (lhs, rhs, absolute, relative) rather than a
-bare boolean, so failures stay diagnosable from the JSON output alone.
+Every numerical identity check reports (lhs, rhs, absolute, relative)
+rather than a bare boolean, so failures stay diagnosable from the JSON
+output alone; an exact check records whether its two sides are equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
@@ -56,18 +56,18 @@ def require(preds: list[Predicate], what: str) -> None:
                           [p.name for p in bad])
 
 
-@dataclass
-class Residual:
-    """Result of one identity check: left value, right value, residuals."""
+class Residual(NamedTuple):
+    """Result of one identity check: left value, right value, residuals.
+    An exact row (`exact`) records no value, so its lhs and rhs are None."""
 
     name: str
-    lhs: complex | tuple[int, int]
-    rhs: complex | tuple[int, int]
+    lhs: complex | None
+    rhs: complex | None
     abs_err: float
     rel_err: float
     tol: float
     passed: bool
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     @classmethod
     def compare(cls, name: str, lhs: complex, rhs: complex, tol: float,
@@ -85,25 +85,16 @@ class Residual:
     def exact(cls, name: str, lhs, rhs, meta: dict | None = None) -> "Residual":
         """Record for an exact comparison of two exact values (LaurentPoly,
         QTorusElement, Fraction, int, bool, or lists of them), made here.
-        Only their equality is recorded: `lhs` and `rhs` read the integer
-        pair (0, 0), and both errors 0 when equal, inf otherwise."""
+        Only their equality is recorded: `lhs` and `rhs` are None, and both
+        errors 0 when equal, inf otherwise."""
         equal = bool(lhs == rhs)
-        return cls(name=name, lhs=(0, 0), rhs=(0, 0),
+        return cls(name=name, lhs=None, rhs=None,
                    abs_err=0.0 if equal else float("inf"),
                    rel_err=0.0 if equal else float("inf"), tol=0.0, passed=equal,
                    meta=meta or {})
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "tol": self.tol,
-            "passed": self.passed,
-            "meta": self.meta,
-        }
+        return self._asdict()
 
 
 def im_ratio(num: complex, den: complex) -> float:

@@ -16,10 +16,9 @@ import math
 import re
 import sys
 import time
-import traceback
 from fractions import Fraction
 
-from . import rhsolver, multisine, qtorus, lattice
+from . import rhsolver, multisine, lattice
 from .bernoulli import bernoulli_poly, multiple_bernoulli
 from .checks import RegionError, Residual
 from .laurent import LaurentPoly
@@ -259,6 +258,7 @@ def _euler_ell0(order: int, qcut: int) -> list[LaurentPoly]:
 
 
 def _suite_algebra(order_n: int, qcut: int) -> list[Residual]:
+    from . import qtorus
     from .lattice import BETA, BETA_V, DELTA, DELTA_V
     s = lattice.conifold_bps(DEFAULT_POINT["v"], DEFAULT_POINT["w"])
     out = []
@@ -292,6 +292,7 @@ def _suite_algebra(order_n: int, qcut: int) -> list[Residual]:
 
 
 def _suite_dilog(order_n: int, qcut: int, tol: float) -> list[Residual]:
+    from . import qtorus
     from .lattice import DELTA
     out = []
     e = qtorus.qdilog_series(LaurentPoly.one(), order_n, qcut, DELTA)
@@ -341,6 +342,14 @@ def _suite_bernoulli() -> list[Residual]:
         "B_{2,2}(0 | 1, 1) == 5/6",
         multiple_bernoulli(2, 2, Fraction(0), [Fraction(1), Fraction(1)]),
         Fraction(5, 6)))
+    w = [w1, w2, Fraction(-7, 5)]
+    s1, p2 = sum(w), sum(wi * wi for wi in w)
+    s2 = (s1 * s1 - p2) / 2     # sum_{i<j} w_i w_j
+    out.append(Residual.exact(
+        "B_{3,3} closed form",
+        multiple_bernoulli(3, 3, z, w),
+        (z ** 3 - Fraction(3, 2) * s1 * z ** 2 + (p2 + 3 * s2) / 2 * z
+         - s1 * s2 / 4) / math.prod(w)))
     c = 0.7 + 0.3j
     lhs = multiple_bernoulli(2, 3, c * (0.2 + 0.1j), [c * 1.0, c * (1 + 0.2j), c * 0.8])
     rhs = c ** (2 - 3) * multiple_bernoulli(2, 3, 0.2 + 0.1j, [1.0, 1 + 0.2j, 0.8])
@@ -505,6 +514,7 @@ def _inversion_identity(order_n: int, qcut: int) -> Residual:
     primitive): N |c| for each side's lowest power and for the twist (j+k) c.
     Each ray's DT product is built once, at the largest cutoff `ray_action`
     takes for a side (N |c| more); each side is exact at its own."""
+    from . import qtorus
     from .lattice import BETA_V, DELTA_V, ChargeVector, skew_pair
     one = qtorus.QTorusElement.generator(ChargeVector())
     rays = (("ell_1", qtorus.conifold_ray_charges("ell_n", 1)),
@@ -822,6 +832,7 @@ def main(argv=None) -> int:
         print(f"usage error: invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
+        import traceback
         traceback.print_exc()
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -17,8 +17,7 @@ import cmath
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .checks import RegionError
 
@@ -62,13 +61,16 @@ class RotationError(RegionError):
     """No admissible contour rotation exists for the given directions."""
 
 
-@dataclass(frozen=True)
-class ContourSpec:
+#: default quadrature tolerance of a ContourSpec
+DEFAULT_TOL = 3e-11
+
+
+class ContourSpec(NamedTuple):
     """Quadrature tolerance; the panel budget is MAX_PANELS, and the
     rotation, semicircle radius and outer cutoff follow from each
     integrand."""
 
-    tol: float = 3e-11
+    tol: float = DEFAULT_TOL
 
 
 def _panel(f: Callable[[complex], complex], a: complex, b: complex) -> tuple[complex, float]:

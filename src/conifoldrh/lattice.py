@@ -9,7 +9,7 @@ electric and on the magnetic halves and pairs <beta^, beta> = <delta^, delta> = 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .checks import Predicate, RegionError, require  # noqa: F401 (RegionError re-exported)
 from .laurent import LaurentPoly
@@ -18,8 +18,7 @@ from .laurent import LaurentPoly
 MPLUS_SCAN_DEPTH = 64
 
 
-@dataclass(frozen=True)
-class ChargeVector:
+class ChargeVector(NamedTuple):
     """Integer charge a*beta + b*delta + ma*beta^ + mb*delta^."""
 
     a: int = 0
@@ -94,8 +93,7 @@ def conifold_omega(gamma: ChargeVector) -> LaurentPoly:
     return LaurentPoly.zero()
 
 
-@dataclass(frozen=True)
-class RefinedBPSStructure:
+class RefinedBPSStructure(NamedTuple):
     """Stability point (v, w) in M+; the invariants are conifold_omega."""
 
     v: complex

@@ -28,7 +28,7 @@ from functools import lru_cache
 from .bernoulli import bernoulli_numbers, bernoulli_poly, multiple_bernoulli, zeta_int
 from .checks import (Predicate, RegionError, Residual, im_ratio,
                      im_ratio_predicate, require)
-from .contour import (SAFETY, ContourSpec, QuadratureError,
+from .contour import (DEFAULT_TOL, SAFETY, ContourSpec, QuadratureError,
                       choose_outer_cutoff, detour_integral, hull_rotation)
 
 TWO_PI_I = 2j * math.pi
@@ -746,7 +746,7 @@ def _require_bound(err: float, tol: float, what: str) -> None:
 
 
 def log_G_series(z: complex, w1: complex, w1t: complex, w2: complex,
-                 tol: float = ContourSpec.tol) -> tuple[complex, float]:
+                 tol: float = DEFAULT_TOL) -> tuple[complex, float]:
     """log G by its residue series: closing the contour on the poles
     2 pi i k / w_j gives
 
@@ -860,7 +860,7 @@ def g_moment_series(order: int, z: complex, w1: complex, w1t: complex) -> comple
         # and a division by CPython's integer power; times value gamma_3,
         # and u for the term's share of the sum over the two families
         err += abs(pref) * bound + _gamma(18 * abs(order + 1) + 16) * abs(term)
-    _require_bound(err, ContourSpec.tol, "g-moment residue series")
+    _require_bound(err, DEFAULT_TOL, "g-moment residue series")
     return total
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .laurent import LaurentPoly
 from .lattice import (DELTA, ChargeVector, RefinedBPSStructure,
@@ -107,8 +108,7 @@ class QTorusElement:
 # Formal series along a single ray direction
 
 
-@dataclass(frozen=True)
-class RaySeries:
+class RaySeries(NamedTuple):
     """Truncated series  sum_{j=0..N}  c_j u^j  with u = y_gamma0.
 
     Coefficients are LaurentPolys, truncated at q-half-exponent qcut.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .bernoulli import multiple_bernoulli
 from .checks import Predicate, Residual, im_ratio_predicate, require
@@ -34,8 +34,7 @@ from .multisine import (TWO_PI_I, fit_loglog_slope, log_F_star, log_G_star,
 QRH2_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SolutionPoint:
+class SolutionPoint(NamedTuple):
     """Stability data (v, w), BPS t-plane coordinate, quantum parameter tau,
     and the sector index n."""
 
@@ -54,7 +53,7 @@ class SolutionPoint:
         return cmath.exp(-TWO_PI_I * self.w / self.t)
 
     def shifted(self, n: int) -> "SolutionPoint":
-        return replace(self, n=n)
+        return self._replace(n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +252,7 @@ def qrh2_limit(p: SolutionPoint, which: str = "B") -> Residual:
     """t -> 0 limit along the ray through p.t: the Richardson-extrapolated
     value of B_n or D_n at t = p.t 2^-j, j = 0..7, compared with 1."""
     solution = B_n if which == "B" else D_n
-    vals = [solution(replace(p, t=p.t * 0.5**j)) for j in range(8)]
+    vals = [solution(p._replace(t=p.t * 0.5**j)) for j in range(8)]
     lim = richardson_limit(vals)
     return Residual.compare(f"qrh2_limit_{which}(n={p.n})", lim, 1.0, QRH2_TOL,
                             meta={"raw_last": vals[-1]})
@@ -273,7 +272,7 @@ def along_ray(p: SolutionPoint, which: str,
     tdir = p.t / abs(p.t)
     ts = [tdir * r for r in radii]
     log_x = log_B_n if which == "B" else log_D_n
-    return ts, [cmath.exp(log_x(replace(p, t=t), enforce=False)) for t in ts]
+    return ts, [cmath.exp(log_x(p._replace(t=t), enforce=False)) for t in ts]
 
 
 def check_qrh3_growth(p: SolutionPoint, which: str = "B") -> dict:

@@ -194,6 +194,40 @@ def test_verify_record_writes_unread_options_as_null(tmp_path):
     assert (data["tolerance"], data["order_N"], data["order_K"]) == (1e-9, 4, 16)
 
 
+def test_exact_rows_record_null(tmp_path):
+    """An exact row records no value (its sides are exact objects, compared
+    for equality), so its lhs and rhs are null; a compared row writes each
+    side as [re, im]."""
+    _, data = run_cli(tmp_path, "verify", "--suite", "bernoulli")
+    rows = {c["name"]: c for c in data["checks"]}
+    exact = rows["B_{3,3} closed form"]
+    assert exact["passed"] and (exact["lhs"], exact["rhs"]) == (None, None)
+    compared = rows["homogeneity B_{n,r}(cz|cw) = c^(n-r) B_{n,r}"]
+    assert compared["passed"]
+    for side in (compared["lhs"], compared["rhs"]):
+        assert len(side) == 2 and all(isinstance(x, float) for x in side)
+
+
+def test_bernoulli_suite_fails_on_wrong_rank_three_value(tmp_path, monkeypatch):
+    """`multiple_bernoulli` off by 1e-3 at r = 3 enters both sides of the cs
+    rows and of the homogeneity row, and cancels there; the exact B_{3,3}
+    row fails on it."""
+    from conifoldrh import bernoulli, cli, multisine, rhsolver
+
+    good = bernoulli.multiple_bernoulli
+
+    def off(n, r, z, omegas):
+        value = good(n, r, z, omegas)
+        return value * 1001 / 1000 if r == 3 else value
+
+    for module in (bernoulli, cli, multisine, rhsolver):
+        monkeypatch.setattr(module, "multiple_bernoulli", off)
+    code, data = run_cli(tmp_path, "verify", "--suite", "bernoulli")
+    assert code == EXIT_CHECK
+    assert [c["name"] for c in data["checks"] if not c["passed"]] == [
+        "B_{3,3} closed form"]
+
+
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
     import conifoldrh.cli as cli
 
@@ -415,7 +449,9 @@ def test_unexpected_exception_is_numerical(monkeypatch, capsys):
     monkeypatch.setattr(cli.multisine, "qdilog_numeric", boom)
     assert main(["eval", "--target", "qdilog", "--param", "x=0.5",
                  "--param", "q=0.5"]) == EXIT_NUMERICAL
-    assert "TypeError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "TypeError" in err
 
 
 @pytest.mark.parametrize("target", ["Fstar", "Gstar", "Bn", "Dn", "Z_cs",
@@ -544,7 +580,7 @@ def test_every_verify_row_can_fail(tmp_path, monkeypatch):
     monkeypatch.setattr(Residual, "exact", classmethod(moved_exact))
     code, data = run_cli(tmp_path, "verify", "--suite", "all")
     assert code == EXIT_CHECK
-    assert data["n_checks"] == 103
+    assert data["n_checks"] == 104
     assert [c["name"] for c in data["checks"] if c["passed"]] == []
 
 
@@ -565,6 +601,23 @@ def test_fresh_import_does_not_load_numpy():
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)),
                           check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_fresh_import_loads_only_what_every_invocation_runs():
+    """Importing the package and its CLI loads neither `dataclasses` (and
+    with it `inspect`) nor `traceback` nor the exact layer's `qtorus`: the
+    records are named tuples, and the suites that use `qtorus` and the
+    unexpected-error branch import what they need when they run."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import conifoldrh, conifoldrh.cli\n"
+            "names = ('dataclasses', 'inspect', 'traceback', 'conifoldrh.qtorus')\n"
+            "print(sorted(set(names) & (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_fresh_import_builds_no_parser():

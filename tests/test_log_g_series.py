@@ -18,7 +18,7 @@ import pytest
 
 from conifoldrh import cli, multisine
 from conifoldrh.checks import RegionError
-from conifoldrh.contour import SAFETY, ContourSpec
+from conifoldrh.contour import DEFAULT_TOL, SAFETY, ContourSpec
 from conifoldrh.multisine import log_G_contour, log_G_series, log_G_value
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -113,7 +113,7 @@ def test_series_matches_contour_at_quadrature_points(seed):
 
 def test_series_matches_contour_on_the_identity_grids():
     """Every log G argument of the difference and reflection suites."""
-    tol = ContourSpec.tol
+    tol = DEFAULT_TOL
     for z, w1, w1t, w2 in cli._difference_points(3):
         for zz in (z, z + w1, z + w1t, z + w2):
             _agree(zz, w1, w1t, w2, tol)
