@@ -484,10 +484,10 @@ def _suite_wallcrossing(order_n: int, qcut: int, tol: float) -> list[Residual]:
         out.append(rd)
     # telescoping: X_m/X_0 equals the product of the individual jumps
     m = 4
-    for which, log_x, jump in (("B", rhsolver.log_B_n, rhsolver.jump_B),
-                               ("D", rhsolver.log_D_n, rhsolver.jump_D)):
+    for which, log_x, gm in (("B", rhsolver.log_B_n, lattice.BETA_V),
+                             ("D", rhsolver.log_D_n, lattice.DELTA_V)):
         lhs = cmath.exp(log_x(p0.shifted(m), enforce=False) - log_x(p0, enforce=False))
-        rhs = math.prod(jump(p0.shifted(n)) for n in range(m))
+        rhs = math.prod(rhsolver.jump(p0.shifted(n), gm) for n in range(m))
         out.append(Residual.compare(f"{which} telescoping to m={m}", lhs, rhs, 1e-7))
     out.append(_extension_consistency(tol))
     out.append(_inversion_identity(order_n, qcut))
@@ -699,8 +699,7 @@ def cmd_region(args) -> tuple[dict, int]:
     rep = rhsolver.region_neighborhood_tau(p.v, p.w, p.t, p.n)
     record = {
         "params": {"v": p.v, "w": p.w, "t": p.t, "n": p.n},
-        "grid": [{"tau": r["tau"], "ok": r["ok"], "failed": r["failed"]}
-                 for r in rep["grid"]],
+        "grid": rep["grid"],
         "n_admissible": rep["n_admissible"],
         "n_total": rep["n_total"],
         "timing": {"wall_s": time.perf_counter() - t0},

@@ -185,11 +185,8 @@ class RaySeries(NamedTuple):
     def as_element(self, carrier: ChargeVector | None = None) -> QTorusElement:
         """Sum_j c_j y_(j gamma0 + carrier), coefficients taken verbatim."""
         base = carrier if carrier is not None else ChargeVector()
-        terms = {}
-        for j, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                terms[j * self.gamma0 + base] = c
-        return QTorusElement(terms)
+        return QTorusElement({j * self.gamma0 + base: c
+                              for j, c in enumerate(self.coeffs)})
 
     def to_json(self) -> list:
         return [{"power": j, "coeff": c.to_json()} for j, c in enumerate(self.coeffs)]
@@ -335,19 +332,17 @@ def _enlarged(qcut: int, factors) -> int:
     return qcut + sum(jmax * max(0, -h) for jmax, h in factors)
 
 
-def closed_form_element(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
-                        gamma_m: ChargeVector, order: int, qcut: int) -> QTorusElement:
-    """Closed-form ray automorphism on y_gm:
+def ray_factors(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
+                gamma_m: ChargeVector) -> tuple[ChargeVector, list[tuple[int, int, int, int]]]:
+    """Primitive charge gamma0 of a ray and the factors (h, s, w, e), each
+    (1 + s q^(h/2) u^w)^e in u = y_gamma0, of its automorphism on y_gm:
 
     prod_{g} prod_n prod_{k=0}^{M-1}
         (1 + (-q^(1/2))^n (q^(1/2))^(2k+1-M) y_g)^((-1)^n Omega_n(g) sgn<g,gm>)
-    with M = |<gm, g>|, expanded in the canonical basis.  The product is
-    taken from the first factor at the `_enlarged` cutoff of its factors and
-    truncated once at qcut; with none (an empty ray, or gm paired to zero
-    with every charge, as an electric gm is) it is y_gm.
+    with M = |<gm, g>|; none for an empty ray or an electric gm.
     """
     gamma0, mults = _primitive_direction([g for g, _ in ray_charges])
-    factors = []   # (h, s, w, e): the factor (1 + s q^(h/2) u^w)^e
+    factors = []
     for (gamma, omega), w in zip(ray_charges, mults):
         pairing = skew_pair(gamma, gamma_m)
         m_abs, sgn = abs(pairing), (1 if pairing > 0 else -1)
@@ -355,6 +350,15 @@ def closed_form_element(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
             e = (omega_n if n % 2 == 0 else -omega_n) * sgn
             factors += [(n + 2 * k + 1 - m_abs, -1 if n % 2 else 1, w, e)
                         for k in range(m_abs)]
+    return gamma0, factors
+
+
+def closed_form_element(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
+                        gamma_m: ChargeVector, order: int, qcut: int) -> QTorusElement:
+    """The `ray_factors` product on y_gm in the canonical basis, taken from the
+    first factor at the `_enlarged` cutoff of its factors and truncated once
+    at qcut; y_gm for none."""
+    gamma0, factors = ray_factors(ray_charges, gamma_m)
     if not factors:
         return QTorusElement.generator(gamma_m)
     work = _enlarged(qcut, [(order // w, h) for h, _, w, _ in factors])

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .bernoulli import multiple_bernoulli
 from .checks import Predicate, Residual, im_ratio_predicate, require
-from .lattice import mplus_predicates
+from .lattice import BETA_V, DELTA_V, ChargeVector, mplus_predicates
 from .multisine import (TWO_PI_I, fit_loglog_slope, log_F_star, log_G_star,
                         log_G_cached, q_G, reflection_rhs_F, reflection_rhs_G)
 
@@ -143,37 +143,34 @@ def D_n(p: SolutionPoint) -> complex:
 # wall crossing
 
 
-def jump_B(p: SolutionPoint) -> complex:
-    """The jump B_(n+1)/B_n = (1 - x y^n)^(-1) at the point's sector index n."""
-    return 1 / (1 - p.x * p.y**p.n)
+def jump(p: SolutionPoint, gamma_m: ChargeVector) -> complex:
+    """The `qtorus.ray_factors` of ray ell_n (n the point's sector index) on
+    y_gm, evaluated at q^(1/2) = exp(pi i tau) and u = sigma(gamma0) x^a y^b,
+    gamma0 = (a, b): B_(n+1)/B_n on BETA_V, and D_(n+1)/D_n on DELTA_V.  The
+    factors are evaluated, not their series in u, which need not converge.
+    """
+    from . import qtorus
+    gamma0, factors = qtorus.ray_factors(qtorus.conifold_ray_charges("ell_n", p.n), gamma_m)
+    u = qtorus.sigma(gamma0) * p.x**gamma0.a * p.y**gamma0.b
+    return math.prod(((1 + s * cmath.exp(1j * math.pi * p.tau * h) * u**w) ** e
+                      for h, s, w, e in factors), start=1 + 0j)
 
 
-def jump_D(p: SolutionPoint) -> complex:
-    """The jump D_(n+1)/D_n = prod_{k=0}^{n-1} (1 - q^((1-n+2k)/2) x y^n)^(-1)
-    at the point's sector index n."""
-    out = 1 + 0j
-    for k in range(p.n):
-        qpow = cmath.exp(1j * math.pi * p.tau * (1 - p.n + 2 * k))
-        out /= 1 - qpow * p.x * p.y**p.n
-    return out
+def _wallcross(p: SolutionPoint, tol: float, which: str, log_x, gamma_m) -> Residual:
+    lx = log_x(p, enforce=False)
+    lx1 = log_x(p.shifted(p.n + 1), enforce=False)
+    return Residual.compare(f"{which}_wallcrossing(n={p.n})", cmath.exp(lx1 - lx),
+                            jump(p, gamma_m), tol, meta={"n": p.n})
 
 
 def wallcross_B(p: SolutionPoint, tol: float = 1e-8) -> Residual:
-    """B_(n+1)/B_n against `jump_B` at the point's sector index, through the
-    continuation (enforce=False)."""
-    lb = log_B_n(p, enforce=False)
-    lb1 = log_B_n(p.shifted(p.n + 1), enforce=False)
-    return Residual.compare(f"B_wallcrossing(n={p.n})", cmath.exp(lb1 - lb),
-                            jump_B(p), tol, meta={"n": p.n})
+    """B_(n+1)/B_n against `jump` on BETA_V, through the continuation."""
+    return _wallcross(p, tol, "B", log_B_n, BETA_V)
 
 
 def wallcross_D(p: SolutionPoint, tol: float = 1e-8) -> Residual:
-    """D_(n+1)/D_n against `jump_D` at the point's sector index, through the
-    continuation (enforce=False)."""
-    ld = log_D_n(p, enforce=False)
-    ld1 = log_D_n(p.shifted(p.n + 1), enforce=False)
-    return Residual.compare(f"D_wallcrossing(n={p.n})", cmath.exp(ld1 - ld),
-                            jump_D(p), tol, meta={"n": p.n})
+    """D_(n+1)/D_n against `jump` on DELTA_V, through the continuation."""
+    return _wallcross(p, tol, "D", log_D_n, DELTA_V)
 
 
 # ---------------------------------------------------------------------------

@@ -620,6 +620,28 @@ def test_fresh_import_loads_only_what_every_invocation_runs():
     assert done.stdout.strip() == "[]"
 
 
+def test_eval_sweep_and_region_never_load_the_exact_layer(tmp_path):
+    """Only the verify suites that use `qtorus` import it: B_n and D_n at
+    the README's admissible point, a growth-D sweep and a region scan run in
+    one fresh process, all exit 0, and leave it unloaded."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = str(tmp_path / "out.json")
+    code = ("import sys\n"
+            "from conifoldrh import cli\n"
+            "t = ['--param', 't=0.2+0.7i']\n"
+            "for argv in (['eval', '--target', 'Bn', *t, '--param', 'n=2'],\n"
+            "             ['eval', '--target', 'Dn', *t, '--param', 'n=1',\n"
+            "              '--param', 'tau=-0.049+0.142i'],\n"
+            "             ['sweep', '--target', 'growth-D', '--sweep', 't:4:2:3'],\n"
+            "             ['region', *t]):\n"
+            f"    assert cli.main(argv + ['--out', {out!r}]) == 0, argv\n"
+            "print('conifoldrh.qtorus' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_fresh_import_builds_no_parser():
     """Importing the CLI constructs no ArgumentParser: each call builds the
     parser for its own command line, and the import pays for none."""
@@ -711,6 +733,31 @@ def test_closed_form_mismatch_is_a_failed_check(tmp_path, monkeypatch):
     assert code == EXIT_CHECK
     failed = [c["name"] for c in data["checks"] if not c["passed"]]
     assert data["n_failed"] == 16 and all("closed form" in n for n in failed)
+
+
+def test_wallcrossing_rows_read_the_bps_invariants(tmp_path, monkeypatch):
+    """The wall-crossing jumps are the ell_n ray factors built from
+    `conifold_omega`: with Omega(beta + n delta) = 2 each factor is squared,
+    so every B row, the D rows from n = 1 on and both telescoping rows fail.
+    D's jump at n = 0 has no factor, and the extension and inversion rows
+    read no jump."""
+    from conifoldrh import qtorus
+    from conifoldrh.laurent import LaurentPoly
+
+    good = qtorus.conifold_omega
+
+    def doubled(gamma):
+        if gamma.is_electric() and gamma.a == 1:
+            return LaurentPoly.monomial(0, 2)
+        return good(gamma)
+
+    monkeypatch.setattr(qtorus, "conifold_omega", doubled)
+    code, data = run_cli(tmp_path, "verify", "--suite", "wallcrossing")
+    assert code == EXIT_CHECK
+    assert [c["name"] for c in data["checks"] if not c["passed"]] == [
+        "B_wallcrossing(n=0)", "B_wallcrossing(n=1)", "D_wallcrossing(n=1)",
+        "B_wallcrossing(n=2)", "D_wallcrossing(n=2)",
+        "B telescoping to m=4", "D telescoping to m=4"]
 
 
 def test_extension_row_fails_on_perturbed_side(monkeypatch):

@@ -6,13 +6,13 @@ import pytest
 
 from conifoldrh import cli
 from conifoldrh.contour import QuadratureError
-from conifoldrh.lattice import RegionError
+from conifoldrh.lattice import BETA_V, DELTA_V, RegionError
 from conifoldrh.multisine import (g_moment_quad, log_F_star, log_G_star,
                                   reflection_rhs_F, reflection_rhs_G)
 from conifoldrh.rhsolver import (SolutionPoint, B_n, D_n, b_predicates,
                                  check_qrh3_growth, cs_match_residual,
                                  cs_point, d_predicates, default_tau_grid,
-                                 fit_growth_exponent, log_B_n, log_D_n,
+                                 fit_growth_exponent, jump, log_B_n, log_D_n,
                                  qrh2_limit, reflection_B, reflection_D,
                                  reflection_B_rhs, reflection_D_rhs,
                                  refined_cs_partition,
@@ -33,6 +33,9 @@ P_IV = SolutionPoint(V, W, T_IV, TAU_IV, 0)
 T_SW = 0.8 * cmath.exp(1j * (math.pi - 0.5))
 TAU_SW = 0.15 * cmath.exp(1.2j)
 P_SW = SolutionPoint(V, W, T_SW, TAU_SW, 0)
+
+# a second stability point, with non-real w
+P_2ND = SolutionPoint(0.22 + 0.61j, 0.9 - 0.15j, -0.3 - 0.8j, 0.12j, 0)
 
 
 def test_solution_point_derived():
@@ -82,10 +85,26 @@ def test_wallcrossing_at_admissible_point():
 def test_wallcrossing_second_stability_point():
     """Nothing is tuned to the default (v, w): the jumps close at another
     stability point with non-real w."""
-    p = SolutionPoint(0.22 + 0.61j, 0.9 - 0.15j, -0.3 - 0.8j, 0.12j, 0)
     for n in range(3):
-        assert wallcross_B(p.shifted(n)).rel_err < 1e-8
-        assert wallcross_D(p.shifted(n)).rel_err < 1e-8
+        assert wallcross_B(P_2ND.shifted(n)).rel_err < 1e-8
+        assert wallcross_D(P_2ND.shifted(n)).rel_err < 1e-8
+
+
+@pytest.mark.parametrize("p", [P0, P_2ND], ids=["default", "second"])
+def test_jump_pairs_B_with_beta_v_and_D_with_delta_v(p):
+    """The ray ell_n factors on beta_v are B's jump, 1/(1 - x y^n), and those
+    on delta_v are D's, prod_k 1/(1 - q^((1-n+2k)/2) x y^n), k = 0..n-1: the
+    closed forms the factors replaced, written out here as the oracle.  At
+    n = 0 delta_v pairs to zero with beta, so D's jump is 1; at n = 1 the two
+    jumps coincide, and from n = 2 on they differ."""
+    q_half = cmath.exp(1j * math.pi * p.tau)
+    for n in range(6):
+        pn = p.shifted(n)
+        xyn = pn.x * pn.y**n
+        jump_b = 1 / (1 - xyn)
+        jump_d = math.prod(1 / (1 - q_half ** (1 - n + 2 * k) * xyn) for k in range(n))
+        assert abs(jump(pn, BETA_V) - jump_b) <= 1e-13 * abs(jump_b)
+        assert abs(jump(pn, DELTA_V) - jump_d) <= 1e-13 * abs(jump_d)
 
 
 def test_enforce_false_skips_the_tau_predicates():
