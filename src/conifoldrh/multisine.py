@@ -1045,22 +1045,21 @@ def small_w2_remainders(mode: str, z: complex, params: tuple, K: int,
 
 
 def asymptotic_order_small_w2(mode: str, z: complex, params: tuple, K: int,
-                              w2_dir: complex) -> dict:
-    """Empirical order of |log X - S_K| as w2 -> 0 along w2_dir, at
-    |w2| = 0.4 * 2^-m, m = 0..6.
+                              w2_dir: complex) -> Residual:
+    """Row "<mode> remainder order K=<K>": the empirical order of
+    |log X - S_K| as w2 -> 0 along w2_dir, at |w2| = 0.4 * 2^-m, m = 0..6.
 
     The remainder after the K-th term scales like w2^K when B_(K+1) != 0 and
     like w2^(K+1) otherwise (odd Bernoulli numbers vanish), so the fitted
-    log-log slope must be within 0.2 of that expected order.
+    log-log slope must lie in order - 0.2 order/(order + 0.2) < slope < order + 0.2,
+    which is what the relative tolerance 0.2/(order + 0.2) passes.
     """
     w2s = [w2_dir * 0.4 * 0.5**m for m in range(7)]
     _, rem = small_w2_remainders(mode, z, params, K, w2s)
     slope, dev = fit_loglog_slope(w2s, rem)
-    expected = K if bernoulli_numbers(K + 1)[K + 1] else K + 1
-    passed = abs(slope - expected) <= 0.2
-    return {"slope": slope, "expected_order": expected, "K": K,
-            "passed": passed, "fit_deviation": dev,
-            "remainders": [abs(r) for r in rem]}
+    order = K if bernoulli_numbers(K + 1)[K + 1] else K + 1
+    return Residual.compare(f"{mode} remainder order K={K}", slope, order,
+                            0.2 / (order + 0.2), meta={"K": K, "fit_deviation": dev})
 
 
 def _complex_lstsq(basis_rows: list[list[complex]],
@@ -1107,10 +1106,11 @@ def _infinity_fit_rows(mode: str, w2s: list[complex]) -> list[list[complex]]:
 
 
 def asymptotic_infinity_fit(mode: str, z: complex, params: tuple,
-                            w2_dir: complex) -> dict:
+                            w2_dir: complex) -> list[Residual]:
     """Fit the large-w2 growth of log F / log G at |w2| = 16 * 2^m, m = 0..7,
-    each value to tolerance 1e-8, and compare the leading coefficients with
-    their closed forms.
+    each value to tolerance 1e-8: one row "<mode> infinity coefficient
+    (<name>)" per leading coefficient, the fitted value against its closed
+    form at 1e-4.
 
     F:  log F ~ -(pi i/12)(w2/w1bar) + B_1(z/w1bar) log w2 + O(1)
     G:  log G ~ B_{0,2} zeta(3)/(4 pi^2) w2^2 - B_{1,2} zeta(2)/(2 pi i) w2
@@ -1145,8 +1145,5 @@ def asymptotic_infinity_fit(mode: str, z: complex, params: tuple,
     else:
         raise ValueError("mode must be 'F' or 'G'")
 
-    out = {}
-    for name, (closed, fitted) in targets.items():
-        rel = abs(fitted - closed) / abs(closed)
-        out[name] = {"closed": closed, "fitted": complex(fitted), "rel_err": rel}
-    return out
+    return [Residual.compare(f"{mode} infinity coefficient ({name})", fitted, closed, 1e-4)
+            for name, (closed, fitted) in targets.items()]

@@ -255,13 +255,6 @@ def qrh2_limit(p: SolutionPoint, which: str = "B") -> Residual:
                             meta={"raw_last": vals[-1]})
 
 
-def fit_growth_exponent(ts: list[complex], values: list[complex]) -> dict:
-    """Fit log|value| = k log|t| + c; returns the exponent and fit quality."""
-    k, resid = fit_loglog_slope(ts, values)
-    return {"exponent": k, "max_fit_deviation": resid,
-            "finite": math.isfinite(k)}
-
-
 def along_ray(p: SolutionPoint, which: str,
               radii: list[float]) -> tuple[list[complex], list[complex]]:
     """(ts, values) of B_n or D_n through the continuation (enforce=False)
@@ -272,15 +265,13 @@ def along_ray(p: SolutionPoint, which: str,
     return ts, [cmath.exp(log_x(p._replace(t=t), enforce=False)) for t in ts]
 
 
-def check_qrh3_growth(p: SolutionPoint, which: str = "B") -> dict:
+def check_qrh3_growth(p: SolutionPoint, which: str = "B") -> Residual:
     """|t| -> infinity polynomial-growth exponent of B_n or D_n along the ray
     through p.t, at |t| = 4 * 2^j, j = 0..6; the Q prefactors cancel the
-    super-polynomial pieces, so the fitted log-log slope must be finite with
-    small deviation."""
-    out = fit_growth_exponent(*along_ray(p, which, [4.0 * 2.0**j for j in range(7)]))
-    out["which"] = which
-    out["n"] = p.n
-    return out
+    super-polynomial pieces, so the fitted log-log slope must be finite."""
+    slope, dev = fit_loglog_slope(*along_ray(p, which, [4.0 * 2.0**j for j in range(7)]))
+    return Residual.exact(f"qrh3 growth exponent finite ({which})", math.isfinite(slope),
+                          True, meta={"exponent": slope, "max_fit_deviation": dev, "n": p.n})
 
 
 # ---------------------------------------------------------------------------

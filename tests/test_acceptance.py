@@ -167,24 +167,26 @@ def test_criterion_06_asymptotics():
     w1, w1t = 1 + 0.1j, 0.95 - 0.07j
     ok = True
     details = []
-    for K in (1, 2, 3):
+    for K in (1, 2, 4):
         for mode, zz, pars in (("F", z, (ob,)), ("G", 0.25 + 0.45j, (w1, w1t))):
             r = multisine.asymptotic_order_small_w2(mode, zz, pars, K,
                                                     w2_dir=cmath.exp(-0.2j))
-            # remainder order is the next non-vanishing term: an integer >= K
-            # within 0.2 (equal to K for K = 1, 3; the K = 2 slope is 3
-            # because the odd Bernoulli number B_3 vanishes)
-            ok = ok and r["passed"] and r["slope"] > K - 0.2
-            details.append(f"{mode} K={K}: slope {r['slope']:.2f}")
-    fitF = multisine.asymptotic_infinity_fit("F", z, (ob,), cmath.exp(-0.3j))
-    fitG = multisine.asymptotic_infinity_fit("G", 0.2 + 0.5j, (w1, w1t),
-                                             cmath.exp(-0.3j))
-    coeffs = {"F linear (-pi i/12/w1bar)": fitF["linear"]["rel_err"],
-              "G quadratic (zeta3 B02/4pi^2)": fitG["quadratic"]["rel_err"],
-              "G log (-B22/2)": fitG["log"]["rel_err"]}
-    ok = ok and all(v < 1e-4 for v in coeffs.values())
+            # remainder order is the next non-vanishing term, to within
+            # order - 0.2 order/(order + 0.2) < slope < order + 0.2:
+            # K for K = 1, and K + 1 for K = 2, 4 because the odd Bernoulli
+            # numbers B_3 and B_5 vanish
+            ok = ok and r.passed
+            details.append(f"{mode} K={K}: slope {r.lhs.real:.2f}")
+    rows = {r.name: r for r in
+            [*multisine.asymptotic_infinity_fit("F", z, (ob,), cmath.exp(-0.3j)),
+             *multisine.asymptotic_infinity_fit("G", 0.2 + 0.5j, (w1, w1t),
+                                                cmath.exp(-0.3j))]}
+    coeffs = {"F linear (-pi i/12/w1bar)": rows["F infinity coefficient (linear)"],
+              "G quadratic (zeta3 B02/4pi^2)": rows["G infinity coefficient (quadratic)"],
+              "G log (-B22/2)": rows["G infinity coefficient (log)"]}
+    ok = ok and all(r.passed and r.tol == 1e-4 for r in coeffs.values())
     _report(6, ok, "; ".join(details) + "; infinity coefficients rel " +
-            ", ".join(f"{k}={v:.1e}" for k, v in coeffs.items()) + " (< 1e-4)")
+            ", ".join(f"{k}={r.rel_err:.1e}" for k, r in coeffs.items()) + " (< 1e-4)")
 
 
 def test_criterion_07_wallcrossing_and_reflection():
@@ -215,8 +217,8 @@ def test_criterion_08_qrh_limits():
     for which in ("B", "D"):
         g = rhsolver.check_qrh3_growth(
             SolutionPoint(V, W, t_sw, tau_sw, 1), which)
-        growths.append(f"{which}: k={g['exponent']:.3f}")
-        ok = ok and g["finite"]
+        growths.append(f"{which}: k={g.meta['exponent']:.3f}")
+        ok = ok and g.passed
     _report(8, ok,
             f"t->0 limits equal 1 within {worst:.2e} (< 1e-6); growth "
             "exponents " + ", ".join(growths) + " (finite)")

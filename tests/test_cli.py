@@ -838,11 +838,83 @@ def test_remainder_order_row_fails_one_order_off(off, monkeypatch):
 
     monkeypatch.setattr(multisine, "fit_loglog_slope", shifted)
     failed = [r.name for r in cli._suite_asymptotics() if not r.passed]
-    assert failed == [f"{m} remainder order K={K}" for K in (1, 2, 3) for m in "FG"]
+    assert failed == [f"{m} remainder order K={K}" for K in (1, 2, 4) for m in "FG"]
+
+
+@pytest.mark.parametrize("off,passed", [(-0.25, [False] * 6), (-0.18, [False] * 2 + [True] * 4),
+                                        (-0.15, [True] * 6), (0.15, [True] * 6),
+                                        (0.25, [False] * 6)])
+def test_remainder_gate_band(off, passed, monkeypatch):
+    """The order rows (orders 1, 3, 5) pass exactly when
+    order - 0.2 order/(order + 0.2) < slope < order + 0.2, not at a relative
+    0.2: order + 0.25 fails all six and order +- 0.15 passes all six, and
+    order - 0.18 fails the order-1 rows (lower edge 0.833) but passes the
+    order-3 and order-5 rows (lower edges 2.8125 and 4.808)."""
+    import conifoldrh.cli as cli
+    from conifoldrh import multisine
+
+    good = multisine.fit_loglog_slope
+
+    def at_order(*args):
+        slope, dev = good(*args)
+        return round(slope) + off, dev
+
+    monkeypatch.setattr(multisine, "fit_loglog_slope", at_order)
+    rows = [r for r in cli._suite_asymptotics() if "remainder order" in r.name]
+    assert [r.rhs.real for r in rows] == [1, 1, 3, 3, 5, 5]
+    assert [r.passed for r in rows] == passed
+
+
+@pytest.mark.parametrize("mode", ["F", "G"])
+def test_remainder_rows_read_the_order_two_moments(mode, tmp_path, monkeypatch):
+    """The K = 4 rows are the first to read the order-2 f and g moments:
+    that moment's residue series off by 1e-3 fails `K=4` and no other row."""
+    from conifoldrh import multisine
+
+    name = f"{mode.lower()}_moment_series"
+    good = getattr(multisine, name)
+
+    def off(order, *args):
+        value = good(order, *args)
+        return value * (1 + 1e-3) if order == 2 else value
+
+    monkeypatch.setattr(multisine, name, off)
+    multisine.clear_caches()
+    code, data = run_cli(tmp_path, "verify", "--suite", "asymptotics")
+    multisine.clear_caches()
+    assert code == EXIT_CHECK
+    assert [c["name"] for c in data["checks"] if not c["passed"]] == [
+        f"{mode} remainder order K=4"]
+
+
+def test_no_two_compared_rows_check_the_same_numbers(tmp_path):
+    """No two compared rows of `verify --suite all` have bitwise-equal
+    (lhs, rhs): a row that repeats another's numbers can fail on nothing
+    the other would not."""
+    code, data = run_cli(tmp_path, "verify", "--suite", "all")
+    assert code == EXIT_OK
+    seen = {}
+    for c in data["checks"]:
+        if c["lhs"] is not None:
+            key = (tuple(c["lhs"]), tuple(c["rhs"]))
+            assert key not in seen, (seen.get(key), c["name"])
+            seen[key] = c["name"]
+    assert len(seen) == 71
+
+
+def test_telescoping_rows_read_tol(tmp_path):
+    """`verify --suite wallcrossing --tol 1e-3` gives that tolerance to every
+    compared row, the two telescoping rows included."""
+    code, data = run_cli(tmp_path, "verify", "--suite", "wallcrossing",
+                         "--tol", "1e-3")
+    assert code == EXIT_OK and data["tolerance"] == 1e-3
+    compared = [c for c in data["checks"] if c["lhs"] is not None]
+    assert len(compared) == 9 and {c["tol"] for c in compared} == {1e-3}
+    assert {"B telescoping to m=4", "D telescoping to m=4"} <= {c["name"] for c in compared}
 
 
 def test_asymptotics_suite_takes_each_log_value_once(tmp_path, monkeypatch):
-    """The order rows at K = 1, 2, 3 read log X at the same seven w2, once
+    """The order rows at K = 1, 2, 4 read log X at the same seven w2, once
     each through the memo store: `verify --suite asymptotics` calls
     log_F_contour and log_G_value 15 times each (7 small-w2, 8 for the
     infinity fit), and every row passes."""
@@ -863,17 +935,22 @@ def test_asymptotics_suite_takes_each_log_value_once(tmp_path, monkeypatch):
                                          ("G", (1 + 0.1j, 0.95 - 0.07j))])
 def test_asym_order_sweep_matches_suite_remainders(mode, params, tmp_path):
     """sweep --target asym-order-F|G over |w2| = 0.4 * 2^-m, m < 7, at its
-    default point reports the remainders that asymptotic_order_small_w2 fits."""
+    default point reports the |remainders| that asymptotic_order_small_w2
+    fits, and their slope is the row's."""
     import cmath
     from conifoldrh import multisine
 
     code, sweep = run_cli(tmp_path, "sweep", "--target", f"asym-order-{mode}",
                           "--sweep", "w2:0.4:0.5:7")
     assert code == EXIT_OK
+    w2s = [cmath.exp(-0.2j) * 0.4 * 0.5**m for m in range(7)]
+    _, rem = multisine.small_w2_remainders(mode, 0.3 + 0.4j, params, 2, w2s)
+    assert [row["metric"] for row in sweep["rows"]] == pytest.approx(
+        [abs(x) for x in rem], rel=1e-6)
     r = multisine.asymptotic_order_small_w2(mode, 0.3 + 0.4j, params, 2,
                                             cmath.exp(-0.2j))
-    assert [row["metric"] for row in sweep["rows"]] == pytest.approx(
-        r["remainders"], rel=1e-6)
+    slope, _ = multisine.fit_loglog_slope(w2s, rem)
+    assert r.lhs.real == pytest.approx(slope, rel=1e-12)
 
 
 def _all_terms_remainders(mode, z, params, K, w2s):

@@ -187,12 +187,14 @@ def test_reflection_rhs_G_reports_exhausted_budget():
 def test_asymptotic_order_F_small():
     r = asymptotic_order_small_w2("F", Z, (1 + 0.05j,), 1,
                                   w2_dir=cmath.exp(-0.2j))
-    assert r["passed"] and abs(r["slope"] - 1) < 0.2
+    assert r.passed and r.name == "F remainder order K=1" and abs(r.lhs - 1) < 0.2
 
 
 def test_asymptotic_infinity_F_small():
-    fit = asymptotic_infinity_fit("F", Z, (1 + 0.05j,), cmath.exp(-0.3j))
-    assert fit["linear"]["rel_err"] < 1e-4
+    rows = asymptotic_infinity_fit("F", Z, (1 + 0.05j,), cmath.exp(-0.3j))
+    assert [r.name for r in rows] == ["F infinity coefficient (linear)",
+                                      "F infinity coefficient (log)"]
+    assert all(r.passed and r.rel_err < 1e-4 for r in rows)
 
 
 def test_moments_cached_and_consistent():

@@ -7,12 +7,12 @@ import pytest
 from conifoldrh import cli
 from conifoldrh.contour import QuadratureError
 from conifoldrh.lattice import BETA_V, DELTA_V, RegionError
-from conifoldrh.multisine import (g_moment_quad, log_F_star, log_G_star,
-                                  reflection_rhs_F, reflection_rhs_G)
+from conifoldrh.multisine import (fit_loglog_slope, g_moment_quad, log_F_star,
+                                  log_G_star, reflection_rhs_F, reflection_rhs_G)
 from conifoldrh.rhsolver import (SolutionPoint, B_n, D_n, b_predicates,
                                  check_qrh3_growth, cs_match_residual,
                                  cs_point, d_predicates, default_tau_grid,
-                                 fit_growth_exponent, jump, log_B_n, log_D_n,
+                                 jump, log_B_n, log_D_n,
                                  qrh2_limit, reflection_B, reflection_D,
                                  reflection_B_rhs, reflection_D_rhs,
                                  refined_cs_partition,
@@ -249,16 +249,16 @@ def test_qrh2_limits():
 
 
 def test_growth_fit_trivial_constant():
-    fit = fit_growth_exponent([1.0, 2.0, 4.0, 8.0], [1.0, 1.0, 1.0, 1.0])
-    assert abs(fit["exponent"]) < 1e-12 and fit["finite"]
+    slope, dev = fit_loglog_slope([1.0, 2.0, 4.0, 8.0], [1.0, 1.0, 1.0, 1.0])
+    assert abs(slope) < 1e-12 and dev < 1e-12
 
 
 def test_qrh3_growth_finite():
     g = check_qrh3_growth(P_SW.shifted(1), "B")
-    assert g["finite"]
+    assert g.passed and g.name == "qrh3 growth exponent finite (B)"
     # B_n ~ |t|^Re(B_1(z/w)) up to O(1): exponent near Re((v+nw)/w) - 1/2
     expect = ((V + W) / W).real - 0.5
-    assert abs(g["exponent"] - expect) < 0.25
+    assert abs(g.meta["exponent"] - expect) < 0.25
 
 
 def test_region_neighborhood_tau():
