@@ -475,7 +475,7 @@ def _suite_wallcrossing(order_n: int, qcut: int, tol: float) -> list[Residual]:
     m = 4
     for which, log_x, gm in (("B", rhsolver.log_B_n, lattice.BETA_V),
                              ("D", rhsolver.log_D_n, lattice.DELTA_V)):
-        lhs = cmath.exp(log_x(p0.shifted(m), enforce=False) - log_x(p0, enforce=False))
+        lhs = cmath.exp(log_x(p0.shifted(m)) - log_x(p0))
         rhs = math.prod(rhsolver.jump(p0.shifted(n), gm) for n in range(m))
         out.append(Residual.compare(f"{which} telescoping to m={m}", lhs, rhs, tol))
     out.append(_extension_consistency(tol))
@@ -489,7 +489,7 @@ def _extension_consistency(tol: float) -> Residual:
     the product route (Im(-t/w) > 0 at the default point), the mirrored side
     the contour integral plus Q_F, so the two share no evaluation of F."""
     p0 = _point({})
-    lhs = rhsolver.B_n(p0, enforce=False)
+    lhs = cmath.exp(rhsolver.log_B_n(p0))
     rhs = cmath.exp(multisine.log_F_contour(p0.v, p0.w, -p0.t)[0]
                     + multisine.q_F(p0.v, p0.w, -p0.t))
     return Residual.compare("extension consistency (B, mirrored)", lhs, rhs, tol,

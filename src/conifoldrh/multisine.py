@@ -169,7 +169,7 @@ def _cached(fn, *args):
 
 
 def log_G_cached(z: complex, w1: complex, w1t: complex, w2: complex,
-                 tol: float = 3e-11) -> tuple[complex, float]:
+                 tol: float = DEFAULT_TOL) -> tuple[complex, float]:
     return _cached(log_G_value, z, w1, w1t, w2, ContourSpec(tol=tol))
 
 
@@ -898,15 +898,14 @@ def F_star_predicates(z: complex, w1bar: complex) -> list[Predicate]:
     return [im_ratio_predicate("z/w1bar", z, w1bar)]
 
 
-def log_F_star(z: complex, w1bar: complex, w2: complex,
-               enforce: bool = True) -> complex:
-    """log F + Q_F, with F to F_value's tolerance 1e-12."""
-    if enforce:
-        require(F_star_predicates(z, w1bar), "F*")
+def log_F_star(z: complex, w1bar: complex, w2: complex) -> complex:
+    """log F + Q_F, with F to F_value's tolerance 1e-12: the continuation,
+    which checks no predicate."""
     return cmath.log(F_value(z, w1bar, w2)) + q_F(z, w1bar, w2)
 
 
 def F_star(z: complex, w1bar: complex, w2: complex) -> complex:
+    require(F_star_predicates(z, w1bar), "F*")
     return cmath.exp(log_F_star(z, w1bar, w2))
 
 
@@ -933,11 +932,9 @@ def G_star_predicates(z: complex, w1: complex, w1t: complex) -> list[Predicate]:
     ]
 
 
-def log_G_star(z: complex, w1: complex, w1t: complex, w2: complex,
-               enforce: bool = True) -> complex:
-    """log G(z) - log G(dw) + Q_G, with each log G to tolerance 3e-11."""
-    if enforce:
-        require(G_star_predicates(z, w1, w1t), "G*")
+def log_G_star(z: complex, w1: complex, w1t: complex, w2: complex) -> complex:
+    """log G(z) - log G(dw) + Q_G, with each log G to tolerance 3e-11: the
+    continuation, which checks no predicate."""
     dw = (w1 - w1t) / 2
     lg_z, _ = log_G_cached(z, w1, w1t, w2)
     lg_dw, _ = log_G_cached(dw, w1, w1t, w2)
@@ -945,6 +942,7 @@ def log_G_star(z: complex, w1: complex, w1t: complex, w2: complex,
 
 
 def G_star(z: complex, w1: complex, w1t: complex, w2: complex) -> complex:
+    require(G_star_predicates(z, w1, w1t), "G*")
     return cmath.exp(log_G_star(z, w1, w1t, w2))
 
 

@@ -8,14 +8,15 @@ The electric jump data is solved by
     D_n = D_0(v + n w - n t tau/2, w, t)
           * prod_{k=0}^{n-1} B_0(v + n w + (1-n+2k) t tau/2, w + t tau/2, t)
 
-with q^(1/2) = exp(pi i tau).  Each evaluation carries a checklist of the
-region predicates; by default violations raise, but the identity suites and
-the sweeps evaluate with enforce=False, which checks none of them, since the
+with q^(1/2) = exp(pi i tau).  Each solution has a checklist of the region
+predicates: B_n and D_n require theirs and raise on a violation, while
+log_B_n and log_D_n are the analytic continuation and check none of them.
+The identity suites and the sweeps evaluate the logs, since the
 wall-crossing and reflection relations are relations between the continued
 functions.  The tau-neighborhood predicates (those involving t tau/2) are
 the convergence conditions of the moment integrals.  Only a moment's
 quadrature checks its own; a moment that takes its residue series does
-not, so with enforce=False a value is returned where they fail.
+not, so log_D_n returns a value where they fail.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from typing import NamedTuple
 
 from .bernoulli import multiple_bernoulli
 from .checks import Predicate, Residual, im_ratio_predicate, require
+from .contour import DEFAULT_TOL
 from .lattice import BETA_V, DELTA_V, ChargeVector, mplus_predicates
-from .multisine import (TWO_PI_I, fit_loglog_slope, log_F_star, log_G_star,
-                        log_G_cached, q_G, reflection_rhs_F, reflection_rhs_G)
+from .multisine import (TWO_PI_I, F_star_predicates, G_star_predicates,
+                        fit_loglog_slope, log_F_star, log_G_star, log_G_cached,
+                        q_G, reflection_rhs_F, reflection_rhs_G)
 
 #: tolerance of the t -> 0 limits of B_n and D_n
 QRH2_TOL = 1e-6
@@ -70,25 +73,31 @@ def b_predicates(p: SolutionPoint) -> list[Predicate]:
     ]
 
 
+def _d_arguments(p: SolutionPoint) -> tuple[complex, complex, complex, complex,
+                                              list[complex]]:
+    """D_n's arguments: t tau/2, the pair (w - t tau/2, w + t tau/2), the G*
+    argument z0 = v + n w - n t tau/2 and the B_0 arguments
+    zk = v + n w + (1-n+2k) t tau/2, k = 0..n-1."""
+    n, tt2 = p.n, p.t * p.tau / 2
+    zks = [p.v + n * p.w + (1 - n + 2 * k) * tt2 for k in range(n)]
+    return tt2, p.w - tt2, p.w + tt2, p.v + n * p.w - n * tt2, zks
+
+
 def d_predicates(p: SolutionPoint) -> list[Predicate]:
     """Full checklist for D_n, covering the G* factor at the shifted argument
     and every B_0 factor of the product formula."""
-    n, t, tau = p.n, p.t, p.tau
-    tt2 = t * tau / 2
-    w1, w1t = p.w - tt2, p.w + tt2
-    z0 = p.v + n * p.w - n * tt2
+    tt2, w1, w1t, z0, zks = _d_arguments(p)
     preds = [
-        Predicate("Im(tau/2) > 0", (tau / 2).imag, kind="tau"),
+        Predicate("Im(tau/2) > 0", (p.tau / 2).imag, kind="tau"),
         im_ratio_predicate("z0/(w-t*tau/2)", z0, w1, kind="tau"),
         im_ratio_predicate("z0/(w+t*tau/2)", z0, w1t, kind="tau"),
-        im_ratio_predicate("z0/(-t)", z0, -t, kind="half-plane"),
+        im_ratio_predicate("z0/(-t)", z0, -p.t, kind="half-plane"),
         im_ratio_predicate("(-t*tau/2)/(w-t*tau/2)", -tt2, w1, kind="tau"),
         im_ratio_predicate("(-t*tau/2)/(w+t*tau/2)", -tt2, w1t, kind="tau"),
     ]
-    for k in range(n):
-        zk = p.v + n * p.w + (1 - n + 2 * k) * tt2
+    for k, zk in enumerate(zks):
         preds.append(im_ratio_predicate(f"zB{k}/(w+t*tau/2)", zk, w1t, kind="tau"))
-        preds.append(im_ratio_predicate(f"zB{k}/(-t)", zk, -t, kind="half-plane"))
+        preds.append(im_ratio_predicate(f"zB{k}/(-t)", zk, -p.t, kind="half-plane"))
     return preds
 
 
@@ -96,46 +105,41 @@ def d_predicates(p: SolutionPoint) -> list[Predicate]:
 # B_n and D_n
 
 
-def log_B_n(p: SolutionPoint, enforce: bool = True) -> complex:
-    """log B_n = log F*(v + n w | w, -t); b_predicates contains the F*
-    checklist, so it is checked here once."""
-    if enforce:
-        require(b_predicates(p), f"B_{p.n}")
-    z = p.v + p.n * p.w
-    return log_F_star(z, p.w, -p.t, enforce=False)
+def log_B_n(p: SolutionPoint) -> complex:
+    """log B_n = log F*(v + n w | w, -t), the continuation: it checks no
+    predicate."""
+    return log_F_star(p.v + p.n * p.w, p.w, -p.t)
 
 
-def B_n(p: SolutionPoint, enforce: bool = True) -> complex:
-    return cmath.exp(log_B_n(p, enforce))
+def B_n(p: SolutionPoint) -> complex:
+    """B_n where b_predicates hold; they contain the F* checklist."""
+    require(b_predicates(p), f"B_{p.n}")
+    return cmath.exp(log_B_n(p))
 
 
-def log_D_n(p: SolutionPoint, enforce: bool = True) -> complex:
-    """log D_n per the shifted-argument product formula.
+def log_D_n(p: SolutionPoint) -> complex:
+    """log D_n per the shifted-argument product formula: the continuation.
 
-    d_predicates contains every factor's G*/F* checklist (dw = -t tau/2).
-    enforce=False skips all of it: the t half-plane conditions, under which
-    the value continues analytically, and the tau-neighborhood conditions,
-    the convergence conditions of the moment integrals.  Only a moment's
-    quadrature checks its own (Im(z/w1) > 0 and Im(z/w1t) > 0 for a g
-    moment); a moment that takes its residue series does not, so a value is
-    returned where a tau predicate fails, as from |t| = 32 on the growth-D
-    sweep ray t = -0.755+0.655i at tau = 0.054+0.140i.
+    It checks none of d_predicates: neither the t half-plane conditions,
+    under which the value continues analytically, nor the tau-neighborhood
+    conditions, the convergence conditions of the moment integrals.  Only a
+    moment's quadrature checks its own (Im(z/w1) > 0 and Im(z/w1t) > 0 for
+    a g moment); a moment that takes its residue series does not, so a
+    value is returned where a tau predicate fails, as from |t| = 32 on the
+    growth-D sweep ray t = -0.755+0.655i at tau = 0.054+0.140i.
     """
-    if enforce:
-        require(d_predicates(p), f"D_{p.n}")
-    n, t, tau = p.n, p.t, p.tau
-    tt2 = t * tau / 2
-    w1, w1t = p.w - tt2, p.w + tt2
-    z0 = p.v + n * p.w - n * tt2
-    total = log_G_star(z0, w1, w1t, -t, enforce=False)
-    for k in range(n):
-        zk = p.v + n * p.w + (1 - n + 2 * k) * tt2
+    _, w1, w1t, z0, zks = _d_arguments(p)
+    total = log_G_star(z0, w1, w1t, -p.t)
+    for zk in zks:
         # B_0(zk, w + t tau/2, t) = F*(zk | w + t tau/2, -t)
-        total += log_F_star(zk, w1t, -t, enforce=False)
+        total += log_F_star(zk, w1t, -p.t)
     return total
 
 
 def D_n(p: SolutionPoint) -> complex:
+    """D_n where d_predicates hold; they contain every factor's G*/F*
+    checklist (dw = -t tau/2)."""
+    require(d_predicates(p), f"D_{p.n}")
     return cmath.exp(log_D_n(p))
 
 
@@ -157,8 +161,8 @@ def jump(p: SolutionPoint, gamma_m: ChargeVector) -> complex:
 
 
 def _wallcross(p: SolutionPoint, tol: float, which: str, log_x, gamma_m) -> Residual:
-    lx = log_x(p, enforce=False)
-    lx1 = log_x(p.shifted(p.n + 1), enforce=False)
+    lx = log_x(p)
+    lx1 = log_x(p.shifted(p.n + 1))
     return Residual.compare(f"{which}_wallcrossing(n={p.n})", cmath.exp(lx1 - lx),
                             jump(p, gamma_m), tol, meta={"n": p.n})
 
@@ -199,14 +203,15 @@ def reflection_D_rhs(p: SolutionPoint) -> complex:
     value at z = v is P(x y) P(y/x) and at z = -t tau/2 (x2 = q^(1/2)) it is
     P(a) P(b): the quotient is the GG2 row's.
     """
-    tt2 = p.t * p.tau / 2
-    w1, w1t = p.w - tt2, p.w + tt2
+    tt2, w1, w1t, *_ = _d_arguments(p)
     return (reflection_rhs_G(p.v, w1, w1t, -p.t)
             / reflection_rhs_G(-tt2, w1, w1t, -p.t))
 
 
 def reflection_B(p: SolutionPoint, tol: float = 1e-8) -> Residual:
-    """B_0(t) B_0(-t) against the x,y product; evaluated where |y| < 1."""
+    """B_0(t) B_0(-t) against the x,y product; evaluated where |y| < 1 and
+    the F* checklist, which does not depend on t, holds."""
+    require(F_star_predicates(p.v, p.w), "F*")
     lhs = cmath.exp(log_F_star(p.v, p.w, -p.t) + log_F_star(p.v, p.w, p.t))
     rhs = reflection_B_rhs(p)
     return Residual.compare("B0_reflection", lhs, rhs, tol)
@@ -219,13 +224,12 @@ def reflection_D(p: SolutionPoint, tol: float = 1e-8) -> Residual:
     half-plane; concretely it is G* with the same ordered pair
     (w - t tau/2, w + t tau/2) and the sign of the last slot flipped (the
     literal substitution t -> -t would swap the pair and land outside the
-    convergence region of the tau-moments for every tau).
+    convergence region of the tau-moments for every tau).  The G* checklist
+    does not depend on the last slot, so it is required once for both.
     """
-    tt2 = p.t * p.tau / 2
-    w1, w1t = p.w - tt2, p.w + tt2
-    lg_plus = log_G_star(p.v, w1, w1t, -p.t)
-    lg_minus = log_G_star(p.v, w1, w1t, p.t)
-    lhs = cmath.exp(lg_plus + lg_minus)
+    _, w1, w1t, *_ = _d_arguments(p)
+    require(G_star_predicates(p.v, w1, w1t), "G*")
+    lhs = cmath.exp(log_G_star(p.v, w1, w1t, -p.t) + log_G_star(p.v, w1, w1t, p.t))
     rhs = reflection_D_rhs(p)
     return Residual.compare("D0_reflection", lhs, rhs, tol)
 
@@ -257,12 +261,12 @@ def qrh2_limit(p: SolutionPoint, which: str = "B") -> Residual:
 
 def along_ray(p: SolutionPoint, which: str,
               radii: list[float]) -> tuple[list[complex], list[complex]]:
-    """(ts, values) of B_n or D_n through the continuation (enforce=False)
-    at t = (p.t/|p.t|) r for each radius r."""
+    """(ts, values) of B_n or D_n through the continuation, log_B_n or
+    log_D_n, at t = (p.t/|p.t|) r for each radius r."""
     tdir = p.t / abs(p.t)
     ts = [tdir * r for r in radii]
     log_x = log_B_n if which == "B" else log_D_n
-    return ts, [cmath.exp(log_x(p._replace(t=t), enforce=False)) for t in ts]
+    return ts, [cmath.exp(log_x(p._replace(t=t))) for t in ts]
 
 
 def check_qrh3_growth(p: SolutionPoint, which: str = "B") -> Residual:
@@ -309,7 +313,7 @@ def default_tau_grid() -> list[complex]:
 
 
 def sin3(z: complex, omegas: tuple[complex, complex, complex],
-         tol: float = 3e-11) -> complex:
+         tol: float = DEFAULT_TOL) -> complex:
     """Triple sine via G: sin_3(z | a, b, c) = G(z - (a+b)/2 | a, b, c)
     * exp(-(pi i/6) B_{3,3}(z | a, b, c))."""
     a, b, c = omegas
@@ -336,8 +340,6 @@ def cs_point(t: complex, tau: complex, v: complex) -> SolutionPoint:
     sqrt(beta) = w - t tau/2, 1/sqrt(beta) = w + t tau/2 forces
     w^2 - (t tau/2)^2 = 1."""
     w = cmath.sqrt(1 + (t * tau / 2) ** 2)
-    if w.real < 0:
-        w = -w
     return SolutionPoint(v=v, w=w, t=t, tau=tau, n=0)
 
 
@@ -351,15 +353,16 @@ def cs_match_residual(p: SolutionPoint, tol: float = 1e-8) -> Residual:
     The exponential and Bernoulli prefactors relating the two are
     reconstructed from the starred-function definitions.
     """
-    tt2 = p.t * p.tau / 2
-    w1, w1t = p.w - tt2, p.w + tt2
+    _, w1, w1t, *_ = _d_arguments(p)
     require([Predicate("w^2 - (t tau/2)^2 = 1", -abs(w1 * w1t - 1), margin=-1e-10)],
             "CS matching locus")
     omegas = (w1, w1t, -p.t)
     # evaluated at its own tolerance so the sin_3 quadratures are independent
     # of the cached G evaluations inside D_0
     lhs = sin3(p.v + p.w, omegas, tol=1e-11) / sin3(w1, omegas, tol=1e-11)
-    ld0 = log_D_n(p.shifted(0))
+    p0 = p.shifted(0)
+    require(d_predicates(p0), "D_0")
+    ld0 = log_D_n(p0)
     qg = q_G(p.v, w1, w1t, -p.t)
     b33 = (multiple_bernoulli(3, 3, p.v + p.w, list(omegas))
            - multiple_bernoulli(3, 3, w1, list(omegas)))

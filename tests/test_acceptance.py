@@ -10,8 +10,6 @@ import math
 import random
 import time
 
-import pytest
-
 from conifoldrh import multisine, qtorus, rhsolver
 from conifoldrh.cli import main as cli_main
 from conifoldrh.contour import ContourSpec

@@ -54,6 +54,38 @@ def test_eval_bn_inadmissible_names_predicate(tmp_path, capsys):
     assert "Im((v+0w)/(-t)) > 0" in err
 
 
+_W2 = "w2=0.4-0.9i"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--target", "Fstar", "--param", "z=0.3-0.4i", "--param", "w1bar=1+0.05i",
+      "--param", _W2], "F* undefined; region violation: Im(z/w1bar) > 0"),
+    (["--target", "Gstar", "--param", "z=0.3+0.4i", "--param", "w1=0.95-0.07i",
+      "--param", "w1t=1+0.1i", "--param", _W2],
+     "G* undefined; outside tau-neighborhood: Im(dw/w1) > 0, Im(dw/w1t) > 0"),
+    (["--target", "Dn", "--param", "t=0.2+0.7i", "--param", "tau=0.1i",
+      "--param", "n=1"],
+     "D_1 undefined; outside tau-neighborhood: Im((-t*tau/2)/(w-t*tau/2)) > 0, "
+     "Im((-t*tau/2)/(w+t*tau/2)) > 0"),
+], ids=["Fstar", "Gstar", "Dn"])
+def test_eval_value_target_refuses_with_its_checklist(argv, message, capsys):
+    """F*, G* and D_n check their own checklists before exponentiating:
+    each eval target exits 2 with the message of that value's checklist."""
+    assert main(["eval", *argv]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == f"precondition violated: {message}\n"
+
+
+def test_eval_fstar_admissible(tmp_path):
+    from conifoldrh import multisine
+
+    z, w1bar, w2 = 0.3 + 0.4j, 1 + 0.05j, 0.4 - 0.9j
+    code, data = run_cli(tmp_path, "eval", "--target", "Fstar", "--param", "z=0.3+0.4i",
+                         "--param", "w1bar=1+0.05i", "--param", _W2)
+    assert code == EXIT_OK
+    assert complex(*data["value"]) == multisine.F_star(z, w1bar, w2)
+    assert [(q["name"], q["ok"]) for q in data["predicates"]] == [("Im(z/w1bar) > 0", True)]
+
+
 def test_eval_zcs_beta_one(tmp_path):
     code, data = run_cli(tmp_path, "eval", "--target", "Z_cs",
                          "--param", "delta=1.2+0.4i", "--param", "mu=0.8+0.3i",
@@ -286,6 +318,24 @@ def test_bad_number_is_usage(argv, named, capsys):
     """A sweep schedule has at most the fifth field `lin`, and each of its
     values is a modulus, finite and positive; a complex parameter is finite.
     Anything else exits 64 naming the bad value, before any computation."""
+    assert main(argv) == EXIT_USAGE
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["eval", "--target", "Fstar", "--param", "x"], "NAME=VALUE, got 'x'"),
+    (["eval", "--target", "moments", "--param", "order=-1", "--param", "z=0.3+0.4i",
+      "--param", "w1bar=1", "--param", "w1=1"], "not both"),
+    (["sweep", "--target", "qrh-limit-B", "--sweep", "t:0.8:0.5"],
+     "NAME:START:RATIO:COUNT"),
+    (["sweep", "--target", "qrh-limit-B", "--sweep", "t:a:0.5:3"], "'a'"),
+    (["sweep", "--target", "qrh-limit-B", "--sweep", "w2:0.8:0.5:3"],
+     "varies |t|, not 'w2'"),
+])
+def test_malformed_input_is_usage(argv, named, capsys):
+    """A parameter without `=`, a moment given both parameter sets, a
+    schedule of three fields or with a non-number, and a sweep over a
+    variable the target does not vary each exit 64 naming the fault."""
     assert main(argv) == EXIT_USAGE
     assert named in capsys.readouterr().err
 
@@ -768,7 +818,7 @@ def test_extension_row_fails_on_perturbed_side(monkeypatch):
     from conifoldrh import multisine, rhsolver
 
     p0 = cli._point({})
-    good_b, good_f = rhsolver.B_n, multisine.log_F_contour
+    good_b, good_f = rhsolver.log_B_n, multisine.log_F_contour
     contour_calls = []
 
     def counted(*args):
@@ -778,16 +828,28 @@ def test_extension_row_fails_on_perturbed_side(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(multisine, "log_F_contour", counted)
         multisine.clear_caches()
-        good_b(p0, enforce=False)
+        good_b(p0)
     assert contour_calls == []
     assert cli._extension_consistency(1e-8).passed
     with monkeypatch.context() as m:
-        m.setattr(rhsolver, "B_n", lambda *a, **k: good_b(*a, **k) * (1 + 1e-6))
+        m.setattr(rhsolver, "log_B_n", lambda *a: good_b(*a) + math.log1p(1e-6))
         assert not cli._extension_consistency(1e-8).passed
     with monkeypatch.context() as m:
         m.setattr(multisine, "log_F_contour",
                   lambda *a: (good_f(*a)[0] + 1e-6, 0.0))
         assert not cli._extension_consistency(1e-8).passed
+
+
+def test_difference_points_hold_the_G_star_checklist():
+    """The difference and reflection suites take the continuation log G* at
+    z, z + w1 and z + w1t of each difference point, checking nothing there;
+    the G* checklist holds at all of them, so a check could not have failed."""
+    import conifoldrh.cli as cli
+    from conifoldrh import multisine
+
+    for z, w1, w1t, _ in cli._difference_points(3):
+        for at in (z, z + w1, z + w1t):
+            assert all(q.ok for q in multisine.G_star_predicates(at, w1, w1t))
 
 
 @pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(math.inf, 1)])

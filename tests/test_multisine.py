@@ -6,14 +6,13 @@ import pytest
 from conifoldrh import multisine
 from conifoldrh.contour import ContourSpec, QuadratureError
 from conifoldrh.lattice import RegionError
-from conifoldrh.multisine import (F_product, F_star, F_value, PoleZeroError,
-                                  asymptotic_infinity_fit,
+from conifoldrh.multisine import (F_product, F_star, F_value, G_star,
+                                  PoleZeroError, asymptotic_infinity_fit,
                                   asymptotic_order_small_w2, clear_caches,
                                   f_moment, g_moment, g_moment_quad,
                                   g_moment_series, log_F_contour, log_F_star,
-                                  log_G_cached, log_G_contour, log_G_star,
-                                  qdilog_numeric, reflection_rhs_F,
-                                  reflection_rhs_G)
+                                  log_G_cached, log_G_star, qdilog_numeric,
+                                  reflection_rhs_F, reflection_rhs_G)
 
 Z, OB, W2 = 0.3 + 0.4j, 1 + 0.5j, 0.8 - 0.1j
 W1, W1T = 1 + 0.1j, 0.95 - 0.07j
@@ -125,7 +124,7 @@ def test_F_star_region_named():
 
 def test_G_star_region_named():
     with pytest.raises(RegionError) as exc:
-        log_G_star(Z, W1T, W1, W2R)    # swapped pair: Im(dw/w1) < 0
+        G_star(Z, W1T, W1, W2R)    # swapped pair: Im(dw/w1) < 0
     assert "Im(dw/w1)" in str(exc.value)
 
 

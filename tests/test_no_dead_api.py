@@ -9,6 +9,8 @@ read a method `x`).  Names are matched as spelled, so an attribute `.x`
 anywhere keeps every method `x` alive: the check finds names nothing reads
 at all, not every unused binding.  Test modules under `bench/` are read for
 loads only (pytest calls their functions by collection).
+
+A test module, under `tests/` or `bench/`, loads every name it imports.
 """
 
 import ast
@@ -78,6 +80,30 @@ def unread_names() -> list[str]:
             if not any((where != rel or not first <= line <= last)
                        and not (method and bare)
                        for where, line, bare in loads.get(name, ()))]
+
+
+def unused_test_imports() -> list[str]:
+    """`path:line name` of each name a test module imports and never loads
+    as a bare `Name`; `from __future__` imports are exempt."""
+    unused = []
+    for path in sorted([*(ROOT / "tests").glob("*.py"),
+                        *(ROOT / "bench").glob("test_*.py")]):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        rel = path.relative_to(ROOT).as_posix()
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused += [f"{rel}:{node.lineno} {bound}" for alias in node.names
+                           if (bound := alias.asname or alias.name.split(".")[0])
+                           not in loaded]
+    return unused
+
+
+def test_every_test_import_is_read():
+    unused = unused_test_imports()
+    assert not unused, "imported but never read: " + ", ".join(unused)
 
 
 def test_every_defined_name_is_read():

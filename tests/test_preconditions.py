@@ -35,6 +35,8 @@ CASES = {
     "qdilog_numeric": lambda: multisine.qdilog_numeric(0.5, 1.0),
     "log_F_star": lambda: multisine.log_F_star(Z_BAD, 1.0, W2),
     "log_G_star": lambda: multisine.log_G_star(0.25 + 0.45j, W1T, W1, W2),
+    "F_star": lambda: multisine.F_star(Z_BAD, 1.0, W2),
+    "G_star": lambda: multisine.G_star(0.25 + 0.45j, W1T, W1, W2),
     "residue_lemma_check": lambda: multisine.residue_lemma_check(-1 + 0j, 2),
     "reflection_rhs_F": lambda: multisine.reflection_rhs_F(V, W1, W1T, 1.0),
     "reflection_rhs_G": lambda: multisine.reflection_rhs_G(V, W1, W1T, 1.0),

@@ -12,7 +12,7 @@ from conifoldrh.multisine import (fit_loglog_slope, g_moment_quad, log_F_star,
 from conifoldrh.rhsolver import (SolutionPoint, B_n, D_n, b_predicates,
                                  check_qrh3_growth, cs_match_residual,
                                  cs_point, d_predicates, default_tau_grid,
-                                 jump, log_B_n, log_D_n,
+                                 jump, log_D_n,
                                  qrh2_limit, reflection_B, reflection_D,
                                  reflection_B_rhs, reflection_D_rhs,
                                  refined_cs_partition,
@@ -64,7 +64,7 @@ def test_region_error_names_predicate_kind():
 
 def test_B_fully_admissible_point():
     assert all(q.ok for q in b_predicates(P_IV))
-    val = B_n(P_IV)     # enforce=True passes
+    val = B_n(P_IV)     # b_predicates hold, so B_n passes its check
     assert val != 0
 
 
@@ -107,21 +107,22 @@ def test_jump_pairs_B_with_beta_v_and_D_with_delta_v(p):
         assert abs(jump(pn, DELTA_V) - jump_d) <= 1e-13 * abs(jump_d)
 
 
-def test_enforce_false_skips_the_tau_predicates():
+def test_log_D_n_skips_the_tau_predicates():
     """On the growth-D sweep ray t = -0.755+0.655i at tau = 0.054+0.140i,
-    |t| = 32 fails the tau predicate Im(z0/(w+t*tau/2)) > 0.  The g moment
-    quadrature refuses the point, but log_D_n(enforce=False) returns a
-    finite value, since the moments take their residue series there."""
+    |t| = 32 fails the tau predicate Im(z0/(w+t*tau/2)) > 0.  D_n and the
+    g moment quadrature refuse the point, but the continuation log_D_n
+    returns a finite value, since the moments take their residue series
+    there."""
     t = 32 * (-0.755 + 0.655j) / abs(-0.755 + 0.655j)
     p = SolutionPoint(V, W, t, 0.054 + 0.140j, 0)
     assert [(q.name, q.kind) for q in d_predicates(p) if not q.ok] == [
         ("Im(z0/(w+t*tau/2)) > 0", "tau")]
     with pytest.raises(RegionError, match="outside tau-neighborhood"):
-        log_D_n(p)
+        D_n(p)
     w1, w1t = W - t * p.tau / 2, W + t * p.tau / 2
     with pytest.raises(RegionError):
         g_moment_quad(-2, V, w1, w1t)
-    assert cmath.isfinite(log_D_n(p, enforce=False))
+    assert cmath.isfinite(log_D_n(p))
 
 
 def test_D1_argument_plumbing():
