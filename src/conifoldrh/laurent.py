@@ -17,7 +17,8 @@ two are multiplied, and the result is unpacked.  A product with a monomial
 operand, on either side, shifts and scales the other operand's terms in one
 dict comprehension.  Any other product (a ``Fraction`` coefficient, the zero
 polynomial, or fewer term products) is summed term by term in a dict.  All
-give the same exact result.
+give the same exact result.  ``sum_of_products`` adds a list of such
+products into one dict, truncated at a cutoff.
 
 The same type serves as the coefficient ring over q^(1/2) for the quantum
 torus and as the value ring for the motivic invariants over L^(1/2); the two
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -238,3 +239,27 @@ class LaurentPoly:
             else:
                 parts.append(f"{a}*q^({n}/2)")
         return " + ".join(parts)
+
+
+def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]],
+                    max_half_exp: int) -> LaurentPoly:
+    """sum a * b over the (a, b) in ``pairs``, monomials above
+    X^(max_half_exp/2) dropped.
+
+    Each product is formed by ``LaurentPoly.__mul__``; its terms at or below
+    the cutoff are added into one dict, and zero coefficients are dropped
+    once, at the end (the dict is rebuilt only when the products cancelled
+    somewhere).  Coefficients are exact, so the sum of the truncated
+    products is the truncated sum.
+    """
+    c: dict[int, Scalar] = {}
+    get = c.get
+    for a, b in pairs:
+        for n, x in (a * b)._c.items():
+            if n <= max_half_exp:
+                c[n] = get(n, 0) + x
+    if 0 in c.values():
+        c = {n: x for n, x in c.items() if x}
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._c = c
+    return out

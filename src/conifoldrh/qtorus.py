@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, sum_of_products
 from .lattice import (DELTA, ChargeVector, RefinedBPSStructure,
                       conifold_omega, skew_pair)
 
@@ -150,31 +150,32 @@ class RaySeries(NamedTuple):
         return RaySeries(self.gamma0, tuple(coeffs), self.qcut)
 
     def mul(self, other: "RaySeries") -> "RaySeries":
-        assert self.gamma0 == other.gamma0 and self.order == other.order
-        n = self.order
-        out = [LaurentPoly.zero()] * (n + 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
-                continue
-            for j in range(0, n + 1 - i):
-                cj = other.coeffs[j]
-                if cj.is_zero():
-                    continue
-                out[i + j] = out[i + j] + (ci * cj).truncate(self.qcut)
-        return self._like(out)
+        """Product of two series along the same charge to the same order.
+        Each coefficient  c_k = sum_(i+j=k) a_i b_j  is one truncated sum of
+        products (`laurent.sum_of_products`), exact at qcut; a torus product
+        (`QTorusElement.mul`) still adds its products term by term."""
+        if self.gamma0 != other.gamma0 or self.order != other.order:
+            raise ValueError(
+                f"cannot multiply a ray series along {self.gamma0} to order "
+                f"{self.order} by one along {other.gamma0} to order {other.order}")
+        a, b = self.coeffs, other.coeffs
+        return self._like(
+            sum_of_products(((a[i], b[k - i]) for i in range(k + 1)
+                             if a[i] and b[k - i]), self.qcut)
+            for k in range(self.order + 1))
 
     def inverse(self) -> "RaySeries":
         """Series inverse; the constant term must be 1, as it is for every
-        DT product, so each coefficient stays integral."""
+        DT product, so each coefficient stays integral.  Each coefficient
+        out_j = -sum_(i=1..j) c_i out_(j-i) is one truncated sum of products
+        (`laurent.sum_of_products`), exact at qcut."""
         if self.coeffs[0] != LaurentPoly.one():
             raise ValueError(f"constant term {self.coeffs[0]} is not 1; "
                              "cannot invert ray series")
-        out = [LaurentPoly.one()] + [LaurentPoly.zero()] * self.order
+        c, out = self.coeffs, [LaurentPoly.one()]
         for j in range(1, self.order + 1):
-            acc = LaurentPoly.zero()
-            for i in range(1, j + 1):
-                acc = acc + (self.coeffs[i] * out[j - i]).truncate(self.qcut)
-            out[j] = (-acc).truncate(self.qcut)
+            out.append(-sum_of_products(((c[i], out[j - i]) for i in range(1, j + 1)),
+                                        self.qcut))
         return self._like(out)
 
     def scale_arg(self, half_exp: int) -> "RaySeries":

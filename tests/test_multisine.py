@@ -117,9 +117,10 @@ def test_log_F_contour_rejects_bad_strip():
 
 
 def test_F_star_region_named():
+    """F* refuses through its own checklist, before any moment is formed."""
     with pytest.raises(RegionError) as exc:
-        log_F_star(0.3 - 0.4j, 1.0 + 0j, W2)
-    assert "Im(z/w1bar)" in str(exc.value)
+        F_star(0.3 - 0.4j, 1.0 + 0j, W2)
+    assert str(exc.value) == "F* undefined; region violation: Im(z/w1bar) > 0"
 
 
 def test_G_star_region_named():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conifoldrh.laurent import LaurentPoly
@@ -264,6 +264,76 @@ def test_constant_term_other_than_one_rejected(c0):
     bad = RaySeries(DELTA, (c0, LaurentPoly.one()), 20)
     with pytest.raises(ValueError, match="is not 1"):
         bad.inverse()
+
+
+@pytest.mark.parametrize("other", [RaySeries.one(BETA, 3, 8), RaySeries.one(DELTA, 2, 8)])
+def test_mul_refuses_mismatched_series(other):
+    """Series along different charges or to different orders are refused
+    with a ValueError naming both charges and both orders, also under -O."""
+    f = RaySeries.one(DELTA, 3, 8)
+    with pytest.raises(ValueError) as exc:
+        f.mul(other)
+    msg = str(exc.value)
+    for part in (repr(DELTA), repr(other.gamma0), "order 3", f"order {other.order}"):
+        assert part in msg
+
+
+def reference_mul(f, g):
+    """Coefficients of f g term by term: each product truncated, then added."""
+    out = [LaurentPoly.zero()] * (f.order + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs[:f.order + 1 - i]):
+            out[i + j] = out[i + j] + (a * b).truncate(f.qcut)
+    return out
+
+
+def reference_inverse(f):
+    """Coefficients of 1/f term by term: out_j = -sum_(i=1..j) c_i out_(j-i)."""
+    out = [LaurentPoly.one()]
+    for j in range(1, f.order + 1):
+        acc = LaurentPoly.zero()
+        for i in range(1, j + 1):
+            acc = acc + (f.coeffs[i] * out[j - i]).truncate(f.qcut)
+        out.append(-acc)
+    return out
+
+
+@st.composite
+def ray_series_pairs(draw):
+    """Two integer ray series with constant term 1, of one order (0 to 4) and
+    cutoff, whose mixed-sign coefficients have exponents below, at and above
+    the cutoff; up to 9 terms, so some products take the big-integer route."""
+    order, qcut = draw(st.integers(0, 4)), draw(st.integers(0, 12))
+    poly = st.dictionaries(st.integers(-3, qcut + 3), st.integers(-3, 3),
+                           max_size=9).map(LaurentPoly)
+
+    def series():
+        rest = tuple(draw(poly) for _ in range(order))
+        return RaySeries(DELTA, (LaurentPoly.one(),) + rest, qcut)
+    return series(), series()
+
+
+CANCEL_X = LaurentPoly({-1: 2, 3: -1, 5: 1})
+CANCEL_F = RaySeries(DELTA, (LaurentPoly.one(), CANCEL_X, CANCEL_X * CANCEL_X), 6)
+
+
+@given(ray_series_pairs())
+@example((CANCEL_F, RaySeries(DELTA, (LaurentPoly.one(), -CANCEL_X, LaurentPoly.zero()), 6)))
+@settings(max_examples=200, deadline=None)
+def test_ray_series_sums_match_term_by_term(pair):
+    """Each coefficient of mul and inverse, formed as one truncated sum of
+    products, equals the products truncated and added one by one; no result
+    stores a zero coefficient, and f times its inverse is the series 1.  The
+    explicit example cancels partial products: (1 + x u)(1 - x u) has no u
+    term, and 1/(1 + x u + x^2 u^2) no u^2 term."""
+    f, g = pair
+    prod, inv = f.mul(g), f.inverse()
+    assert list(prod.coeffs) == reference_mul(f, g)
+    assert list(inv.coeffs) == reference_inverse(f)
+    for s in (prod, inv):
+        assert (s.gamma0, s.order, s.qcut) == (f.gamma0, f.order, f.qcut)
+        assert all(x != 0 for c in s.coeffs for _, x in c.items())
+    assert f.mul(inv) == RaySeries.one(f.gamma0, f.order, f.qcut)
 
 
 # ---------------------------------------------------------------------------
