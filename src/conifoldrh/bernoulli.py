@@ -4,7 +4,8 @@ The multiple Bernoulli polynomials are the expansion coefficients of
 
     s^r e^(z s) / prod_i (e^(w_i s) - 1)  =  sum_n  B_{n,r}(z | w) s^n / n!
 
-computed by truncated power-series division.  The series arithmetic is
+computed as truncated power-series products of e^(z s) and the series
+s/(e^(w_i s) - 1) of the Bernoulli numbers.  The series arithmetic is
 generic over the coefficient field: with Fraction inputs everything is exact,
 with complex inputs the same code path evaluates numerically.
 """
@@ -61,21 +62,6 @@ def _series_mul(a: list, b: list, n: int) -> list:
     return out
 
 
-def _series_inv(a: list, n: int) -> list:
-    """Inverse of a series with a(0) = 1."""
-    if a[0] != 1:
-        raise ValueError("series inversion requires unit constant term")
-    out = [0] * (n + 1)
-    out[0] = 1 if not isinstance(a[0], complex) else 1 + 0j
-    for j in range(1, n + 1):
-        acc = 0
-        for i in range(1, j + 1):
-            if i < len(a) and a[i] != 0:
-                acc += a[i] * out[j - i]
-        out[j] = -acc
-    return out
-
-
 def _exp_series(z, n: int, one) -> list:
     """Coefficients of e^(z s) up to s^n."""
     out = [one]
@@ -87,10 +73,10 @@ def _exp_series(z, n: int, one) -> list:
 
 
 def multiple_bernoulli(n: int, r: int, z, omegas) -> object:
-    """B_{n,r}(z | w_1..w_r) by exact truncated series division.
+    """B_{n,r}(z | w_1..w_r) from the Bernoulli numbers.
 
-    Writing (e^(w s) - 1) = w s h_w(s) with h_w(0) = 1 gives
-    B_{n,r} = n! [s^n] ( e^(zs) prod_i h_i(s)^(-1) ) / prod_i w_i.
+    Each factor s/(e^(w s) - 1) = sum_k B_k w^(k-1) s^k / k! is a series
+    with known coefficients, so B_{n,r} = n! [s^n] e^(zs) prod_i of them.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -103,25 +89,14 @@ def multiple_bernoulli(n: int, r: int, z, omegas) -> object:
         raise ValueError("all omega parameters must be nonzero")
 
     exact = isinstance(z, Fraction) and all(isinstance(w, Fraction) for w in omegas)
-    one = Fraction(1) if exact else complex(1)
-    if not exact:
-        z = complex(z)
-        omegas = [complex(w) for w in omegas]
+    field = Fraction if exact else complex
+    z, omegas = field(z), [field(w) for w in omegas]
+    bk = [field(b) / math.factorial(k) for k, b in enumerate(bernoulli_numbers(n))]
 
-    series = _exp_series(z, n, one)
+    series = _exp_series(z, n, field(1))
     for w in omegas:
-        # h_w(s) = (e^(ws)-1)/(ws) = sum_k w^k s^k / (k+1)!
-        h = [one]
-        term = one
-        for k in range(1, n + 1):
-            term = term * w / (k + 1)
-            h.append(term)
-        series = _series_mul(series, _series_inv(h, n), n)
-
-    denom = one
-    for w in omegas:
-        denom = denom * w
-    return series[n] * math.factorial(n) / denom
+        series = _series_mul(series, [b * w ** (k - 1) for k, b in enumerate(bk)], n)
+    return field(series[n] * math.factorial(n))
 
 
 def zeta_int(d: int) -> float:

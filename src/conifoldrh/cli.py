@@ -499,10 +499,11 @@ def _extension_consistency(tol: float) -> Residual:
 def _inversion_identity(order_n: int, qcut: int) -> Residual:
     """R_(l,-gm) R_(l,gm) == 1 through u-order N: each side computed by its
     own conjugation, on rays ell_1 and ell_inf, for both magnetic generators,
-    at the `_enlarged` cutoff of 2N |c|, c = <l, gm> (a ray's first charge is
-    primitive): N |c| for each side's lowest power and for the twist (j+k) c.
-    Each ray's DT product is built once, at the largest cutoff `ray_action`
-    takes for a side (N |c| more); each side is exact at its own."""
+    at the `_enlarged` cutoff of 2N |c|, c = <gamma0, gm> with gamma0 the
+    ray's primitive charge: N |c| for each side's lowest power and for the
+    twist (j+k) c.  Each ray's DT product is built once, at the largest
+    cutoff `ray_action` takes for a side (N |c| more); each side is exact at
+    its own.  On ell_inf at N = 0, a ray with no charges, the DT product is 1."""
     from . import qtorus
     from .lattice import BETA_V, DELTA_V, ChargeVector, skew_pair
     one = qtorus.QTorusElement.generator(ChargeVector())
@@ -510,7 +511,7 @@ def _inversion_identity(order_n: int, qcut: int) -> Residual:
             ("ell_inf", qtorus.conifold_ray_charges("ell_inf", kmax=order_n)))
     prods = {}
     for ray_name, ray in rays:
-        cs = {gm: abs(skew_pair(ray[0][0], gm)) for gm in (BETA_V, DELTA_V)}
+        cs = {gm: abs(skew_pair(ray.gamma0, gm)) for gm in (BETA_V, DELTA_V)}
         dt = qtorus.dt_ray(ray, order_n, qtorus._enlarged(qcut, [(3 * order_n, -max(cs.values()))]))
         for name, gm in (("beta_v", BETA_V), ("delta_v", DELTA_V)):
             work = qtorus._enlarged(qcut, [(2 * order_n, -cs[gm])])

@@ -240,10 +240,17 @@ def F_product(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12) -> co
     """Product expansion of F, convergent for Im(w1bar/w2) > 0:
 
     F = prod_{k>=1} (1 - x1 q1^(-k))^(-1) * prod_{k>=0} (1 - x2 p^k),
-    p = (q2 q2t)^(1/2) = exp(2 pi i w1bar / w2).
+    p = (q2 q2t)^(1/2) = exp(2 pi i w1bar / w2).  Admitted where, besides,
+    both q-products stop within MAX_FACTORS factors (`_qprod_factors`); that
+    count is read only once |q1^(-1)|, |p| < 1, as the families may overflow
+    outside.
     """
     require([im_ratio_predicate("w1bar/w2", w1bar, w2)], "product expansion of F")
-    (u1, q1inv), (x2, p) = _F_families(z, w1bar, w2)
+    families = _F_families(z, w1bar, w2)
+    require([Predicate(f"q-product factors < {MAX_FACTORS}",
+                       MAX_FACTORS - max(_qprod_factors(u, q, tol) for u, q in families))],
+            "product expansion of F")
+    (u1, q1inv), (x2, p) = families
     inv = _qprod(u1, q1inv, tol, "F product (x1 family)")
     return _qprod(x2, p, tol, "F product (x2 family)") / inv
 
@@ -267,17 +274,15 @@ def _qprod_factors(u: complex, q: complex, tol: float) -> float:
 
 
 def F_value(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12) -> complex:
-    """F by product expansion when available (either parameter ordering: the
-    contour representation is symmetric in (w1bar, w2)), else by contour.
-
-    The product route is taken only where both q-products converge within
-    MAX_FACTORS factors; near |p| = 1 or |q1^(-1)| = 1 the contour is used.
+    """F by product expansion when `F_product` admits either parameter
+    ordering (the contour representation is symmetric in (w1bar, w2)), else
+    by contour: near |p| = 1 or |q1^(-1)| = 1 the contour is used.
     """
     for a, b in ((w1bar, w2), (w2, w1bar)):
-        if im_ratio(a, b) > 1e-14 and all(
-                _qprod_factors(u, q, tol) < MAX_FACTORS
-                for u, q in _F_families(z, a, b)):
+        try:
             return F_product(z, a, b, tol)
+        except RegionError:
+            pass
     val, _ = log_F_contour(z, w1bar, w2, ContourSpec(tol=max(1e-13, tol * 1e-2)))
     return cmath.exp(val)
 

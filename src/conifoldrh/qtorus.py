@@ -18,7 +18,6 @@ q^(1/2) (in half-units); a product is formed at the cutoff `_enlarged`.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -257,60 +256,49 @@ def minus_q_half_power(n: int) -> LaurentPoly:
 # DT products and BPS automorphisms
 
 
-def _primitive_direction(charges: list[ChargeVector]) -> tuple[ChargeVector, list[int]]:
-    """Primitive charge of a ray (DELTA for an empty one) and multiples."""
-    if not charges:
-        return DELTA, []
-    first = charges[0]
-    g = math.gcd(*first.coords())
-    gamma0 = ChargeVector(first.a // g, first.b // g, first.ma // g, first.mb // g)
-    mults = []
-    for ch in charges:
-        w = None
-        for c0, c in zip(gamma0.coords(), ch.coords()):
-            if c0 != 0:
-                w = c // c0
-                break
-        if w is None or w < 1 or w * gamma0 != ch:
-            raise ValueError("ray charges must be positive multiples of one primitive charge")
-        mults.append(w)
-    return gamma0, mults
-
-
-def omega_components(omega: LaurentPoly) -> list[tuple[int, int]]:
+def omega_components(omega: LaurentPoly) -> tuple[tuple[int, int], ...]:
     """(n, Omega_n) pairs of an invariant written over L^(1/2)."""
     comps = []
     for n, a in sorted(omega.items()):
         if a.denominator != 1:
             raise ValueError("expected integer refined invariants")
         comps.append((n, int(a)))
-    return comps
+    return tuple(comps)
 
 
-def dt_ray(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
-           order: int, qcut: int) -> RaySeries:
+class Ray(NamedTuple):
+    """An active ray: its primitive charge gamma0 and `charges`, one pair
+    (w, ((n, Omega_n), ...)) per charge w*gamma0 with a nonzero invariant,
+    its components by `omega_components`; `conifold_ray_charges` builds it.
+    A ray with no charges (ell_inf at kmax = 0) is empty: its DT product is
+    the series 1, and it acts trivially."""
+
+    gamma0: ChargeVector
+    charges: tuple
+
+
+def dt_ray(ray: Ray, order: int, qcut: int) -> RaySeries:
     """DT product of one active ray:
-    prod_{Z(g) in ray} prod_n E_q((-q^(1/2))^(n+1) y_g)^(-(-1)^n Omega_n(g)).
+    prod_{g = w gamma0 in ray} prod_n E_q((-q^(1/2))^(n+1) y_g)^(-(-1)^n Omega_n(g)).
 
     A factor with a negative exponent is a power of 1/E_q, taken from its
     own series; the tables of E_q and 1/E_q are built once per call, to
     x^order, and every factor reads its first entries.  A factor to the
     power |e| enters the product |e| times; the product is taken from the
-    first factor, and is the series 1 when there is none.
+    first factor, and is the series 1 on an empty ray.
     """
-    gamma0, mults = _primitive_direction([g for g, _ in ray_charges])
     tables: dict[bool, list[LaurentPoly]] = {}
     factors = []
-    for (gamma, omega), w in zip(ray_charges, mults):
-        for n, omega_n in omega_components(omega):
+    for w, comps in ray.charges:
+        for n, omega_n in comps:
             e = -omega_n if n % 2 == 0 else omega_n
             inverse = e < 0
             if inverse not in tables:
                 tables[inverse] = eq_coefficients(order, qcut, inverse)
             factors += [qdilog_series(minus_q_half_power(n + 1), order, qcut,
-                                      gamma0, w, inverse, tables[inverse])] * abs(e)
+                                      ray.gamma0, w, inverse, tables[inverse])] * abs(e)
     if not factors:
-        return RaySeries.one(gamma0, order, qcut)
+        return RaySeries.one(ray.gamma0, order, qcut)
     return functools.reduce(RaySeries.mul, factors)
 
 
@@ -333,53 +321,52 @@ def _enlarged(qcut: int, factors) -> int:
     return qcut + sum(jmax * max(0, -h) for jmax, h in factors)
 
 
-def ray_factors(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
-                gamma_m: ChargeVector) -> tuple[ChargeVector, list[tuple[int, int, int, int]]]:
-    """Primitive charge gamma0 of a ray and the factors (h, s, w, e), each
-    (1 + s q^(h/2) u^w)^e in u = y_gamma0, of its automorphism on y_gm:
+def ray_factors(ray: Ray, gamma_m: ChargeVector) -> list[tuple[int, int, int, int]]:
+    """The factors (h, s, w, e), each (1 + s q^(h/2) u^w)^e in
+    u = y_gamma0, of a ray's automorphism on y_gm:
 
-    prod_{g} prod_n prod_{k=0}^{M-1}
+    prod_{g = w gamma0} prod_n prod_{k=0}^{M-1}
         (1 + (-q^(1/2))^n (q^(1/2))^(2k+1-M) y_g)^((-1)^n Omega_n(g) sgn<g,gm>)
-    with M = |<gm, g>|; none for an empty ray or an electric gm.
+    with <g, gm> = w <gamma0, gm> and M = |<g, gm>|; none for an empty ray
+    or an electric gm.
     """
-    gamma0, mults = _primitive_direction([g for g, _ in ray_charges])
+    c = skew_pair(ray.gamma0, gamma_m)
+    sgn = 1 if c > 0 else -1
     factors = []
-    for (gamma, omega), w in zip(ray_charges, mults):
-        pairing = skew_pair(gamma, gamma_m)
-        m_abs, sgn = abs(pairing), (1 if pairing > 0 else -1)
-        for n, omega_n in omega_components(omega):
+    for w, comps in ray.charges:
+        m_abs = abs(w * c)
+        for n, omega_n in comps:
             e = (omega_n if n % 2 == 0 else -omega_n) * sgn
             factors += [(n + 2 * k + 1 - m_abs, -1 if n % 2 else 1, w, e)
                         for k in range(m_abs)]
-    return gamma0, factors
+    return factors
 
 
-def closed_form_element(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
-                        gamma_m: ChargeVector, order: int, qcut: int) -> QTorusElement:
+def closed_form_element(ray: Ray, gamma_m: ChargeVector, order: int,
+                        qcut: int) -> QTorusElement:
     """The `ray_factors` product on y_gm in the canonical basis, taken from the
     first factor at the `_enlarged` cutoff of its factors and truncated once
     at qcut; y_gm for none."""
-    gamma0, factors = ray_factors(ray_charges, gamma_m)
+    factors = ray_factors(ray, gamma_m)
     if not factors:
         return QTorusElement.generator(gamma_m)
     work = _enlarged(qcut, [(order // w, h) for h, _, w, _ in factors])
     return functools.reduce(RaySeries.mul, [
-        RaySeries.binomial(gamma0, LaurentPoly.monomial(h, s), w, e, order, work)
+        RaySeries.binomial(ray.gamma0, LaurentPoly.monomial(h, s), w, e, order, work)
         for h, s, w, e in factors]).as_element(carrier=gamma_m).truncate_q(qcut)
 
 
-def ray_action(ray_charges: list[tuple[ChargeVector, LaurentPoly]],
-               gamma: ChargeVector, order: int, qcut: int) -> QTorusElement:
+def ray_action(ray: Ray, gamma: ChargeVector, order: int,
+               qcut: int) -> QTorusElement:
     """Action of the ray automorphism on y_gamma by genuine conjugation of
     y_gamma with the DT product, at the `_enlarged` cutoff of (order, -|c|),
     c = <gamma0, gamma>, truncated at qcut: the DT product and its inverse
     carry no negative q-power (n + 1 >= 0 in each factor), and conjugation
     costs u^j at most q^(-j |c|/2).  Electric gamma and an empty ray act trivially."""
-    if gamma.is_electric() or not ray_charges:
+    if gamma.is_electric() or not ray.charges:
         return QTorusElement.generator(gamma)
-    gamma0, _ = _primitive_direction([g for g, _ in ray_charges])
-    work = _enlarged(qcut, [(order, -abs(skew_pair(gamma0, gamma)))])
-    return conjugation_element(dt_ray(ray_charges, order, work), gamma).truncate_q(qcut)
+    work = _enlarged(qcut, [(order, -abs(skew_pair(ray.gamma0, gamma)))])
+    return conjugation_element(dt_ray(ray, order, work), gamma).truncate_q(qcut)
 
 
 @dataclass(frozen=True)
@@ -388,8 +375,7 @@ class AutomorphismResult:
     closed_form: QTorusElement    # product-formula action
 
 
-def bps_automorphism(structure: RefinedBPSStructure,
-                     ray_charges: list[tuple[ChargeVector, LaurentPoly]],
+def bps_automorphism(structure: RefinedBPSStructure, ray_charges: Ray,
                      gamma: ChargeVector, order: int, qcut: int) -> AutomorphismResult:
     """Action of the ray automorphism on y_gamma, computed two ways.
 
@@ -407,23 +393,23 @@ def bps_automorphism(structure: RefinedBPSStructure,
 # Conifold ray data and the sector automorphism
 
 
-def conifold_ray_charges(kind: str, n: int | None = None,
-                         kmax: int = 8) -> list[tuple[ChargeVector, LaurentPoly]]:
-    """Charges with nonzero invariant on a named conifold ray.
+def conifold_ray_charges(kind: str, n: int | None = None, kmax: int = 8) -> Ray:
+    """The `Ray` of a named conifold ray, its invariants from `conifold_omega`.
 
-    kind "ell_n": the single charge beta + n delta.  kind "ell_inf": k delta
-    for k = 1..kmax.  kind "-ell_n": -(beta + n delta).
+    kind "ell_n": gamma0 = beta + n delta, w = 1.  kind "-ell_n":
+    gamma0 = -(beta + n delta), w = 1.  kind "ell_inf": gamma0 = delta,
+    w = 1..kmax (empty for kmax = 0).
     """
     if kind == "ell_n":
-        g = ChargeVector(1, n)
-        return [(g, conifold_omega(g))]
-    if kind == "-ell_n":
-        g = ChargeVector(-1, -n)
-        return [(g, conifold_omega(g))]
-    if kind == "ell_inf":
-        return [(ChargeVector(0, k), conifold_omega(ChargeVector(0, k)))
-                for k in range(1, kmax + 1)]
-    raise ValueError(f"unknown ray kind {kind!r}")
+        gamma0, mults = ChargeVector(1, n), (1,)
+    elif kind == "-ell_n":
+        gamma0, mults = ChargeVector(-1, -n), (1,)
+    elif kind == "ell_inf":
+        gamma0, mults = DELTA, range(1, kmax + 1)
+    else:
+        raise ValueError(f"unknown ray kind {kind!r}")
+    return Ray(gamma0, tuple((w, omega_components(conifold_omega(w * gamma0)))
+                             for w in mults))
 
 
 def sector_closed_form(gamma: ChargeVector, adeg: int, bdeg: int,
@@ -494,13 +480,12 @@ def sector_from_rays(structure: RefinedBPSStructure, gamma: ChargeVector,
     `structure` is not read.
     """
     _require_square(adeg, bdeg)
-    ray_list: list[list] = [conifold_ray_charges("ell_n", n) for n in range(0, bdeg + 1)]
-    ray_list.append(conifold_ray_charges("ell_inf", kmax=bdeg))
-    ray_list.extend(conifold_ray_charges("-ell_n", -m) for m in range(bdeg, 0, -1))
-    dirs = [_primitive_direction([g for g, _ in charges])[0] for charges in ray_list]
-    work = _enlarged(qcut, [(_jmax(g0, adeg), -abs(skew_pair(g0, gamma)))
-                            for g0 in dirs])
-    actions = [ray_action(charges, gamma, adeg, work) for charges in ray_list]
+    rays = [conifold_ray_charges("ell_n", n) for n in range(0, bdeg + 1)]
+    rays.append(conifold_ray_charges("ell_inf", kmax=bdeg))
+    rays.extend(conifold_ray_charges("-ell_n", -m) for m in range(bdeg, 0, -1))
+    work = _enlarged(qcut, [(_jmax(ray.gamma0, adeg), -abs(skew_pair(ray.gamma0, gamma)))
+                            for ray in rays])
+    actions = [ray_action(ray, gamma, adeg, work) for ray in rays]
     return _electric_product(
         [QTorusElement({g - gamma: c for g, c in action.terms.items()})
          for action in actions], adeg, work).truncate_q(qcut)

@@ -154,10 +154,10 @@ def jump(p: SolutionPoint, gamma_m: ChargeVector) -> complex:
     factors are evaluated, not their series in u, which need not converge.
     """
     from . import qtorus
-    gamma0, factors = qtorus.ray_factors(qtorus.conifold_ray_charges("ell_n", p.n), gamma_m)
-    u = qtorus.sigma(gamma0) * p.x**gamma0.a * p.y**gamma0.b
+    ray = qtorus.conifold_ray_charges("ell_n", p.n)
+    u = qtorus.sigma(ray.gamma0) * p.x**ray.gamma0.a * p.y**ray.gamma0.b
     return math.prod(((1 + s * cmath.exp(1j * math.pi * p.tau * h) * u**w) ** e
-                      for h, s, w, e in factors), start=1 + 0j)
+                      for h, s, w, e in qtorus.ray_factors(ray, gamma_m)), start=1 + 0j)
 
 
 def _wallcross(p: SolutionPoint, tol: float, which: str, log_x, gamma_m) -> Residual:

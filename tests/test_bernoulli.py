@@ -61,6 +61,24 @@ def test_r1_reduces_to_bernoulli_poly():
             w ** (n - 1) * bernoulli_poly(n, z / w)
 
 
+RATIONAL_Z = [Fraction(a, 4) for a in range(-4, 5)]
+RATIONAL_W = [s * Fraction(a, b) for s in (1, -1)
+              for a, b in ((1, 2), (2, 3), (1, 1), (3, 2), (2, 1))]
+
+
+@given(st.integers(0, 6), st.sampled_from(RATIONAL_Z),
+       st.lists(st.sampled_from(RATIONAL_W), min_size=1, max_size=3))
+@settings(max_examples=200)
+def test_complex_path_matches_fraction_path(n, z, ws):
+    """The complex path sums the same series as the exact one: at rational
+    points with |z| <= 1 and 1/2 <= |w| <= 2, where no term is large enough
+    to cancel, they agree to 1e-13 of max(1, |B_{n,r}|)."""
+    exact = multiple_bernoulli(n, len(ws), z, ws)
+    approx = multiple_bernoulli(n, len(ws), complex(z), [complex(w) for w in ws])
+    assert type(exact) is Fraction and type(approx) is complex
+    assert abs(approx - complex(exact)) <= 1e-13 * max(1, abs(exact))
+
+
 @given(st.complex_numbers(min_magnitude=0.2, max_magnitude=3,
                           allow_nan=False, allow_infinity=False))
 @settings(max_examples=30)

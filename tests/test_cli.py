@@ -210,6 +210,15 @@ def test_verify_algebra_passes_at_zero_cutoff(tmp_path, flag):
     assert code == EXIT_OK and data["n_failed"] == 0
 
 
+@pytest.mark.parametrize("suite,rows", [("wallcrossing", 10), ("all", 104)])
+def test_verify_passes_at_zero_order_n(tmp_path, suite, rows):
+    """At --order-N 0 the inversion row's ell_inf ray has no charges; its
+    primitive charge is still delta, so the row holds (it once raised
+    IndexError, exit 3)."""
+    code, data = run_cli(tmp_path, "verify", "--suite", suite, "--order-N", "0")
+    assert code == EXIT_OK and data["n_failed"] == 0 and len(data["checks"]) == rows
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_wallcrossing_passes_below_order_n(tmp_path, k):
     """--order-K below --order-N (4): the inversion row forms R(-gm) R(gm)

@@ -73,9 +73,10 @@ def test_contour_difference_relations():
 
 def test_F_value_near_unit_p_takes_contour():
     # Im(w1bar/w2) = 1e-6 > 0, but |p| = exp(-2 pi 1e-6) needs ~4e6 factors,
-    # beyond MAX_FACTORS: F_value must not take the product route
+    # beyond MAX_FACTORS: F_product refuses the point before multiplying any,
+    # and F_value takes the contour
     z, w1bar, w2 = 0.3 + 0.4j, 1, 1 - 1e-6j
-    with pytest.raises(QuadratureError, match="not converged"):
+    with pytest.raises(RegionError, match="q-product factors < 200000"):
         F_product(z, w1bar, w2)
     lf, _ = log_F_contour(z, w1bar, w2)
     assert abs(lf - (-0.0228 - 0.0677j)) < 1e-4

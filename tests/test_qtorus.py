@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from conifoldrh.laurent import LaurentPoly
 from conifoldrh.lattice import (BETA, BETA_V, DELTA, DELTA_V, ChargeVector,
-                                conifold_bps, skew_pair)
-from conifoldrh.qtorus import (AutomorphismResult, QTorusElement, RaySeries,
+                                conifold_bps, conifold_omega, skew_pair)
+from conifoldrh.qtorus import (AutomorphismResult, QTorusElement, Ray, RaySeries,
                                bps_automorphism, closed_form_element,
                                conifold_ray_charges, conjugation_element, dt_ray,
                                eq_coefficients, minus_q_half_power,
@@ -359,6 +360,15 @@ def test_dt_ray_ell_inf_two_factors_per_k():
     assert got.coeffs == acc.coeffs
 
 
+def ray_and_expected(kind, n):
+    """A named conifold ray (n is kmax on ell_inf), with the primitive
+    charge and the multiples w it should carry."""
+    if kind == "ell_inf":
+        return conifold_ray_charges(kind, kmax=n), DELTA, list(range(1, n + 1))
+    sign = 1 if kind == "ell_n" else -1
+    return conifold_ray_charges(kind, n), ChargeVector(sign, sign * n), [1]
+
+
 def reference_dt_ray(gamma0, factors, order, qcut):
     """DT product by generic inversion: each factor E_q(pref u^w)^e built as
     the E_q series, inverted by `RaySeries.inverse` for e < 0, and
@@ -373,13 +383,10 @@ def reference_dt_ray(gamma0, factors, order, qcut):
 @pytest.mark.parametrize("kind,n", [("ell_n", 0), ("ell_n", 2), ("-ell_n", -1),
                                     ("-ell_n", -3), ("ell_inf", 4)])
 def test_dt_ray_matches_generic_inverse(kind, n, order, qcut):
-    ray = conifold_ray_charges(kind, n) if kind != "ell_inf" else \
-        conifold_ray_charges(kind, kmax=n)
-    gamma0 = DELTA if kind == "ell_inf" else ray[0][0]
+    ray, gamma0, mults = ray_and_expected(kind, n)
     factors = []
-    for gamma, omega in ray:
-        w = gamma.b if kind == "ell_inf" else 1
-        for m, omega_m in omega_components(omega):
+    for w in mults:
+        for m, omega_m in conifold_omega(w * gamma0).items():
             e = -omega_m if m % 2 == 0 else omega_m
             factors.append((minus_q_half_power(m + 1), w, e))
     got = dt_ray(ray, order, qcut)
@@ -421,14 +428,29 @@ def test_dt_ray_coefficients_are_integers():
     assert all(type(a) is int for a in coeffs)
 
 
-def test_dt_ray_empty_and_collinearity():
-    assert all(c.is_zero() for c in dt_ray([], 3, 20).coeffs[1:])
-    # an empty ray acts trivially by both routes
-    res = bps_automorphism(S, [], BETA_V, 3, 20)
+def test_dt_ray_empty_ray():
+    """ell_inf at kmax = 0 (verify at --order-N 0) has no charges: its
+    primitive charge is still delta, its DT product is the series 1, and it
+    acts trivially by both routes."""
+    ray = conifold_ray_charges("ell_inf", kmax=0)
+    assert ray == Ray(DELTA, ())
+    assert dt_ray(ray, 3, 20) == RaySeries.one(DELTA, 3, 20)
+    res = bps_automorphism(S, ray, BETA_V, 3, 20)
     assert res.element == res.closed_form == QTorusElement.generator(BETA_V)
-    with pytest.raises(ValueError):
-        dt_ray([(ChargeVector(1, 0), LaurentPoly.one()),
-                (ChargeVector(0, 1), LaurentPoly.one())], 3, 20)
+
+
+@pytest.mark.parametrize("kind,ns", [("ell_n", range(-8, 9)), ("-ell_n", range(-8, 9)),
+                                     ("ell_inf", range(0, 9))])
+def test_conifold_ray_record(kind, ns):
+    """Each conifold ray states its primitive charge once, with every
+    multiple w and the invariant components of w gamma0: w = 1 on ell_n and
+    -ell_n, w = 1..kmax on ell_inf."""
+    for n in ns:
+        ray, gamma0, mults = ray_and_expected(kind, n)
+        assert ray.gamma0 == gamma0 and math.gcd(*ray.gamma0.coords()) == 1
+        assert [w for w, _ in ray.charges] == mults
+        for w, comps in ray.charges:
+            assert comps and comps == omega_components(conifold_omega(w * gamma0))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +637,7 @@ def test_dt_factors_carry_no_negative_q_power():
     rays = [conifold_ray_charges(kind, n) for kind in ("ell_n", "-ell_n")
             for n in range(-8, 9)]
     rays.append(conifold_ray_charges("ell_inf", kmax=8))
-    ns = [n for ray in rays for _, omega in ray for n, _ in omega_components(omega)]
+    ns = [n for ray in rays for _, comps in ray.charges for n, _ in comps]
     assert ns and all(n + 1 >= 0 for n in ns)
 
 
