@@ -193,14 +193,9 @@ def cmd_eval(args) -> tuple[dict, int]:
                                                  params["w1t"])
         value = multisine.G_star(params["z"], params["w1"], params["w1t"],
                                  params["w2"])
-    elif target == "Bn":
-        p = _point(params)
-        predicates = rhsolver.b_predicates(p)
-        value = rhsolver.B_n(p)
-    elif target == "Dn":
-        p = _point(params)
-        predicates = rhsolver.d_predicates(p)
-        value = rhsolver.D_n(p)
+    elif target in ("Bn", "Dn"):
+        p, solution = _point(params), rhsolver.SOLUTIONS[target[0]]
+        predicates, value = solution.predicates(p), solution.value(p)
     elif target == "Z_cs":
         value = rhsolver.refined_cs_partition(params["delta"], params["mu"],
                                               params["beta"])
@@ -462,22 +457,14 @@ def _suite_asymptotics() -> list[Residual]:
 
 def _suite_wallcrossing(order_n: int, qcut: int, tol: float) -> list[Residual]:
     p0 = _point({})
-    out = []
-    for n in (0, 1, 2):
-        p = p0.shifted(n)
-        rb = rhsolver.wallcross_B(p, tol)
-        rb.meta["predicates"] = [q.to_json() for q in rhsolver.b_predicates(p)]
-        out.append(rb)
-        rd = rhsolver.wallcross_D(p, tol)
-        rd.meta["predicates"] = [q.to_json() for q in rhsolver.d_predicates(p)]
-        out.append(rd)
+    out = [wallcross(p0.shifted(n), tol) for n in (0, 1, 2)
+           for wallcross in (rhsolver.wallcross_B, rhsolver.wallcross_D)]
     # telescoping: X_m/X_0 equals the product of the individual jumps
     m = 4
-    for which, log_x, gm in (("B", rhsolver.log_B_n, lattice.BETA_V),
-                             ("D", rhsolver.log_D_n, lattice.DELTA_V)):
-        lhs = cmath.exp(log_x(p0.shifted(m)) - log_x(p0))
-        rhs = math.prod(rhsolver.jump(p0.shifted(n), gm) for n in range(m))
-        out.append(Residual.compare(f"{which} telescoping to m={m}", lhs, rhs, tol))
+    for sol in rhsolver.SOLUTIONS.values():
+        lhs = cmath.exp(sol.log(p0.shifted(m)) - sol.log(p0))
+        rhs = math.prod(rhsolver.jump(p0.shifted(n), sol.gamma_m) for n in range(m))
+        out.append(Residual.compare(f"{sol.name} telescoping to m={m}", lhs, rhs, tol))
     out.append(_extension_consistency(tol))
     out.append(_inversion_identity(order_n, qcut))
     return out
@@ -528,9 +515,9 @@ def _suite_qrh_limits() -> list[Residual]:
     t_sw = 0.8 * cmath.exp(1j * (math.pi - 0.5))
     tau_sw = 0.15 * cmath.exp(1.2j)
     out = [rhsolver.qrh2_limit(SolutionPoint(v, w, t_sw, tau_sw, n), which)
-           for n in (0, 1) for which in "BD"]
+           for n in (0, 1) for which in rhsolver.SOLUTIONS]
     return out + [rhsolver.check_qrh3_growth(SolutionPoint(v, w, t_sw, tau_sw, 1), which)
-                  for which in "BD"]
+                  for which in rhsolver.SOLUTIONS]
 
 
 def _suite_cs_match(tol: float) -> list[Residual]:

@@ -6,11 +6,12 @@ The electric jump data is solved by
     D_0(v, w, t, tau)   = G*(v | w - t tau/2, w + t tau/2, -t)
     B_n = B_0(v + n w, w, t)
     D_n = D_0(v + n w - n t tau/2, w, t)
-          * prod_{k=0}^{n-1} B_0(v + n w + (1-n+2k) t tau/2, w + t tau/2, t)
+          * prod_{k=0}^{m-1} B_0(v + n w + (1-m+2k) t tau/2, w + t tau/2, t)^s
 
-with q^(1/2) = exp(pi i tau).  Each solution has a checklist of the region
-predicates: B_n and D_n require theirs and raise on a violation, while
-log_B_n and log_D_n are the analytic continuation and check none of them.
+for every n in Z, m = |n|, s = sign(n), with q^(1/2) = exp(pi i tau).
+`SOLUTIONS` holds each family's log form, checklist of region predicates and
+charge: `Solution.value` requires the checklist and raises on a violation,
+while log_B_n and log_D_n are the analytic continuation and check none.
 The identity suites and the sweeps evaluate the logs, since the
 wall-crossing and reflection relations are relations between the continued
 functions.  The tau-neighborhood predicates (those involving t tau/2) are
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .bernoulli import multiple_bernoulli
 from .checks import Predicate, Residual, im_ratio_predicate, require
@@ -77,15 +78,16 @@ def _d_arguments(p: SolutionPoint) -> tuple[complex, complex, complex, complex,
                                               list[complex]]:
     """D_n's arguments: t tau/2, the pair (w - t tau/2, w + t tau/2), the G*
     argument z0 = v + n w - n t tau/2 and the B_0 arguments
-    zk = v + n w + (1-n+2k) t tau/2, k = 0..n-1."""
-    n, tt2 = p.n, p.t * p.tau / 2
-    zks = [p.v + n * p.w + (1 - n + 2 * k) * tt2 for k in range(n)]
+    zk = v + n w + (1-m+2k) t tau/2, k = 0..m-1, m = |n|."""
+    n, m, tt2 = p.n, abs(p.n), p.t * p.tau / 2
+    zks = [p.v + n * p.w + (1 - m + 2 * k) * tt2 for k in range(m)]
     return tt2, p.w - tt2, p.w + tt2, p.v + n * p.w - n * tt2, zks
 
 
 def d_predicates(p: SolutionPoint) -> list[Predicate]:
     """Full checklist for D_n, covering the G* factor at the shifted argument
-    and every B_0 factor of the product formula."""
+    and every B_0 factor of the product formula, a multiplier for n > 0 and
+    a divisor for n < 0."""
     tt2, w1, w1t, z0, zks = _d_arguments(p)
     preds = [
         Predicate("Im(tau/2) > 0", (p.tau / 2).imag, kind="tau"),
@@ -111,12 +113,6 @@ def log_B_n(p: SolutionPoint) -> complex:
     return log_F_star(p.v + p.n * p.w, p.w, -p.t)
 
 
-def B_n(p: SolutionPoint) -> complex:
-    """B_n where b_predicates hold; they contain the F* checklist."""
-    require(b_predicates(p), f"B_{p.n}")
-    return cmath.exp(log_B_n(p))
-
-
 def log_D_n(p: SolutionPoint) -> complex:
     """log D_n per the shifted-argument product formula: the continuation.
 
@@ -129,18 +125,34 @@ def log_D_n(p: SolutionPoint) -> complex:
     growth-D sweep ray t = -0.755+0.655i at tau = 0.054+0.140i.
     """
     _, w1, w1t, z0, zks = _d_arguments(p)
+    sign = 1 if p.n > 0 else -1
     total = log_G_star(z0, w1, w1t, -p.t)
     for zk in zks:
-        # B_0(zk, w + t tau/2, t) = F*(zk | w + t tau/2, -t)
-        total += log_F_star(zk, w1t, -p.t)
+        # B_0(zk, w + t tau/2, t) = F*(zk | w + t tau/2, -t), to the power sign(n)
+        total += sign * log_F_star(zk, w1t, -p.t)
     return total
 
 
-def D_n(p: SolutionPoint) -> complex:
-    """D_n where d_predicates hold; they contain every factor's G*/F*
-    checklist (dw = -t tau/2)."""
-    require(d_predicates(p), f"D_{p.n}")
-    return cmath.exp(log_D_n(p))
+class Solution(NamedTuple):
+    """A family: its letter, log form, checklist and the charge of its jumps."""
+
+    name: str
+    log: Callable[[SolutionPoint], complex]
+    predicates: Callable[[SolutionPoint], list[Predicate]]
+    gamma_m: ChargeVector
+
+    def value(self, p: SolutionPoint) -> complex:
+        """The solution where its checklist holds, else RegionError."""
+        require(self.predicates(p), f"{self.name}_{p.n}")
+        return cmath.exp(self.log(p))
+
+
+#: letter -> solution.  Each log form is called through its module binding:
+#: a wrapper installed on rhsolver.log_B_n or log_D_n then sees every call.
+SOLUTIONS = {
+    "B": Solution("B", lambda p: log_B_n(p), b_predicates, BETA_V),
+    "D": Solution("D", lambda p: log_D_n(p), d_predicates, DELTA_V),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -160,21 +172,23 @@ def jump(p: SolutionPoint, gamma_m: ChargeVector) -> complex:
                       for h, s, w, e in qtorus.ray_factors(ray, gamma_m)), start=1 + 0j)
 
 
-def _wallcross(p: SolutionPoint, tol: float, which: str, log_x, gamma_m) -> Residual:
-    lx = log_x(p)
-    lx1 = log_x(p.shifted(p.n + 1))
-    return Residual.compare(f"{which}_wallcrossing(n={p.n})", cmath.exp(lx1 - lx),
-                            jump(p, gamma_m), tol, meta={"n": p.n})
+def _wallcross(p: SolutionPoint, tol: float, solution: Solution) -> Residual:
+    """X_(n+1)/X_n against `jump`; the row records the checklist at p."""
+    lx = solution.log(p)
+    lx1 = solution.log(p.shifted(p.n + 1))
+    preds = [q.to_json() for q in solution.predicates(p)]
+    return Residual.compare(f"{solution.name}_wallcrossing(n={p.n})", cmath.exp(lx1 - lx),
+                            jump(p, solution.gamma_m), tol, meta={"n": p.n, "predicates": preds})
 
 
 def wallcross_B(p: SolutionPoint, tol: float = 1e-8) -> Residual:
     """B_(n+1)/B_n against `jump` on BETA_V, through the continuation."""
-    return _wallcross(p, tol, "B", log_B_n, BETA_V)
+    return _wallcross(p, tol, SOLUTIONS["B"])
 
 
 def wallcross_D(p: SolutionPoint, tol: float = 1e-8) -> Residual:
     """D_(n+1)/D_n against `jump` on DELTA_V, through the continuation."""
-    return _wallcross(p, tol, "D", log_D_n, DELTA_V)
+    return _wallcross(p, tol, SOLUTIONS["D"])
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +266,7 @@ def richardson_limit(values: list[complex]) -> complex:
 def qrh2_limit(p: SolutionPoint, which: str = "B") -> Residual:
     """t -> 0 limit along the ray through p.t: the Richardson-extrapolated
     value of B_n or D_n at t = p.t 2^-j, j = 0..7, compared with 1."""
-    solution = B_n if which == "B" else D_n
-    vals = [solution(p._replace(t=p.t * 0.5**j)) for j in range(8)]
+    vals = [SOLUTIONS[which].value(p._replace(t=p.t * 0.5**j)) for j in range(8)]
     lim = richardson_limit(vals)
     return Residual.compare(f"qrh2_limit_{which}(n={p.n})", lim, 1.0, QRH2_TOL,
                             meta={"raw_last": vals[-1]})
@@ -265,8 +278,7 @@ def along_ray(p: SolutionPoint, which: str,
     log_D_n, at t = (p.t/|p.t|) r for each radius r."""
     tdir = p.t / abs(p.t)
     ts = [tdir * r for r in radii]
-    log_x = log_B_n if which == "B" else log_D_n
-    return ts, [cmath.exp(log_x(p._replace(t=t))) for t in ts]
+    return ts, [cmath.exp(SOLUTIONS[which].log(p._replace(t=t))) for t in ts]
 
 
 def check_qrh3_growth(p: SolutionPoint, which: str = "B") -> Residual:

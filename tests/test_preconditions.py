@@ -41,8 +41,8 @@ CASES = {
     "reflection_rhs_F": lambda: multisine.reflection_rhs_F(V, W1, W1T, 1.0),
     "reflection_rhs_G": lambda: multisine.reflection_rhs_G(V, W1, W1T, 1.0),
     "f_moment_residue_oracle": lambda: f_moment_residue_oracle(-1, Z_BAD, 1.0),
-    "B_n": lambda: rhsolver.B_n(P_DEFAULT),
-    "D_n": lambda: rhsolver.D_n(SolutionPoint(V, W, 0.2 + 0.7j, 0.15j)),
+    "B_n": lambda: rhsolver.SOLUTIONS["B"].value(P_DEFAULT),
+    "D_n": lambda: rhsolver.SOLUTIONS["D"].value(SolutionPoint(V, W, 0.2 + 0.7j, 0.15j)),
     "reflection_B_rhs": lambda: rhsolver.reflection_B_rhs(P_DEFAULT),
     "reflection_D_rhs": lambda: rhsolver.reflection_D_rhs(
         SolutionPoint(V, W, 0.2 + 0.7j, 3j)),

@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 
 import mpmath
 import pytest
@@ -9,10 +10,11 @@ from conifoldrh.contour import QuadratureError
 from conifoldrh.lattice import BETA_V, DELTA_V, RegionError
 from conifoldrh.multisine import (fit_loglog_slope, g_moment_quad, log_F_star,
                                   log_G_star, reflection_rhs_F, reflection_rhs_G)
-from conifoldrh.rhsolver import (SolutionPoint, B_n, D_n, b_predicates,
+from conifoldrh import rhsolver
+from conifoldrh.rhsolver import (SOLUTIONS, SolutionPoint, b_predicates,
                                  check_qrh3_growth, cs_match_residual,
                                  cs_point, d_predicates, default_tau_grid,
-                                 jump, log_D_n,
+                                 jump, log_D_n, along_ray,
                                  qrh2_limit, reflection_B, reflection_D,
                                  reflection_B_rhs, reflection_D_rhs,
                                  refined_cs_partition,
@@ -37,6 +39,9 @@ P_SW = SolutionPoint(V, W, T_SW, TAU_SW, 0)
 # a second stability point, with non-real w
 P_2ND = SolutionPoint(0.22 + 0.61j, 0.9 - 0.15j, -0.3 - 0.8j, 0.12j, 0)
 
+# the negative-sector probe point, where D_(-1)'s checklist holds
+P_NEG = SolutionPoint(V, W, -0.9 + 0.3j, 0.15j, 0)
+
 
 def test_solution_point_derived():
     assert abs(P0.x - cmath.exp(-2j * math.pi * V / T0)) < 1e-15
@@ -53,18 +58,18 @@ def test_predicate_checklists():
 
 def test_region_error_names_predicate_kind():
     with pytest.raises(RegionError) as exc:
-        B_n(P0)
+        SOLUTIONS["B"].value(P0)
     assert "t half-plane" in str(exc.value)
     assert "Im((v+0w)/(-t)) > 0" in str(exc.value)
     bad_tau = SolutionPoint(V, W, T_IV, 0.15j, 0)   # tau-moments diverge here
     with pytest.raises(RegionError) as exc:
-        D_n(bad_tau)
+        SOLUTIONS["D"].value(bad_tau)
     assert "tau-neighborhood" in str(exc.value)
 
 
 def test_B_fully_admissible_point():
     assert all(q.ok for q in b_predicates(P_IV))
-    val = B_n(P_IV)     # b_predicates hold, so B_n passes its check
+    val = SOLUTIONS["B"].value(P_IV)     # b_predicates hold, so B_n passes its check
     assert val != 0
 
 
@@ -88,6 +93,68 @@ def test_wallcrossing_second_stability_point():
     for n in range(3):
         assert wallcross_B(P_2ND.shifted(n)).rel_err < 1e-8
         assert wallcross_D(P_2ND.shifted(n)).rel_err < 1e-8
+
+
+@pytest.mark.parametrize("p", [P0, P_NEG], ids=["default", "probe"])
+@pytest.mark.parametrize("n", [-2, -1])
+def test_wallcrossing_negative_sectors(p, n):
+    """D_(n+1)/D_n closes against the ell_n jump for n < 0 too, where D_n
+    divides by its B_0 factors."""
+    assert wallcross_B(p.shifted(n)).rel_err < 1e-8
+    assert wallcross_D(p.shifted(n)).rel_err < 1e-8
+
+
+def test_D_minus_one_at_the_probe_point():
+    """eval --target Dn --param n=-1 --param t=-0.9+0.3i --param tau=0.15i:
+    D_(-1) = D_0 / jump(ell_(-1)) on delta_v, about 1.094696+0.336209i."""
+    p = P_NEG.shifted(-1)
+    want = cmath.exp(log_D_n(P_NEG)) / jump(p, DELTA_V)
+    got = SOLUTIONS["D"].value(p)
+    assert abs(got - want) <= 1e-8 * abs(want)
+    assert abs(got - (1.094696 + 0.336209j)) < 1e-6
+
+
+def test_d_predicates_list_the_divisor_factor():
+    """At n = -1 the checklist holds the F* checklist of D_(-1)'s one B_0
+    divisor."""
+    names = [q.name for q in d_predicates(P_NEG.shifted(-1))]
+    assert "Im(zB0/(w+t*tau/2)) > 0" in names
+    assert "Im(zB0/(-t)) > 0" in names
+
+
+# each path that evaluates a solution, called for one letter
+_SOLUTION_PATHS = {
+    "along_ray": lambda which: along_ray(P_SW, which, [0.8]),
+    "wallcross": lambda which: {"B": wallcross_B, "D": wallcross_D}[which](P0),
+    "qrh2_limit": lambda which: qrh2_limit(P_SW, which),
+    "value": lambda which: SOLUTIONS[which].value(P_IV),
+    "eval": lambda which: cli.main(
+        ["eval", "--target", f"{which}n", "--param", "t=0.2+0.7i", "--param", "n=1",
+         *(["--param", "tau=-0.049+0.142i"] if which == "D" else []),
+         "--out", os.devnull]),
+}
+
+
+@pytest.mark.parametrize("path", list(_SOLUTION_PATHS))
+def test_solutions_call_the_module_log_forms(path, monkeypatch):
+    """Each path reaches log_B_n and log_D_n through their module bindings,
+    where a wrapper installed on `rhsolver` (as the benchmark's tracer
+    installs one) sees the call: B's path calls the wrapped log_B_n only,
+    D's the wrapped log_D_n only."""
+    calls = {"B": 0, "D": 0}
+
+    def counting(which, log_x):
+        def wrapped(p):
+            calls[which] += 1
+            return log_x(p)
+        return wrapped
+
+    monkeypatch.setattr(rhsolver, "log_B_n", counting("B", rhsolver.log_B_n))
+    monkeypatch.setattr(rhsolver, "log_D_n", counting("D", rhsolver.log_D_n))
+    _SOLUTION_PATHS[path]("B")
+    assert calls["B"] > 0 and calls["D"] == 0
+    _SOLUTION_PATHS[path]("D")
+    assert calls["D"] > 0
 
 
 @pytest.mark.parametrize("p", [P0, P_2ND], ids=["default", "second"])
@@ -118,7 +185,7 @@ def test_log_D_n_skips_the_tau_predicates():
     assert [(q.name, q.kind) for q in d_predicates(p) if not q.ok] == [
         ("Im(z0/(w+t*tau/2)) > 0", "tau")]
     with pytest.raises(RegionError, match="outside tau-neighborhood"):
-        D_n(p)
+        SOLUTIONS["D"].value(p)
     w1, w1t = W - t * p.tau / 2, W + t * p.tau / 2
     with pytest.raises(RegionError):
         g_moment_quad(-2, V, w1, w1t)
