@@ -514,10 +514,10 @@ def _suite_qrh_limits() -> list[Residual]:
     v, w = DEFAULT_POINT["v"], DEFAULT_POINT["w"]
     t_sw = 0.8 * cmath.exp(1j * (math.pi - 0.5))
     tau_sw = 0.15 * cmath.exp(1.2j)
-    out = [rhsolver.qrh2_limit(SolutionPoint(v, w, t_sw, tau_sw, n), which)
-           for n in (0, 1) for which in rhsolver.SOLUTIONS]
-    return out + [rhsolver.check_qrh3_growth(SolutionPoint(v, w, t_sw, tau_sw, 1), which)
-                  for which in rhsolver.SOLUTIONS]
+    out = [rhsolver.qrh2_limit(SolutionPoint(v, w, t_sw, tau_sw, n), sol)
+           for n in (0, 1) for sol in rhsolver.SOLUTIONS.values()]
+    return out + [rhsolver.check_qrh3_growth(SolutionPoint(v, w, t_sw, tau_sw, 1), sol)
+                  for sol in rhsolver.SOLUTIONS.values()]
 
 
 def _suite_cs_match(tol: float) -> list[Residual]:
@@ -628,16 +628,16 @@ def cmd_sweep(args) -> tuple[dict, int]:
         raise UsageError(f"{what} varies |{varied}|, not {name!r}")
     t0 = time.perf_counter()
     p0 = _point(params)
-    if args.target in ("qrh-limit-B", "qrh-limit-D"):
-        _, vals = rhsolver.along_ray(p0, args.target[-1], values)
-        rows = [{name: s, "value": val, "metric": abs(val - 1)}
-                for s, val in zip(values, vals)]
-    elif args.target in ("growth-B", "growth-D"):
-        ts, vals = rhsolver.along_ray(p0, args.target[-1], values)
-        rows = [{name: s, "value": val, "metric": abs(val)}
-                for s, val in zip(values, vals)]
-        slope, dev = multisine.fit_loglog_slope(ts, vals)
-        rows.append({name: None, "value": complex(slope, 0.0), "metric": dev})
+    if varied == "t":  # qrh-limit-B/D, growth-B/D
+        ts, vals = rhsolver.along_ray(p0, rhsolver.SOLUTIONS[args.target[-1]], values)
+        if args.target.startswith("qrh-limit"):
+            rows = [{name: s, "value": val, "metric": abs(val - 1)}
+                    for s, val in zip(values, vals)]
+        else:
+            rows = [{name: s, "value": val, "metric": abs(val)}
+                    for s, val in zip(values, vals)]
+            slope, dev = multisine.fit_loglog_slope(ts, vals)
+            rows.append({name: None, "value": complex(slope, 0.0), "metric": dev})
     else:  # asym-order-F / asym-order-G
         mode = args.target[-1]
         pars = ((params.get("w1bar", 1 + 0.05j),) if mode == "F" else

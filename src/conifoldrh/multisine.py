@@ -1032,10 +1032,8 @@ def small_w2_remainders(mode: str, z: complex, params: tuple, K: int,
     are not computed.  log X is memoised at the default ContourSpec tolerance."""
     if mode == "F":
         moment, log_X = f_moment, lambda *a: _cached(log_F_contour, *a)
-    elif mode == "G":
-        moment, log_X = g_moment, log_G_cached
     else:
-        raise ValueError("mode must be 'F' or 'G'")
+        moment, log_X = g_moment, log_G_cached
     nums = bernoulli_numbers(K)
     moms = {k: moment(k - 2, z, *params) for k in range(K + 1) if nums[k]}
 
@@ -1095,58 +1093,55 @@ def _complex_lstsq(basis_rows: list[list[complex]],
     return [ck / sj for ck, sj in zip(c, scale)]
 
 
-def _infinity_fit_rows(mode: str, w2s: list[complex]) -> list[list[complex]]:
-    """Basis rows of asymptotic_infinity_fit: the change of each term of the
-    large-w2 expansion from w2 to 2 w2, for every w2 but the last.
+#: growing term of the large-w2 expansion -> its change from w2 to 2 w2
+_GROWTH = {
+    "quadratic": lambda w2: w2 * w2 * 3,
+    "linear": lambda w2: w2,
+    "log": lambda w2: math.log(2.0),
+}
+
+
+def _infinity_fit_rows(terms: tuple[str, ...], w2s: list[complex]) -> list[list[complex]]:
+    """Basis rows of asymptotic_infinity_fit: the change of each growing term
+    (keys of _GROWTH, in column order), then of 1/w2 and 1/w2^2, from w2 to
+    2 w2, for every w2 but the last.
     Fitting consecutive differences removes the unknown O(1) constant, which
     otherwise limits how well the log coefficient can be resolved."""
-    # w2^2, w2, log w2, 1/w2, 1/w2^2 change by 3 w2^2, w2, log 2, -1/(2 w2)
-    # and -3/(4 w2^2)
-    lf = math.log(2.0)
-    if mode == "F":
-        return [[w2, lf, -0.5 / w2, -0.75 / w2**2] for w2 in w2s[:-1]]
-    return [[w2 * w2 * 3, w2, lf, -0.5 / w2, -0.75 / w2**2] for w2 in w2s[:-1]]
+    # 1/w2 and 1/w2^2 change by -1/(2 w2) and -3/(4 w2^2)
+    return [[_GROWTH[term](w2) for term in terms] + [-0.5 / w2, -0.75 / w2**2]
+            for w2 in w2s[:-1]]
 
 
 def asymptotic_infinity_fit(mode: str, z: complex, params: tuple,
                             w2_dir: complex) -> list[Residual]:
     """Fit the large-w2 growth of log F / log G at |w2| = 16 * 2^m, m = 0..7,
     each value to tolerance 1e-8: one row "<mode> infinity coefficient
-    (<name>)" per leading coefficient, the fitted value against its closed
-    form at 1e-4.
+    (<name>)" per growing term, the fitted value against its closed form at
+    1e-4.
 
     F:  log F ~ -(pi i/12)(w2/w1bar) + B_1(z/w1bar) log w2 + O(1)
     G:  log G ~ B_{0,2} zeta(3)/(4 pi^2) w2^2 - B_{1,2} zeta(2)/(2 pi i) w2
                 - B_{2,2}/2 log w2 + O(1),
     the multiple Bernoulli polynomials taken at (z + w1bar | w1, w1t).
     """
-    w2s = [w2_dir * 16.0 * 2.0**m for m in range(8)]
-    spec = ContourSpec(tol=1e-8)
     if mode == "F":
         (w1bar,) = params
-        vals = [log_F_contour(z, w1bar, w2, spec)[0] for w2 in w2s]
-        diffs = [vals[j + 1] - vals[j] for j in range(7)]
-        coef = _complex_lstsq(_infinity_fit_rows(mode, w2s), diffs)
-        targets = {
-            "linear": (-1j * math.pi / 12 / w1bar, coef[0]),
-            "log": (complex(bernoulli_poly(1, z / w1bar)), coef[1]),
-        }
-    elif mode == "G":
-        w1, w1t = params
-        obar = (w1 + w1t) / 2
-        vals = [log_G_value(z, w1, w1t, w2, spec)[0] for w2 in w2s]
-        diffs = [vals[j + 1] - vals[j] for j in range(7)]
-        coef = _complex_lstsq(_infinity_fit_rows(mode, w2s), diffs)
-        b02 = complex(multiple_bernoulli(0, 2, z + obar, [w1, w1t]))
-        b12 = complex(multiple_bernoulli(1, 2, z + obar, [w1, w1t]))
-        b22 = complex(multiple_bernoulli(2, 2, z + obar, [w1, w1t]))
-        targets = {
-            "quadratic": (b02 * zeta_int(3) / (4 * math.pi**2), coef[0]),
-            "linear": (-b12 * zeta_int(2) / TWO_PI_I, coef[1]),
-            "log": (-b22 / 2, coef[2]),
-        }
+        log_X = log_F_contour
+        closed = {"linear": -1j * math.pi / 12 / w1bar,
+                  "log": complex(bernoulli_poly(1, z / w1bar))}
     else:
-        raise ValueError("mode must be 'F' or 'G'")
+        w1, w1t = params
+        log_X = log_G_value
 
-    return [Residual.compare(f"{mode} infinity coefficient ({name})", fitted, closed, 1e-4)
-            for name, (closed, fitted) in targets.items()]
+        def b(n: int) -> complex:
+            return complex(multiple_bernoulli(n, 2, z + (w1 + w1t) / 2, [w1, w1t]))
+        closed = {"quadratic": b(0) * zeta_int(3) / (4 * math.pi**2),
+                  "linear": -b(1) * zeta_int(2) / TWO_PI_I,
+                  "log": -b(2) / 2}
+    w2s = [w2_dir * 16.0 * 2.0**m for m in range(8)]
+    spec = ContourSpec(tol=1e-8)
+    vals = [log_X(z, *params, w2, spec)[0] for w2 in w2s]
+    diffs = [vals[j + 1] - vals[j] for j in range(7)]
+    coef = _complex_lstsq(_infinity_fit_rows(tuple(closed), w2s), diffs)
+    return [Residual.compare(f"{mode} infinity coefficient ({name})", fitted, value, 1e-4)
+            for (name, value), fitted in zip(closed.items(), coef)]

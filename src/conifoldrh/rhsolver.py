@@ -30,9 +30,9 @@ from .bernoulli import multiple_bernoulli
 from .checks import Predicate, Residual, im_ratio_predicate, require
 from .contour import DEFAULT_TOL
 from .lattice import BETA_V, DELTA_V, ChargeVector, mplus_predicates
-from .multisine import (TWO_PI_I, F_star_predicates, G_star_predicates,
-                        fit_loglog_slope, log_F_star, log_G_star, log_G_cached,
-                        q_G, reflection_rhs_F, reflection_rhs_G)
+from .multisine import (TWO_PI_I, F_star, G_star, fit_loglog_slope, log_F_star,
+                        log_G_star, log_G_cached, q_G, reflection_rhs_F,
+                        reflection_rhs_G)
 
 #: tolerance of the t -> 0 limits of B_n and D_n
 QRH2_TOL = 1e-6
@@ -223,12 +223,11 @@ def reflection_D_rhs(p: SolutionPoint) -> complex:
 
 
 def reflection_B(p: SolutionPoint, tol: float = 1e-8) -> Residual:
-    """B_0(t) B_0(-t) against the x,y product; evaluated where |y| < 1 and
-    the F* checklist, which does not depend on t, holds."""
-    require(F_star_predicates(p.v, p.w), "F*")
-    lhs = cmath.exp(log_F_star(p.v, p.w, -p.t) + log_F_star(p.v, p.w, p.t))
-    rhs = reflection_B_rhs(p)
-    return Residual.compare("B0_reflection", lhs, rhs, tol)
+    """B_0(t) B_0(-t) against the x,y product: the value forms F* at
+    (v | w, -t) and (v | w, t), evaluated where |y| < 1 and the F*
+    checklist holds."""
+    lhs = F_star(p.v, p.w, -p.t) * F_star(p.v, p.w, p.t)
+    return Residual.compare("B0_reflection", lhs, reflection_B_rhs(p), tol)
 
 
 def reflection_D(p: SolutionPoint, tol: float = 1e-8) -> Residual:
@@ -238,14 +237,12 @@ def reflection_D(p: SolutionPoint, tol: float = 1e-8) -> Residual:
     half-plane; concretely it is G* with the same ordered pair
     (w - t tau/2, w + t tau/2) and the sign of the last slot flipped (the
     literal substitution t -> -t would swap the pair and land outside the
-    convergence region of the tau-moments for every tau).  The G* checklist
-    does not depend on the last slot, so it is required once for both.
+    convergence region of the tau-moments for every tau).  Both factors are
+    the value form G*, which requires its checklist.
     """
     _, w1, w1t, *_ = _d_arguments(p)
-    require(G_star_predicates(p.v, w1, w1t), "G*")
-    lhs = cmath.exp(log_G_star(p.v, w1, w1t, -p.t) + log_G_star(p.v, w1, w1t, p.t))
-    rhs = reflection_D_rhs(p)
-    return Residual.compare("D0_reflection", lhs, rhs, tol)
+    lhs = G_star(p.v, w1, w1t, -p.t) * G_star(p.v, w1, w1t, p.t)
+    return Residual.compare("D0_reflection", lhs, reflection_D_rhs(p), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -263,31 +260,32 @@ def richardson_limit(values: list[complex]) -> complex:
     return table[-1]
 
 
-def qrh2_limit(p: SolutionPoint, which: str = "B") -> Residual:
+def qrh2_limit(p: SolutionPoint, solution: Solution) -> Residual:
     """t -> 0 limit along the ray through p.t: the Richardson-extrapolated
-    value of B_n or D_n at t = p.t 2^-j, j = 0..7, compared with 1."""
-    vals = [SOLUTIONS[which].value(p._replace(t=p.t * 0.5**j)) for j in range(8)]
+    value of the solution at t = p.t 2^-j, j = 0..7, compared with 1."""
+    vals = [solution.value(p._replace(t=p.t * 0.5**j)) for j in range(8)]
     lim = richardson_limit(vals)
-    return Residual.compare(f"qrh2_limit_{which}(n={p.n})", lim, 1.0, QRH2_TOL,
+    return Residual.compare(f"qrh2_limit_{solution.name}(n={p.n})", lim, 1.0, QRH2_TOL,
                             meta={"raw_last": vals[-1]})
 
 
-def along_ray(p: SolutionPoint, which: str,
+def along_ray(p: SolutionPoint, solution: Solution,
               radii: list[float]) -> tuple[list[complex], list[complex]]:
-    """(ts, values) of B_n or D_n through the continuation, log_B_n or
-    log_D_n, at t = (p.t/|p.t|) r for each radius r."""
+    """(ts, values) of the solution through its continuation, the log form,
+    at t = (p.t/|p.t|) r for each radius r."""
     tdir = p.t / abs(p.t)
     ts = [tdir * r for r in radii]
-    return ts, [cmath.exp(SOLUTIONS[which].log(p._replace(t=t))) for t in ts]
+    return ts, [cmath.exp(solution.log(p._replace(t=t))) for t in ts]
 
 
-def check_qrh3_growth(p: SolutionPoint, which: str = "B") -> Residual:
-    """|t| -> infinity polynomial-growth exponent of B_n or D_n along the ray
-    through p.t, at |t| = 4 * 2^j, j = 0..6; the Q prefactors cancel the
+def check_qrh3_growth(p: SolutionPoint, solution: Solution) -> Residual:
+    """|t| -> infinity polynomial-growth exponent of the solution along the
+    ray through p.t, at |t| = 4 * 2^j, j = 0..6; the Q prefactors cancel the
     super-polynomial pieces, so the fitted log-log slope must be finite."""
-    slope, dev = fit_loglog_slope(*along_ray(p, which, [4.0 * 2.0**j for j in range(7)]))
-    return Residual.exact(f"qrh3 growth exponent finite ({which})", math.isfinite(slope),
-                          True, meta={"exponent": slope, "max_fit_deviation": dev, "n": p.n})
+    slope, dev = fit_loglog_slope(*along_ray(p, solution, [4.0 * 2.0**j for j in range(7)]))
+    return Residual.exact(f"qrh3 growth exponent finite ({solution.name})",
+                          math.isfinite(slope), True,
+                          meta={"exponent": slope, "max_fit_deviation": dev, "n": p.n})
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +370,9 @@ def cs_match_residual(p: SolutionPoint, tol: float = 1e-8) -> Residual:
     # evaluated at its own tolerance so the sin_3 quadratures are independent
     # of the cached G evaluations inside D_0
     lhs = sin3(p.v + p.w, omegas, tol=1e-11) / sin3(w1, omegas, tol=1e-11)
-    p0 = p.shifted(0)
-    require(d_predicates(p0), "D_0")
-    ld0 = log_D_n(p0)
+    d0 = SOLUTIONS["D"].value(p.shifted(0))
     qg = q_G(p.v, w1, w1t, -p.t)
     b33 = (multiple_bernoulli(3, 3, p.v + p.w, list(omegas))
            - multiple_bernoulli(3, 3, w1, list(omegas)))
-    rhs = cmath.exp(ld0 - qg - 1j * math.pi / 6 * complex(b33))
+    rhs = d0 * cmath.exp(-qg - 1j * math.pi / 6 * complex(b33))
     return Residual.compare("cs_sin3_vs_D0", lhs, rhs, tol)

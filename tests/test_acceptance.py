@@ -208,13 +208,13 @@ def test_criterion_08_qrh_limits():
     worst = 0.0
     for n in (0, 1, 2):
         p = SolutionPoint(V, W, t_sw, tau_sw, n)
-        worst = max(worst, rhsolver.qrh2_limit(p, "B").rel_err)
-        worst = max(worst, rhsolver.qrh2_limit(p, "D").rel_err)
+        worst = max(worst, rhsolver.qrh2_limit(p, rhsolver.SOLUTIONS["B"]).rel_err)
+        worst = max(worst, rhsolver.qrh2_limit(p, rhsolver.SOLUTIONS["D"]).rel_err)
     growths = []
     ok = worst < 1e-6
     for which in ("B", "D"):
         g = rhsolver.check_qrh3_growth(
-            SolutionPoint(V, W, t_sw, tau_sw, 1), which)
+            SolutionPoint(V, W, t_sw, tau_sw, 1), rhsolver.SOLUTIONS[which])
         growths.append(f"{which}: k={g.meta['exponent']:.3f}")
         ok = ok and g.passed
     _report(8, ok,

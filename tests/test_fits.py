@@ -12,11 +12,28 @@ from conifoldrh.multisine import (_complex_lstsq, _infinity_fit_rows,
                                   fit_loglog_slope)
 
 DIRECTIONS = [cmath.exp(-0.3j), cmath.exp(0.4j), 1.0, cmath.exp(-1.2j)]
+# the growing terms of log F and log G, in asymptotic_infinity_fit's column order
+TERMS = {"F": ("linear", "log"), "G": ("quadratic", "linear", "log")}
+
+
+def _w2s(w2_dir):
+    # asymptotic_infinity_fit's default schedule: w2 = 16 * 2^m, m = 0..7
+    return [w2_dir * 16.0 * 2.0**m for m in range(8)]
 
 
 def _rows(mode, w2_dir):
-    # asymptotic_infinity_fit's default schedule: w2 = 16 * 2^m, m = 0..7
-    return _infinity_fit_rows(mode, [w2_dir * 16.0 * 2.0**m for m in range(8)])
+    return _infinity_fit_rows(TERMS[mode], _w2s(w2_dir))
+
+
+@pytest.mark.parametrize("w2_dir", DIRECTIONS)
+def test_fit_rows_are_the_written_out_basis(w2_dir):
+    """Each column is the change of one term from w2 to 2 w2, bit for bit:
+    3 w2^2, w2, log 2, -1/(2 w2) and -3/(4 w2^2)."""
+    lf = math.log(2.0)
+    w2s = _w2s(w2_dir)[:-1]
+    assert _rows("F", w2_dir) == [[w2, lf, -0.5 / w2, -0.75 / w2**2] for w2 in w2s]
+    assert _rows("G", w2_dir) == [[w2 * w2 * 3, w2, lf, -0.5 / w2, -0.75 / w2**2]
+                                  for w2 in w2s]
 
 
 def _balanced(rows, rng):

@@ -19,6 +19,10 @@ Z_BAD = 0.3 - 0.4j                        # Im(z/w1bar) < 0 for w1bar = 1
 W1, W1T, W2 = 1 + 0.1j, 0.95 - 0.07j, 0.8 - 0.1j
 P_DEFAULT = SolutionPoint(V, W, -0.2 - 0.7j, 0.15j)   # |y| > 1, Im(v/(-t)) < 0
 P_IV = SolutionPoint(V, W, 0.2 + 0.7j, 0.15j)         # |y| < 1, off the CS locus
+P_Z_BAD = P_IV._replace(v=Z_BAD)                      # Im(v/w) < 0: F* and G* refuse
+# on the CS locus, with t in the half-plane opposite to cs-match's points:
+# the sin_3 ratio evaluates, then D_0 refuses Im(z0/(-t)) > 0
+P_CS_FLIPPED = rhsolver.cs_point(-0.2 - 0.7j, 0.15 * cmath.exp(1.2j), V)
 # z = dw with |w| = |q| = 0.999: the Lambert series would need ~37000 terms
 W1Q = cmath.exp(0.1j)
 W1TQ = W1Q * (1 - 1j * -math.log(0.999) / (2 * math.pi))
@@ -47,6 +51,9 @@ CASES = {
     "reflection_D_rhs": lambda: rhsolver.reflection_D_rhs(
         SolutionPoint(V, W, 0.2 + 0.7j, 3j)),
     "cs_match_residual": lambda: rhsolver.cs_match_residual(P_IV),
+    "reflection_B": lambda: rhsolver.reflection_B(P_Z_BAD),
+    "reflection_D": lambda: rhsolver.reflection_D(P_Z_BAD),
+    "cs_match_residual D_0": lambda: rhsolver.cs_match_residual(P_CS_FLIPPED),
     "sin3": lambda: rhsolver.sin3(0.5, (1.0, -1.0, 1j)),
     "region_neighborhood_tau": lambda: rhsolver.region_neighborhood_tau(
         1.0, 1.0, 0.2 + 0.7j, 0),
@@ -62,6 +69,18 @@ def test_precondition_names_its_predicate(name):
     assert exc.value.failed
     for failed in exc.value.failed:
         assert failed in str(exc.value)
+
+
+def test_cs_match_refuses_D0_where_sin3_evaluates():
+    """The cs-match row takes its sin_3 ratio first and D_0 by its value
+    form after, so off D_0's half-plane the refusal names D_0."""
+    p = P_CS_FLIPPED
+    omegas = (p.w - p.t * p.tau / 2, p.w + p.t * p.tau / 2, -p.t)
+    assert cmath.isfinite(rhsolver.sin3(p.v + p.w, omegas, tol=1e-11)
+                          / rhsolver.sin3(omegas[0], omegas, tol=1e-11))
+    with pytest.raises(RegionError, match="D_0 undefined") as exc:
+        rhsolver.cs_match_residual(p)
+    assert exc.value.failed == ["Im(z0/(-t)) > 0"]
 
 
 def test_mplus_witnesses():

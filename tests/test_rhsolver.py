@@ -124,13 +124,17 @@ def test_d_predicates_list_the_divisor_factor():
 
 # each path that evaluates a solution, called for one letter
 _SOLUTION_PATHS = {
-    "along_ray": lambda which: along_ray(P_SW, which, [0.8]),
+    "along_ray": lambda which: along_ray(P_SW, SOLUTIONS[which], [0.8]),
     "wallcross": lambda which: {"B": wallcross_B, "D": wallcross_D}[which](P0),
-    "qrh2_limit": lambda which: qrh2_limit(P_SW, which),
+    "qrh2_limit": lambda which: qrh2_limit(P_SW, SOLUTIONS[which]),
     "value": lambda which: SOLUTIONS[which].value(P_IV),
     "eval": lambda which: cli.main(
         ["eval", "--target", f"{which}n", "--param", "t=0.2+0.7i", "--param", "n=1",
          *(["--param", "tau=-0.049+0.142i"] if which == "D" else []),
+         "--out", os.devnull]),
+    "sweep": lambda which: cli.main(
+        ["sweep", "--target", f"growth-{which}", "--sweep", "t:0.8:2:2",
+         "--param", "t=-0.877583+0.479426i", "--param", "tau=0.054354+0.139806i",
          "--out", os.devnull]),
 }
 
@@ -310,8 +314,8 @@ def test_richardson_table():
 
 
 def test_qrh2_limits():
-    rb = qrh2_limit(P_SW, "B")
-    rd = qrh2_limit(P_SW, "D")
+    rb = qrh2_limit(P_SW, SOLUTIONS["B"])
+    rd = qrh2_limit(P_SW, SOLUTIONS["D"])
     assert rb.rel_err < 1e-6 and rb.passed
     assert rd.rel_err < 1e-6 and rd.passed
 
@@ -322,7 +326,7 @@ def test_growth_fit_trivial_constant():
 
 
 def test_qrh3_growth_finite():
-    g = check_qrh3_growth(P_SW.shifted(1), "B")
+    g = check_qrh3_growth(P_SW.shifted(1), SOLUTIONS["B"])
     assert g.passed and g.name == "qrh3 growth exponent finite (B)"
     # B_n ~ |t|^Re(B_1(z/w)) up to O(1): exponent near Re((v+nw)/w) - 1/2
     expect = ((V + W) / W).real - 0.5
