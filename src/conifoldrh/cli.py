@@ -66,12 +66,6 @@ SWEEP_PARAMS = {
 
 REGION_PARAMS = ("v", "w", "t", "n")
 
-_NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_RE_REAL = re.compile(rf"[+-]?{_NUM}")
-_RE_IMAG = re.compile(rf"(?P<body>[+-]?{_NUM}|[+-]?)[ij]")
-_RE_BOTH = re.compile(rf"(?P<re>[+-]?{_NUM})(?P<body>[+-]{_NUM}|[+-])[ij]")
-
-
 class UsageError(ValueError):
     pass
 
@@ -80,26 +74,19 @@ class NonFiniteError(ArithmeticError):
     """A computed value is infinite or NaN."""
 
 
-def _imag_body(body: str) -> float:
-    if body in ("", "+"):
-        return 1.0
-    if body == "-":
-        return -1.0
-    return float(body)
-
-
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' style complex values: '1.5', '2i', '1.5-2i', '-i'.  A
-    part that is not finite (1e400 reads as inf) is refused."""
+    """Parse 'a+bi' style complex values: '1.5', '2i', '1.5-2i', '-i'.
+    `complex()` reads the value once every character is a decimal digit or
+    one of '.eE+-ij', which keeps out what it alone would take ('(1+2j)',
+    '1_0', '1J', 'inf', 'nan').  A part that is not finite (1e400 reads as
+    inf) is refused."""
     s = text.strip()
-    if _RE_REAL.fullmatch(s):
-        z = complex(float(s), 0.0)
-    elif m := _RE_IMAG.fullmatch(s):
-        z = complex(0.0, _imag_body(m.group("body")))
-    elif m := _RE_BOTH.fullmatch(s):
-        z = complex(float(m.group("re")), _imag_body(m.group("body")))
-    else:
-        raise UsageError(f"cannot parse complex value {text!r}")
+    try:
+        if not all(ch.isdecimal() or ch in ".eE+-ij" for ch in s):
+            raise ValueError
+        z = complex(s.replace("i", "j"))
+    except ValueError:
+        raise UsageError(f"cannot parse complex value {text!r}") from None
     if not cmath.isfinite(z):
         raise UsageError(f"complex value {text!r} is not finite")
     return z
@@ -183,7 +170,7 @@ def cmd_eval(args) -> tuple[dict, int]:
     elif target == "G":
         value, err_est = multisine.log_G_value(
             params["z"], params["w1"], params["w1t"], params["w2"],
-            multisine.ContourSpec(tol=max(tol * 1e-2, 1e-13)))
+            max(tol * 1e-2, 1e-13))
         value = cmath.exp(value)
     elif target == "Fstar":
         predicates = multisine.F_star_predicates(params["z"], params["w1bar"])

@@ -17,7 +17,7 @@ import cmath
 import heapq
 import itertools
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .checks import RegionError
 
@@ -61,16 +61,16 @@ class RotationError(RegionError):
     """No admissible contour rotation exists for the given directions."""
 
 
-#: default quadrature tolerance of a ContourSpec
+#: default quadrature tolerance of a contour routine; the panel budget is
+#: MAX_PANELS, and the rotation, semicircle radius and outer cutoff follow
+#: from each integrand
 DEFAULT_TOL = 3e-11
 
 
-class ContourSpec(NamedTuple):
-    """Quadrature tolerance; the panel budget is MAX_PANELS, and the
-    rotation, semicircle radius and outer cutoff follow from each
-    integrand."""
-
-    tol: float = DEFAULT_TOL
+def ContourSpec(tol: float = DEFAULT_TOL) -> float:
+    """`tol` itself, for callers written against the former one-field
+    record; the benchmark change of ROADMAP item 1 step 1c drops it."""
+    return tol
 
 
 def _panel(f: Callable[[complex], complex], a: complex, b: complex) -> tuple[complex, float]:

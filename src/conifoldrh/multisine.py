@@ -28,8 +28,8 @@ from functools import lru_cache
 from .bernoulli import bernoulli_numbers, bernoulli_poly, multiple_bernoulli, zeta_int
 from .checks import (Predicate, RegionError, Residual, im_ratio,
                      im_ratio_predicate, require)
-from .contour import (DEFAULT_TOL, SAFETY, ContourSpec, QuadratureError,
-                      choose_outer_cutoff, detour_integral, hull_rotation)
+from .contour import (DEFAULT_TOL, SAFETY, QuadratureError, choose_outer_cutoff,
+                      detour_integral, hull_rotation)
 
 TWO_PI_I = 2j * math.pi
 
@@ -98,7 +98,7 @@ def _integrand(sign: int, zeff: complex, omegas: tuple, k: int):
                  {-w: n for w, n in powers.items()}))
 
 
-def _contour(sign: int, zeff: complex, omegas: tuple, k: int, spec: ContourSpec,
+def _contour(sign: int, zeff: complex, omegas: tuple, k: int, tol: float = DEFAULT_TOL,
              names: list[str] | None = None) -> tuple[complex, float]:
     """Integral of `_integrand(sign, zeff, omegas, k)` over the detour
     contour rotated by c: `lower` on c[-R, -eps] and the arc, `upper` on
@@ -116,18 +116,18 @@ def _contour(sign: int, zeff: complex, omegas: tuple, k: int, spec: ContourSpec,
     eps = EPS_POLE_FRACTION * 2 * math.pi / max(abs(w) for w in omegas)
     cbar = c.conjugate()
     R = choose_outer_cutoff(
-        lambda s: upper(s) if (s * cbar).real > 0 else lower(s), c, eps, spec.tol)
-    return detour_integral(lower, upper, eps, R, c, spec.tol)
+        lambda s: upper(s) if (s * cbar).real > 0 else lower(s), c, eps, tol)
+    return detour_integral(lower, upper, eps, R, c, tol)
 
 
 def log_F_contour(z: complex, w1bar: complex, w2: complex,
-                  spec: ContourSpec | None = None) -> tuple[complex, float]:
+                  tol: float = DEFAULT_TOL) -> tuple[complex, float]:
     """log F(z | w1bar, w2) by rotated-contour quadrature.
 
     Valid when a rotation c exists with Re(c w1bar) > 0, Re(c w2) > 0 and
     0 < Re(c z) < Re(c (w1bar + w2)).
     """
-    return _contour(1, z, (w1bar, w2), -1, spec or ContourSpec(),
+    return _contour(1, z, (w1bar, w2), -1, tol,
                     ["Re(c*w1bar)>0", "Re(c*w2)>0", "Re(c*z)>0",
                      "Re(c*(w1bar+w2-z))>0"])
 
@@ -138,14 +138,13 @@ _G_DIRECTIONS = ["Re(c*w1)>0", "Re(c*w1t)>0", "Re(c*w2)>0",
 
 
 def log_G_contour(z: complex, w1: complex, w1t: complex, w2: complex,
-                  spec: ContourSpec | None = None) -> tuple[complex, float]:
+                  tol: float = DEFAULT_TOL) -> tuple[complex, float]:
     """log G(z | w1, w1t, w2) by rotated-contour quadrature.
 
     Valid when a rotation c exists making all of (w1, w1t, w2) and the strip
     directions z + w1bar, w1bar + w2 - z lie in the right half-plane.
     """
-    return _contour(-1, z + (w1 + w1t) / 2, (w1, w1t, w2), -1,
-                    spec or ContourSpec(), _G_DIRECTIONS)
+    return _contour(-1, z + (w1 + w1t) / 2, (w1, w1t, w2), -1, tol, _G_DIRECTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +158,7 @@ def _memo(signs: tuple, fn, *args):
 
 def _cached(fn, *args):
     """fn(*args), remembered under the key (fn, *args): every argument,
-    including a ContourSpec, selects its own entry, and a call that raises
+    including a tolerance, selects its own entry, and a call that raises
     stores nothing.  0.0 == -0.0 as a key, but a phase (and so a contour
     rotation) tells them apart, so the sign of each part of every real or
     complex argument joins the key."""
@@ -170,7 +169,7 @@ def _cached(fn, *args):
 
 def log_G_cached(z: complex, w1: complex, w1t: complex, w2: complex,
                  tol: float = DEFAULT_TOL) -> tuple[complex, float]:
-    return _cached(log_G_value, z, w1, w1t, w2, ContourSpec(tol=tol))
+    return _cached(log_G_value, z, w1, w1t, w2, tol)
 
 
 def clear_caches() -> None:
@@ -283,7 +282,7 @@ def F_value(z: complex, w1bar: complex, w2: complex, tol: float = 1e-12) -> comp
             return F_product(z, a, b, tol)
         except RegionError:
             pass
-    val, _ = log_F_contour(z, w1bar, w2, ContourSpec(tol=max(1e-13, tol * 1e-2)))
+    val, _ = log_F_contour(z, w1bar, w2, max(1e-13, tol * 1e-2))
     return cmath.exp(val)
 
 
@@ -778,14 +777,13 @@ def log_G_series(z: complex, w1: complex, w1t: complex, w2: complex,
 
 
 def log_G_value(z: complex, w1: complex, w1t: complex, w2: complex,
-                spec: ContourSpec | None = None) -> tuple[complex, float]:
+                tol: float = DEFAULT_TOL) -> tuple[complex, float]:
     """log G and its error bound: the residue series where it converges
-    within spec.tol, else the contour."""
-    spec = spec or ContourSpec()
+    within tol, else the contour."""
     try:
-        return log_G_series(z, w1, w1t, w2, spec.tol)
+        return log_G_series(z, w1, w1t, w2, tol)
     except RegionError:
-        return log_G_contour(z, w1, w1t, w2, spec)
+        return log_G_contour(z, w1, w1t, w2, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -793,19 +791,19 @@ def log_G_value(z: complex, w1: complex, w1t: complex, w2: complex,
 
 
 def f_moment_quad(order: int, z: complex, w1bar: complex,
-                  spec: ContourSpec | None = None) -> tuple[complex, float]:
+                  tol: float = DEFAULT_TOL) -> tuple[complex, float]:
     """f^c_order(z, w1bar) = int_{cC} e^(zs) s^order / (e^(w1bar s) - 1) ds."""
     require([im_ratio_predicate("z/w1bar", z, w1bar)], "f-moment")
-    return _contour(1, z, (w1bar,), order, spec or ContourSpec())
+    return _contour(1, z, (w1bar,), order, tol)
 
 
 def g_moment_quad(order: int, z: complex, w1: complex, w1t: complex,
-                  spec: ContourSpec | None = None) -> tuple[complex, float]:
+                  tol: float = DEFAULT_TOL) -> tuple[complex, float]:
     """g^c_order(z, w1, w1t) =
     int_{cC} -e^((z+w1bar)s) s^order / ((e^(w1 s)-1)(e^(w1t s)-1)) ds."""
     require([im_ratio_predicate("z/w1", z, w1), im_ratio_predicate("z/w1t", z, w1t)],
             "g-moment")
-    return _contour(-1, z + (w1 + w1t) / 2, (w1, w1t), order, spec or ContourSpec())
+    return _contour(-1, z + (w1 + w1t) / 2, (w1, w1t), order, tol)
 
 
 def _eulerian(n: int) -> list[int]:
@@ -997,7 +995,7 @@ def residue_lemma_check(w: complex, d: int) -> Residual:
     against (d-1) zeta(d) / (2 pi i) * (w / 2 pi i)^(d-2);  d = 1 uses the
     factor 1."""
     require([Predicate("Re(w) > 0", w.real)], "residue lemma")
-    lhs, err = _contour(-1, w, (w, w), 1 - d, ContourSpec(tol=1e-10))
+    lhs, err = _contour(-1, w, (w, w), 1 - d, 1e-10)
     factor = 1.0 if d == 1 else (d - 1) * zeta_int(d)
     rhs = factor / TWO_PI_I * (w / TWO_PI_I) ** (d - 2)
     res = Residual.compare(f"residue_lemma(d={d})", lhs, rhs, 1e-8,
@@ -1029,7 +1027,7 @@ def small_w2_remainders(mode: str, z: complex, params: tuple, K: int,
     (w1bar,)) or G (params (w1, w1t)) and S_K(w2) = sum_{k=0..K} B_k
     w2^(k-1) m_(k-2) / k! its small-w2 partial sum, m the f or g moments.
     The terms with B_k = 0 (odd k >= 3) are exactly zero, and their moments
-    are not computed.  log X is memoised at the default ContourSpec tolerance."""
+    are not computed.  log X is memoised at the default tolerance DEFAULT_TOL."""
     if mode == "F":
         moment, log_X = f_moment, lambda *a: _cached(log_F_contour, *a)
     else:
@@ -1139,8 +1137,7 @@ def asymptotic_infinity_fit(mode: str, z: complex, params: tuple,
                   "linear": -b(1) * zeta_int(2) / TWO_PI_I,
                   "log": -b(2) / 2}
     w2s = [w2_dir * 16.0 * 2.0**m for m in range(8)]
-    spec = ContourSpec(tol=1e-8)
-    vals = [log_X(z, *params, w2, spec)[0] for w2 in w2s]
+    vals = [log_X(z, *params, w2, 1e-8)[0] for w2 in w2s]
     diffs = [vals[j + 1] - vals[j] for j in range(7)]
     coef = _complex_lstsq(_infinity_fit_rows(tuple(closed), w2s), diffs)
     return [Residual.compare(f"{mode} infinity coefficient ({name})", fitted, value, 1e-4)

@@ -87,9 +87,6 @@ class QTorusElement:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset((g, c) for g, c in self.terms.items()))
-
     def to_json(self) -> list:
         rows = []
         for g in sorted(self.terms, key=lambda g: g.coords()):

@@ -12,7 +12,6 @@ import time
 
 from conifoldrh import multisine, qtorus, rhsolver
 from conifoldrh.cli import main as cli_main
-from conifoldrh.contour import ContourSpec
 from conifoldrh.lattice import (BETA, BETA_V, DELTA, DELTA_V, conifold_bps)
 from conifoldrh.multisine import (F_product, F_star, log_F_contour,
                                   log_G_cached, log_G_star, reflection_rhs_F,
@@ -79,7 +78,7 @@ def test_criterion_03_cross_representation():
     worst = 0.0
     pts = _admissible_overlap_points(20)
     for z, w1bar, w2 in pts:
-        lf, _ = log_F_contour(z, w1bar, w2, ContourSpec(tol=1e-12))
+        lf, _ = log_F_contour(z, w1bar, w2, 1e-12)
         fp = F_product(z, w1bar, w2, tol=1e-14)
         worst = max(worst, abs(cmath.exp(lf) - fp) / abs(fp))
     elapsed = time.monotonic() - t0

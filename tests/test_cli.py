@@ -16,19 +16,28 @@ from conifoldrh.cli import (EXIT_CHECK, EXIT_NUMERICAL, EXIT_OK,
     ("2i", 2j),
     ("1.5-2i", 1.5 - 2j),
     ("0.3+0.4i", 0.3 + 0.4j),
-    ("-i", -1j),
+    ("-i", complex(0.0, -1.0)),
     ("i", 1j),
     ("-2.5", -2.5 + 0j),
     ("1e-3+2e-2i", 0.001 + 0.02j),
+    ("5.i", 5j),
+    (".5i", 0.5j),
+    ("+i", 1j),
+    ("1e+5-2e-3i", complex(1e5, -2e-3)),
+    ("\u0661", 1 + 0j),
+    ("-0.0", complex(-0.0, 0.0)),
 ])
 def test_parse_complex(text, value):
-    assert parse_complex(text) == value
+    """Each part, by repr, so the sign of a zero counts."""
+    z = parse_complex(text)
+    assert (repr(z.real), repr(z.imag)) == (repr(value.real), repr(value.imag))
 
 
-@pytest.mark.parametrize("bad", ["", "abc", "1+2", "i5", "1.5 2i"])
+@pytest.mark.parametrize("bad", ["", "abc", "1+2", "i5", "1.5 2i", "(1+2i)", "1_0",
+                                 "1J", "inf", "Inf", "nan", "infj", "1e+i"])
 def test_parse_complex_rejects(bad):
     from conifoldrh.cli import UsageError
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="cannot parse complex value"):
         parse_complex(bad)
 
 

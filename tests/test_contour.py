@@ -5,7 +5,7 @@ import sys
 import mpmath
 import pytest
 
-from conifoldrh.contour import (SAFETY, ContourSpec, QuadratureError,
+from conifoldrh.contour import (DEFAULT_TOL, SAFETY, ContourSpec, QuadratureError,
                                 RotationError, detour_integral, hull_rotation,
                                 integrate_segment)
 from conifoldrh import contour, multisine
@@ -287,7 +287,7 @@ def test_moment_tilt_invariance():
     dirs = [OB, Z, OB - Z]
     c0, margin = hull_rotation(dirs)
     eps = multisine.EPS_POLE_FRACTION * 2 * math.pi / abs(OB)
-    tol = ContourSpec().tol
+    tol = DEFAULT_TOL
     vals = []
     for tilt in (0.0, -0.8, 0.4, 0.8):
         c = c0 * cmath.exp(1j * tilt * margin)
@@ -370,9 +370,25 @@ def test_quadrature_self_consistency():
     by at least 2x (refinement stops below a fixed fraction of the budget)."""
     from conifoldrh.multisine import log_G_contour
     args = (0.2 + 0.5j, 1 + 0.1j, 0.95 - 0.07j, 30 * cmath.exp(-0.3j))
-    _, e1 = log_G_contour(*args, ContourSpec(tol=1e-7))
-    _, e2 = log_G_contour(*args, ContourSpec(tol=5e-8))
+    _, e1 = log_G_contour(*args, 1e-7)
+    _, e2 = log_G_contour(*args, 5e-8)
     assert e2 <= e1 / 2
+
+
+def test_contour_spec_is_the_tolerance():
+    """`ContourSpec(tol=x)` is `x`, so a routine called with it returns
+    the bits of the same call with the float."""
+    from conifoldrh.multisine import log_F_contour, log_G_contour
+    tol = 1e-8
+    assert ContourSpec(tol=tol) is tol
+    calls = [(log_F_contour, (Z, OB, 0.4 - 0.9j)),
+             (log_G_contour, (Z, W1, W1T, 0.4 - 0.9j)),
+             (f_moment_quad, (-2, Z, OB)),
+             (g_moment_quad, (-2, Z, W1, W1T))]
+    for fn, args in calls:
+        bits = [repr((v.real, v.imag, e)) for v, e in
+                (fn(*args, ContourSpec(tol=tol)), fn(*args, tol))]
+        assert bits[0] == bits[1], fn.__name__
 
 
 def test_shift_identity_beyond_panel_budget():
@@ -382,8 +398,8 @@ def test_shift_identity_beyond_panel_budget():
     from conifoldrh.multisine import F_value, log_G_contour
     z, w1, w1t = 0.336278 + 0.481368j, 1.199328 + 0.062274j, 1.005438 - 0.190325j
     w2 = 1928.137 * cmath.exp(-1.12475j)
-    spec = ContourSpec(tol=1e-8)
-    shift = log_G_contour(z + w1, w1, w1t, w2, spec)[0] - log_G_contour(z, w1, w1t, w2, spec)[0]
+    shift = (log_G_contour(z + w1, w1, w1t, w2, 1e-8)[0]
+             - log_G_contour(z, w1, w1t, w2, 1e-8)[0])
     assert abs(cmath.exp(shift) * F_value(z + (w1 + w1t) / 2, w1t, w2) - 1) < 1e-8
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from conifoldrh import cli, multisine
 from conifoldrh.checks import RegionError
-from conifoldrh.contour import DEFAULT_TOL, SAFETY, ContourSpec
+from conifoldrh.contour import DEFAULT_TOL, SAFETY
 from conifoldrh.multisine import log_G_contour, log_G_series, log_G_value
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -86,7 +86,7 @@ def test_series_within_its_bound_in_the_Dn_geometry(z):
 
 def _agree(z, w1, w1t, w2, tol, series_tol=None):
     value, bound = log_G_series(z, w1, w1t, w2, series_tol or tol)
-    contour, est = log_G_contour(z, w1, w1t, w2, ContourSpec(tol=tol))
+    contour, est = log_G_contour(z, w1, w1t, w2, tol)
     assert abs(value - contour) < bound + est, (z, w1, w1t, w2, tol)
 
 

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from conifoldrh import multisine
-from conifoldrh.contour import ContourSpec, QuadratureError
+from conifoldrh.contour import QuadratureError
 from conifoldrh.lattice import RegionError
 from conifoldrh.multisine import (F_product, F_star, F_value, G_star,
                                   PoleZeroError, asymptotic_infinity_fit,
@@ -132,8 +132,8 @@ def test_G_star_region_named():
 
 def test_fstar_independent_of_route():
     v1 = F_star(Z, OB, W2)
-    # force the contour route by a spec with explicit tolerance
-    lf, _ = log_F_contour(Z, OB, W2, ContourSpec(tol=1e-13))
+    # force the contour route with an explicit tolerance
+    lf, _ = log_F_contour(Z, OB, W2, 1e-13)
     v2 = cmath.exp(lf + (log_F_star(Z, OB, W2) - cmath.log(F_value(Z, OB, W2))))
     assert abs(v1 - v2) / abs(v1) < 1e-9
 
