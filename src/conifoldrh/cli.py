@@ -743,27 +743,37 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """Parser for the command line `argv`.  Only the subcommand that argv[0]
-    names is registered; with no argument, -h or an unknown name all four
-    are, so help and usage errors read the same either way.  This skips
-    three of the five parser builds of a typical call."""
+def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
+    """Give `parser` the options of command `name` and --out."""
+    for flag, kwargs in COMMANDS[name][2].items():
+        parser.add_argument(flag, **kwargs)
+    parser.add_argument("--out", help="output path (default stdout)")
+
+
+def build_parser(name: str | None) -> argparse.ArgumentParser:
+    """Parser for the arguments that follow command `name`, with `command`
+    preset; with no name, the parser of the whole command line, which holds
+    all four commands.  Subcommand help is `conifoldrh <name>` and
+    `_Parser.error` raises the message alone, so help and usage errors read
+    the same from either shape."""
+    if name is not None:
+        p = _Parser(prog=f"conifoldrh {name}")
+        p.set_defaults(command=name)
+        _add_options(p, name)
+        return p
     p = _Parser(prog="conifoldrh", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS:
-        _, help_text, options = COMMANDS[name]
-        sp = sub.add_parser(name, help=help_text)
-        for flag, kwargs in options.items():
-            sp.add_argument(flag, **kwargs)
-        sp.add_argument("--out", help="output path (default stdout)")
+    for name, (_, help_text, _) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), name)
     return p
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    name = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = build_parser(name).parse_args(argv[1:] if name else argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -508,12 +508,18 @@ LI2_SWITCH = 0.5
 
 @lru_cache(maxsize=None)
 def _li2_log_coeffs() -> tuple[tuple[int, float], ...]:
-    """(k, zeta(2-k)/k!) for 2 <= k <= 64 where nonzero, with
-    zeta(2-k) = (-1)^k B_(k-1)/(k-1) (B_1 = -1/2).  At |mu| = 3.3 the
-    term of k = 61 is 3e-20."""
-    nums = bernoulli_numbers(63)
-    return tuple((k, float((-1) ** k * nums[k - 1] / ((k - 1) * math.factorial(k))))
-                 for k in range(2, 65) if nums[k - 1])
+    """(k, zeta(2-k)/k!) for 2 <= k <= 64 where nonzero: c_2 = -1/4 and
+    c_(2m+1) = (-1)^m T_m / (4^m (4^m - 1) (2m+1)!) for m = 1..31, from the
+    tangent numbers T_m (Brent and Zimmermann, Modern Computer Arithmetic,
+    Algorithm TangentNumbers), each one correctly rounded int/int division.
+    At |mu| = 3.3 the term of k = 61 is 3e-20."""
+    tangent = [math.factorial(j) for j in range(31)]     # T_(j+1) once done
+    for k in range(1, 31):
+        for j in range(k, 31):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    return ((2, -0.25), *((2 * m + 1, (-1) ** m * t
+                           / (4 ** m * (4 ** m - 1) * math.factorial(2 * m + 1)))
+                          for m, t in enumerate(tangent, 1)))
 
 
 def _polylog_exp(s: int, mu: complex, dmu: float) -> tuple[complex, float]:

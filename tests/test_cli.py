@@ -396,12 +396,13 @@ def test_no_or_unknown_command_is_usage(argv, named, capsys):
 
 
 @pytest.mark.parametrize("argv,parsers", [
-    (["eval", "--target", "bernoulli", "--param", "n=2"], 2),
+    (["eval", "--target", "bernoulli", "--param", "n=2"], 1),
     (["bogus"], 5),
 ])
 def test_parser_builds_only_the_invoked_command(argv, parsers, monkeypatch, capsys):
-    """A call builds the top-level parser and the one subcommand it names;
-    without a known name it builds all four, for the help and the error."""
+    """A call that names a command builds that command's parser alone;
+    without a known name it builds the top-level parser and all four
+    subcommands, for the help and the error."""
     from conifoldrh import cli
     built = []
     init = cli._Parser.__init__
@@ -413,6 +414,41 @@ def test_parser_builds_only_the_invoked_command(argv, parsers, monkeypatch, caps
     monkeypatch.setattr(cli._Parser, "__init__", counting)
     main(argv)
     assert len(built) == parsers, built
+
+
+def _parse_outcome(parser, argv, capsys):
+    """The namespace, the usage message, or the exit code and help text."""
+    from conifoldrh.cli import UsageError
+    try:
+        return vars(parser.parse_args(argv))
+    except UsageError as exc:
+        return str(exc)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,argv", [
+    *[(name, ["--help"]) for name in COMMANDS],
+    ("eval", ["--target", "bernoulli", "--param", "n=3", "--tol", "1e-8", "--out", "o"]),
+    ("verify", ["--suite", "all", "--order-N", "2", "--order-K", "3", "--out", "o"]),
+    ("sweep", ["--target", "growth-B", "--sweep", "t:4:2:7", "--format", "csv",
+               "--out", "o"]),
+    ("region", ["--param", "n=0", "--out", "o"]),
+    ("eval", ["--param", "n=3"]),
+    ("eval", ["--target", "nosuch"]),
+    ("eval", ["--target", "F", "--tol", "-1"]),
+    ("verify", ["--suite", "all", "--bogus", "1"]),
+    ("sweep", ["--target", "growth-B", "--sweep", "t:4:2:7", "stray"]),
+    ("eval", ["--tar", "F"]),
+])
+def test_one_command_parser_matches_the_full_parser(name, argv, capsys):
+    """A call that names a command is parsed by that command's parser alone,
+    and every other call by the parser of all four; both shapes give the
+    same namespace, usage message or help for the same arguments."""
+    from conifoldrh import cli
+    one = _parse_outcome(cli.build_parser(name), argv, capsys)
+    full = _parse_outcome(cli.build_parser(None), [name, *argv], capsys)
+    assert one == full
 
 
 def test_numerical_failure_exit_code(monkeypatch):

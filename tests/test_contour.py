@@ -239,6 +239,18 @@ def test_li2_on_both_sides_of_the_switch():
             assert abs(multisine.polylog(2, x) - ref) <= 1e-14 * abs(ref)
 
 
+def test_li2_table_equals_the_bernoulli_table():
+    """The tangent-number table of the series in log x is, value for value,
+    zeta(2-k)/k! = (-1)^k B_(k-1)/((k-1) k!) from the exact Bernoulli numbers."""
+    from conifoldrh.bernoulli import bernoulli_numbers
+    nums = bernoulli_numbers(63)
+    ref = tuple((k, float((-1) ** k * nums[k - 1] / ((k - 1) * math.factorial(k))))
+                for k in range(2, 65) if nums[k - 1])
+    table = multisine._li2_log_coeffs()
+    assert len(table) == 32
+    assert [(k, c.hex()) for k, c in table] == [(k, c.hex()) for k, c in ref]
+
+
 def test_f_moment_near_unit_x1_takes_the_series():
     """At z = 1e-7 i, w1bar = 1, |x1| = 1 - 6.3e-7: the series route returns
     (2 pi i)^(-1) Li_2(x1), where quadrature has no contour."""
