@@ -17,18 +17,27 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+def tangent_numbers(m: int) -> list[int]:
+    """T_1..T_m, tan s = sum_k T_k s^(2k-1)/(2k-1)!, in integers (Brent and
+    Zimmermann, Modern Computer Arithmetic, Algorithm TangentNumbers)."""
+    tangent = [math.factorial(j) for j in range(m)]      # T_(j+1) once done
+    for k in range(1, m):
+        for j in range(k, m):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    return tangent
+
+
 @lru_cache(maxsize=None)
 def bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
-    """B_0..B_n from s/(e^s - 1), so B_1 = -1/2 (exact Fractions)."""
+    """B_0..B_n from s/(e^s - 1), so B_1 = -1/2 (exact Fractions):
+    B_(2m) = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) from the tangent numbers,
+    and every odd B_k past B_1 is zero."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = [Fraction(1)]
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for k in range(m):
-            acc += Fraction(math.comb(m + 1, k)) * out[k]
-        out.append(-acc / (m + 1))
-    return tuple(out)
+    out = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n - 1)
+    for m, t in enumerate(tangent_numbers(n // 2), 1):
+        out[2 * m] = Fraction((-1) ** (m - 1) * 2 * m * t, 4 ** m * (4 ** m - 1))
+    return tuple(out[:n + 1])
 
 
 def bernoulli_poly(n: int, z):

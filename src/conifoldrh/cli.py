@@ -136,7 +136,7 @@ def _point(params: dict) -> SolutionPoint:
 # eval
 
 
-def cmd_eval(args) -> tuple[dict, int]:
+def cmd_eval(args) -> dict:
     params = _params_dict(args)
     target = args.target
     what = f"eval --target {target}"
@@ -157,7 +157,6 @@ def cmd_eval(args) -> tuple[dict, int]:
                          f"(only by targets {', '.join(readers)})")
     else:
         tol = None
-    t0 = time.perf_counter()
     err_est = None
     predicates = []
 
@@ -208,16 +207,14 @@ def cmd_eval(args) -> tuple[dict, int]:
     if not cmath.isfinite(value):
         raise NonFiniteError(f"{what} gave the non-finite value {value}")
 
-    record = {
+    return {
         "target": target,
         "params": params,
         "value": value,
         "error_estimate": err_est,
         "tolerance": tol,
         "predicates": [q.to_json() for q in predicates],
-        "timing": {"wall_s": time.perf_counter() - t0},
     }
-    return record, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +441,13 @@ def _suite_asymptotics() -> list[Residual]:
 
 def _suite_wallcrossing(order_n: int, qcut: int, tol: float) -> list[Residual]:
     p0 = _point({})
-    out = [wallcross(p0.shifted(n), tol) for n in (0, 1, 2)
+    out = [wallcross(p0._replace(n=n), tol) for n in (0, 1, 2)
            for wallcross in (rhsolver.wallcross_B, rhsolver.wallcross_D)]
     # telescoping: X_m/X_0 equals the product of the individual jumps
     m = 4
     for sol in rhsolver.SOLUTIONS.values():
-        lhs = cmath.exp(sol.log(p0.shifted(m)) - sol.log(p0))
-        rhs = math.prod(rhsolver.jump(p0.shifted(n), sol.gamma_m) for n in range(m))
+        lhs = cmath.exp(sol.log(p0._replace(n=m)) - sol.log(p0))
+        rhs = math.prod(rhsolver.jump(p0._replace(n=n), sol.gamma_m) for n in range(m))
         out.append(Residual.compare(f"{sol.name} telescoping to m={m}", lhs, rhs, tol))
     out.append(_extension_consistency(tol))
     out.append(_inversion_identity(order_n, qcut))
@@ -541,7 +538,7 @@ SUITES = {
 }
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def cmd_verify(args) -> dict:
     given = {"--tol": args.tol, "--order-N": args.order_n, "--order-K": args.order_k}
     reads = given if args.suite == "all" else SUITES[args.suite][1]
     for flag, value in given.items():
@@ -555,12 +552,11 @@ def cmd_verify(args) -> tuple[dict, int]:
     order_n = args.order_n if args.order_n is not None else 4
     qcut = args.order_k if args.order_k is not None else 4 * order_n
     values = {"--tol": tol, "--order-N": order_n, "--order-K": qcut}
-    t0 = time.perf_counter()
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = [{"suite": nm, **res.to_json()} for nm in names
               for res in SUITES[nm][0](*(values[flag] for flag in SUITES[nm][1]))]
     n_fail = sum(1 for c in checks if not c["passed"])
-    record = {
+    return {
         "suite": args.suite,
         "tolerance": tol if "--tol" in reads else None,
         "order_N": order_n if "--order-N" in reads else None,
@@ -569,9 +565,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         "n_checks": len(checks),
         "n_failed": n_fail,
         "passed": n_fail == 0,
-        "timing": {"wall_s": time.perf_counter() - t0},
     }
-    return record, EXIT_OK if n_fail == 0 else EXIT_CHECK
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +599,7 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
     return name, vals
 
 
-def cmd_sweep(args) -> tuple[dict, int]:
+def cmd_sweep(args) -> dict:
     params = _params_dict(args)
     what = f"sweep --target {args.target}"
     _check_names(params, SWEEP_PARAMS[args.target], what)
@@ -613,7 +607,6 @@ def cmd_sweep(args) -> tuple[dict, int]:
     varied = "w2" if args.target.startswith("asym-order") else "t"
     if name != varied:
         raise UsageError(f"{what} varies |{varied}|, not {name!r}")
-    t0 = time.perf_counter()
     p0 = _point(params)
     if varied == "t":  # qrh-limit-B/D, growth-B/D
         ts, vals = rhsolver.along_ray(p0, rhsolver.SOLUTIONS[args.target[-1]], values)
@@ -636,30 +629,25 @@ def cmd_sweep(args) -> tuple[dict, int]:
             [w2dir * s for s in values])
         rows = [{name: s, "value": lv, "metric": abs(rem)}
                 for s, lv, rem in zip(values, logs, rems)]
-    record = {
+    return {
         "target": args.target,
         "sweep": args.sweep,
         "params": params,
         "rows": rows,
-        "timing": {"wall_s": time.perf_counter() - t0},
     }
-    return record, EXIT_OK
 
 
-def cmd_region(args) -> tuple[dict, int]:
+def cmd_region(args) -> dict:
     params = _params_dict(args)
     _check_names(params, REGION_PARAMS, "region")
     p = _point(params)
-    t0 = time.perf_counter()
     rep = rhsolver.region_neighborhood_tau(p.v, p.w, p.t, p.n)
-    record = {
+    return {
         "params": {"v": p.v, "w": p.w, "t": p.t, "n": p.n},
         "grid": rep["grid"],
         "n_admissible": rep["n_admissible"],
         "n_total": rep["n_total"],
-        "timing": {"wall_s": time.perf_counter() - t0},
     }
-    return record, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +686,8 @@ def _emit(record: dict, args) -> None:
 
 def _strict(obj):
     """Strict-JSON form of a record: complex -> [re, im] (records keep their
-    complex values until here), Fraction -> str, and a non-finite float
-    (e.g. the residual of a failed exact check) -> null."""
+    complex values until here), and a non-finite float (e.g. the residual
+    of a failed exact check) -> null."""
     if isinstance(obj, dict):
         return {k: _strict(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -708,8 +696,6 @@ def _strict(obj):
         return [_strict(obj.real), _strict(obj.imag)]
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
-    if isinstance(obj, Fraction):
-        return str(obj)
     return obj
 
 
@@ -778,8 +764,10 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        record, code = COMMANDS[args.command][0](args)
-        _emit({"schema": 1, "command": args.command, **record}, args)
+        t0 = time.perf_counter()
+        record = COMMANDS[args.command][0](args)
+        _emit({"schema": 1, "command": args.command, **record,
+               "timing": {"wall_s": time.perf_counter() - t0}}, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -800,7 +788,7 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return code
+    return EXIT_CHECK if record.get("passed") is False else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -14,9 +14,6 @@ from typing import NamedTuple
 from .checks import Predicate, RegionError, require  # noqa: F401 (RegionError re-exported)
 from .laurent import LaurentPoly
 
-#: Depth of the finite "v + n w != 0" scan in the M+ membership test.
-MPLUS_SCAN_DEPTH = 64
-
 
 class ChargeVector(NamedTuple):
     """Integer charge a*beta + b*delta + ma*beta^ + mb*delta^."""
@@ -42,9 +39,6 @@ class ChargeVector(NamedTuple):
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return self.a == self.b == self.ma == self.mb == 0
-
     def is_electric(self) -> bool:
         return self.ma == 0 and self.mb == 0
 
@@ -65,12 +59,10 @@ def skew_pair(g1: ChargeVector, g2: ChargeVector) -> int:
 
 def mplus_predicates(v: complex, w: complex) -> list[Predicate]:
     """Named predicate checklist for membership in the region M+, with the
-    witnesses |w|, min_n |v + n w| and Im(v/w)."""
+    witnesses |w| and Im(v/w).  Im((v + n w)/w) = Im(v/w) > 0 keeps every
+    v + n w off zero."""
     return [
         Predicate("w != 0", abs(w)),
-        Predicate(f"v + n*w != 0 for |n| <= {MPLUS_SCAN_DEPTH}",
-                  min(abs(v + n * w)
-                      for n in range(-MPLUS_SCAN_DEPTH, MPLUS_SCAN_DEPTH + 1))),
         Predicate("Im(v/w) > 0", (v / w).imag if w != 0 else math.nan),
     ]
 

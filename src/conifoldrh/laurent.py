@@ -157,9 +157,6 @@ class LaurentPoly:
         out._c = {n: -a for n, a in self._c.items()}
         return out
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             a = _as_exact(other)
@@ -215,14 +212,9 @@ class LaurentPoly:
     # -- dunder plumbing ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.from_scalar(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._c == other._c
-
-    def __hash__(self):
-        return hash(tuple(sorted(self._c.items())))
 
     def __bool__(self):
         return bool(self._c)

@@ -58,12 +58,6 @@ class QTorusElement:
     def generator(cls, g: ChargeVector) -> "QTorusElement":
         return cls({g: LaurentPoly.one()})
 
-    def __add__(self, other: "QTorusElement") -> "QTorusElement":
-        t = dict(self.terms)
-        for g, c in other.terms.items():
-            t[g] = t.get(g, LaurentPoly.zero()) + c
-        return QTorusElement(t)
-
     def mul(self, other: "QTorusElement", qcut: int) -> "QTorusElement":
         """Twisted product y_g1 * y_g2 = q^(<g1,g2>/2) y_(g1+g2), each
         coefficient truncated at qcut."""

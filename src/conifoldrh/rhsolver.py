@@ -56,9 +56,6 @@ class SolutionPoint(NamedTuple):
     def y(self) -> complex:
         return cmath.exp(-TWO_PI_I * self.w / self.t)
 
-    def shifted(self, n: int) -> "SolutionPoint":
-        return self._replace(n=n)
-
 
 # ---------------------------------------------------------------------------
 # predicate checklists
@@ -175,7 +172,7 @@ def jump(p: SolutionPoint, gamma_m: ChargeVector) -> complex:
 def _wallcross(p: SolutionPoint, tol: float, solution: Solution) -> Residual:
     """X_(n+1)/X_n against `jump`; the row records the checklist at p."""
     lx = solution.log(p)
-    lx1 = solution.log(p.shifted(p.n + 1))
+    lx1 = solution.log(p._replace(n=p.n + 1))
     preds = [q.to_json() for q in solution.predicates(p)]
     return Residual.compare(f"{solution.name}_wallcrossing(n={p.n})", cmath.exp(lx1 - lx),
                             jump(p, solution.gamma_m), tol, meta={"n": p.n, "predicates": preds})
@@ -370,7 +367,7 @@ def cs_match_residual(p: SolutionPoint, tol: float = 1e-8) -> Residual:
     # evaluated at its own tolerance so the sin_3 quadratures are independent
     # of the cached G evaluations inside D_0
     lhs = sin3(p.v + p.w, omegas, tol=1e-11) / sin3(w1, omegas, tol=1e-11)
-    d0 = SOLUTIONS["D"].value(p.shifted(0))
+    d0 = SOLUTIONS["D"].value(p._replace(n=0))
     qg = q_G(p.v, w1, w1t, -p.t)
     b33 = (multiple_bernoulli(3, 3, p.v + p.w, list(omegas))
            - multiple_bernoulli(3, 3, w1, list(omegas)))

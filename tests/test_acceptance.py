@@ -190,8 +190,8 @@ def test_criterion_07_wallcrossing_and_reflection():
     p0 = SolutionPoint(V, W, T0, TAU0, 0)
     worst = 0.0
     for n in (0, 1, 2, 3):
-        worst = max(worst, rhsolver.wallcross_B(p0.shifted(n)).rel_err)
-        worst = max(worst, rhsolver.wallcross_D(p0.shifted(n)).rel_err)
+        worst = max(worst, rhsolver.wallcross_B(p0._replace(n=n)).rel_err)
+        worst = max(worst, rhsolver.wallcross_D(p0._replace(n=n)).rel_err)
     p_iv = SolutionPoint(V, W, 0.20 + 0.70j, 0.15 * cmath.exp(1.9j), 0)
     rb = rhsolver.reflection_B(p_iv)
     rd = rhsolver.reflection_D(p_iv)

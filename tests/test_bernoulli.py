@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conifoldrh.bernoulli import (bernoulli_numbers, bernoulli_poly,
-                                  multiple_bernoulli, zeta_int)
+                                  multiple_bernoulli, tangent_numbers, zeta_int)
 
 
 def bernoulli_numbers_oracle(n):
@@ -26,7 +26,14 @@ def bernoulli_numbers_oracle(n):
 
 
 def test_bernoulli_numbers_against_oracle():
-    assert list(bernoulli_numbers(12)) == bernoulli_numbers_oracle(12)
+    for n in range(65):
+        assert list(bernoulli_numbers(n)) == bernoulli_numbers_oracle(n)
+
+
+def test_tangent_numbers():
+    """tan s = s + 2 s^3/3! + 16 s^5/5! + 272 s^7/7! + 7936 s^9/9! + ..."""
+    assert tangent_numbers(5) == [1, 2, 16, 272, 7936]
+    assert tangent_numbers(0) == []
 
 
 def test_bernoulli_poly_small_values():

@@ -657,8 +657,18 @@ def _moved(x):
     if isinstance(x, LaurentPoly):
         return x + LaurentPoly.one()
     if isinstance(x, QTorusElement):
-        return x + QTorusElement.generator(ChargeVector())
+        return _plus_generator(x, ChargeVector())
     return x + 1    # int, bool, Fraction
+
+
+def _plus_generator(x, g):
+    """The torus element x + y_g, built term by term."""
+    from conifoldrh.laurent import LaurentPoly
+    from conifoldrh.qtorus import QTorusElement
+
+    terms = dict(x.terms)
+    terms[g] = terms.get(g, LaurentPoly.zero()) + LaurentPoly.one()
+    return QTorusElement(terms)
 
 
 def test_every_verify_row_can_fail(tmp_path, monkeypatch):
@@ -824,13 +834,11 @@ def test_closed_form_mismatch_is_a_failed_check(tmp_path, monkeypatch):
     electric ones, whose closed form multiplies no factor; the other rows do
     not read it."""
     from conifoldrh import qtorus
-    from conifoldrh.laurent import LaurentPoly
 
     good = qtorus.closed_form_element
 
     def perturbed(ray_charges, gamma_m, order, qcut):
-        return good(ray_charges, gamma_m, order, qcut) + qtorus.QTorusElement(
-            {gamma_m: LaurentPoly.one()})
+        return _plus_generator(good(ray_charges, gamma_m, order, qcut), gamma_m)
 
     monkeypatch.setattr(qtorus, "closed_form_element", perturbed)
     code, data = run_cli(tmp_path, "verify", "--suite", "algebra")
@@ -1125,7 +1133,7 @@ def test_asym_order_sweep_at_K11():
 def test_region_outside_mplus_names_predicate(capsys):
     assert main(["region", "--param", "v=1", "--param", "w=1"]) == EXIT_PRECONDITION
     err = capsys.readouterr().err
-    assert "Im(v/w) > 0" in err and "v + n*w != 0" in err
+    assert "Im(v/w) > 0" in err and "v + n*w" not in err
 
 
 def _readme_commands() -> list[str]:

@@ -56,7 +56,7 @@ def test_mplus_rejection():
 
 def test_charge_arithmetic():
     g = ChargeVector(1, -2, 3, 0)
-    assert (g + (-g)).is_zero()
+    assert g + (-g) == ChargeVector()
     assert (2 * g).coords() == (2, -4, 6, 0)
-    assert (g - g).is_zero() and g + ChargeVector(ma=-3) == ChargeVector(1, -2)
+    assert g - g == ChargeVector() and g + ChargeVector(ma=-3) == ChargeVector(1, -2)
     assert g.is_electric() is False and ChargeVector(1, -2).is_electric()

@@ -51,7 +51,7 @@ def test_solution_point_derived():
 def test_predicate_checklists():
     names = [q.name for q in b_predicates(P0)]
     assert names == ["Im((v+0w)/w) > 0", "Im((v+0w)/(-t)) > 0"]
-    d = d_predicates(P_IV.shifted(2))
+    d = d_predicates(P_IV._replace(n=2))
     assert all(q.ok for q in d)
     assert sum(q.name.startswith("Im(zB") for q in d) == 4  # two per B factor
 
@@ -75,9 +75,9 @@ def test_B_fully_admissible_point():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_wallcrossing_at_default_point(n):
-    rb = wallcross_B(P0.shifted(n))
+    rb = wallcross_B(P0._replace(n=n))
     assert rb.rel_err < 1e-8
-    rd = wallcross_D(P0.shifted(n))
+    rd = wallcross_D(P0._replace(n=n))
     assert rd.rel_err < 1e-8
 
 
@@ -91,8 +91,8 @@ def test_wallcrossing_second_stability_point():
     """Nothing is tuned to the default (v, w): the jumps close at another
     stability point with non-real w."""
     for n in range(3):
-        assert wallcross_B(P_2ND.shifted(n)).rel_err < 1e-8
-        assert wallcross_D(P_2ND.shifted(n)).rel_err < 1e-8
+        assert wallcross_B(P_2ND._replace(n=n)).rel_err < 1e-8
+        assert wallcross_D(P_2ND._replace(n=n)).rel_err < 1e-8
 
 
 @pytest.mark.parametrize("p", [P0, P_NEG], ids=["default", "probe"])
@@ -100,14 +100,14 @@ def test_wallcrossing_second_stability_point():
 def test_wallcrossing_negative_sectors(p, n):
     """D_(n+1)/D_n closes against the ell_n jump for n < 0 too, where D_n
     divides by its B_0 factors."""
-    assert wallcross_B(p.shifted(n)).rel_err < 1e-8
-    assert wallcross_D(p.shifted(n)).rel_err < 1e-8
+    assert wallcross_B(p._replace(n=n)).rel_err < 1e-8
+    assert wallcross_D(p._replace(n=n)).rel_err < 1e-8
 
 
 def test_D_minus_one_at_the_probe_point():
     """eval --target Dn --param n=-1 --param t=-0.9+0.3i --param tau=0.15i:
     D_(-1) = D_0 / jump(ell_(-1)) on delta_v, about 1.094696+0.336209i."""
-    p = P_NEG.shifted(-1)
+    p = P_NEG._replace(n=-1)
     want = cmath.exp(log_D_n(P_NEG)) / jump(p, DELTA_V)
     got = SOLUTIONS["D"].value(p)
     assert abs(got - want) <= 1e-8 * abs(want)
@@ -117,7 +117,7 @@ def test_D_minus_one_at_the_probe_point():
 def test_d_predicates_list_the_divisor_factor():
     """At n = -1 the checklist holds the F* checklist of D_(-1)'s one B_0
     divisor."""
-    names = [q.name for q in d_predicates(P_NEG.shifted(-1))]
+    names = [q.name for q in d_predicates(P_NEG._replace(n=-1))]
     assert "Im(zB0/(w+t*tau/2)) > 0" in names
     assert "Im(zB0/(-t)) > 0" in names
 
@@ -170,7 +170,7 @@ def test_jump_pairs_B_with_beta_v_and_D_with_delta_v(p):
     jumps coincide, and from n = 2 on they differ."""
     q_half = cmath.exp(1j * math.pi * p.tau)
     for n in range(6):
-        pn = p.shifted(n)
+        pn = p._replace(n=n)
         xyn = pn.x * pn.y**n
         jump_b = 1 / (1 - xyn)
         jump_d = math.prod(1 / (1 - q_half ** (1 - n + 2 * k) * xyn) for k in range(n))
@@ -198,7 +198,7 @@ def test_log_D_n_skips_the_tau_predicates():
 
 def test_D1_argument_plumbing():
     """D_1 = D_0(v + w - t tau/2, w, t) * B_0(v + w, w + t tau/2, t) literally."""
-    p = P_IV.shifted(1)
+    p = P_IV._replace(n=1)
     tt2 = p.t * p.tau / 2
     manual = (log_G_star(V + W - tt2, W - tt2, W + tt2, -p.t)
               + log_F_star(V + W, W + tt2, -p.t))
@@ -326,7 +326,7 @@ def test_growth_fit_trivial_constant():
 
 
 def test_qrh3_growth_finite():
-    g = check_qrh3_growth(P_SW.shifted(1), SOLUTIONS["B"])
+    g = check_qrh3_growth(P_SW._replace(n=1), SOLUTIONS["B"])
     assert g.passed and g.name == "qrh3 growth exponent finite (B)"
     # B_n ~ |t|^Re(B_1(z/w)) up to O(1): exponent near Re((v+nw)/w) - 1/2
     expect = ((V + W) / W).real - 0.5
